@@ -15,12 +15,20 @@
 //                                       serving path vs the fused streaming
 //                                       batch kernel)
 //
+// The packed-GEMM and fused-attention arms run once per ISA tier the host
+// supports (the row's "isa" field; see common/cpu_dispatch.hpp), so the
+// tier gain shows at kernel level. Every time is the minimum of N runs
+// after a warm-up, reported with its spread ((max - min) / min). Speedups
+// compare equal thread counts only: speedup_1t is baseline vs kernel at one
+// thread, speedup_mt the same at the pool's thread count (only for
+// baselines that parallelize); scaling_mt is the kernel's own 1-thread /
+// N-thread ratio.
+//
 // Usage: kernels_microbench [--smoke] [--out <path>]
 //   --smoke   small shapes / fewer reps (CI)
 //   default   acceptance shapes: 512^3 GEMM, sliding chunks n=4096 w=128
 //             h=64, packed GEMM on the Longformer-base projection/FFN
-//             shapes, fused attention at n=2048 w=256; each timed
-//             single-thread and with the pool enabled.
+//             shapes, fused attention at n=2048 w=256.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -36,6 +44,7 @@
 #include "attention/reference.hpp"
 #include "attention/sliding_chunks.hpp"
 #include "attention/window.hpp"
+#include "common/cpu_dispatch.hpp"
 #include "common/thread_pool.hpp"
 #include "tensor/kernels.hpp"
 
@@ -49,20 +58,55 @@ double now_seconds() {
       .count();
 }
 
-/// Best-of-N wall time of `fn` in seconds. One untimed warm-up run first,
-/// so the pair measured earlier doesn't pay the cold-cache/page-fault cost
-/// its competitor then skips — without it the later-timed variant shows a
+/// Minimum and spread of N timed runs, in seconds.
+struct Timing {
+  double min_s = 0;
+  double spread = 0;  ///< (max - min) / min over the N samples
+};
+
+/// Min-of-N wall time of `fn`. One untimed warm-up run first, so the pair
+/// measured earlier doesn't pay the cold-cache/page-fault cost its
+/// competitor then skips — without it the later-timed variant shows a
 /// spurious ~10-50% advantage.
 template <typename Fn>
-double best_time(int reps, Fn&& fn) {
+Timing time_min_of(int reps, Fn&& fn) {
   fn();
-  double best = std::numeric_limits<double>::infinity();
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = 0;
   for (int r = 0; r < reps; ++r) {
     const double t0 = now_seconds();
     fn();
-    best = std::min(best, now_seconds() - t0);
+    const double dt = now_seconds() - t0;
+    lo = std::min(lo, dt);
+    hi = std::max(hi, dt);
   }
-  return best;
+  return {lo, (hi - lo) / lo};
+}
+
+/// One arm timed at one thread and at the pool's thread count.
+struct ThreadTimings {
+  Timing t1;
+  Timing mt;
+};
+
+template <typename Fn>
+ThreadTimings time_threads(int reps, int pool_threads, Fn&& fn) {
+  ThreadTimings t;
+  swat::set_num_threads(1);
+  t.t1 = time_min_of(reps, fn);
+  swat::set_num_threads(pool_threads);
+  t.mt = time_min_of(reps, fn);
+  return t;
+}
+
+/// A serial baseline: timed at one thread only.
+template <typename Fn>
+ThreadTimings time_serial(int reps, int pool_threads, Fn&& fn) {
+  ThreadTimings t;
+  swat::set_num_threads(1);
+  t.t1 = time_min_of(reps, fn);
+  swat::set_num_threads(pool_threads);
+  return t;
 }
 
 /// The seed repository's sliding-chunks phase-1/phase-2 implementation,
@@ -123,11 +167,14 @@ MatrixF seed_sliding_chunks(const swat::attn::HeadInput& in, std::int64_t w) {
 
 struct BenchRow {
   std::string name;
+  std::string isa = "-";  // ISA tier of a per-tier arm, "-" otherwise
   std::string baseline = "naive_seed";  // what speedup_* is measured against
-  double flops = 0;       // per invocation
-  double naive_s = 0;     // baseline implementation
-  double blocked_1t_s = 0;
-  double blocked_mt_s = 0;
+  double flops = 0;  // per invocation
+  ThreadTimings base;
+  ThreadTimings kernel;
+  /// The baseline parallelizes, so base.mt was timed and speedup_mt
+  /// compares equal thread counts. Serial baselines report no speedup_mt.
+  bool base_parallel = false;
   float max_abs_diff = 0;  // kernel vs oracle
   /// Packed-weight bytes streamed per invocation (0 for kernels with no
   /// resident pack). Lets the summary derive the effective weight-stream
@@ -145,39 +192,54 @@ struct BenchRow {
   /// gate reads.
   double kv_eff_bytes = 0;
 
-  double gflops(double s) const { return flops / s / 1e9; }
-  double weight_gbps(double s) const {
-    return s > 0 ? weight_bytes / s / 1e9 : 0;
-  }
-  double kv_gbps(double s) const { return s > 0 ? kv_eff_bytes / s / 1e9 : 0; }
+  double gflops(const Timing& t) const { return flops / t.min_s / 1e9; }
+  double speedup_1t() const { return base.t1.min_s / kernel.t1.min_s; }
+  double speedup_mt() const { return base.mt.min_s / kernel.mt.min_s; }
 };
 
 bool emit_json(const std::vector<BenchRow>& rows, const std::string& path,
-               int threads) {
+               int threads, int reps) {
   std::ofstream out(path);
   if (!out) {
     std::cerr << "error: cannot open " << path << " for writing\n";
     return false;
   }
-  out << "{\n  \"threads\": " << threads << ",\n  \"kernels\": [\n";
+  out << "{\n  \"threads\": " << threads << ",\n  \"reps\": " << reps
+      << ",\n  \"host_isa\": \"" << swat::isa_tier_name(swat::host_isa_tier())
+      << "\",\n  \"kernels\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& r = rows[i];
+    const double k1 = r.kernel.t1.min_s;
     out << "    {\"name\": \"" << r.name << "\", "
+        << "\"isa\": \"" << r.isa << "\", "
         << "\"baseline\": \"" << r.baseline << "\", "
-        << "\"gflops_baseline\": " << r.gflops(r.naive_s) << ", "
-        << "\"gflops_kernel_1t\": " << r.gflops(r.blocked_1t_s) << ", "
-        << "\"gflops_kernel_mt\": " << r.gflops(r.blocked_mt_s) << ", "
-        << "\"speedup_1t\": " << r.naive_s / r.blocked_1t_s << ", "
-        << "\"speedup_mt\": " << r.naive_s / r.blocked_mt_s << ", "
+        << "\"gflops_baseline_1t\": " << r.gflops(r.base.t1) << ", "
+        << "\"gflops_kernel_1t\": " << r.gflops(r.kernel.t1) << ", "
+        << "\"gflops_kernel_mt\": " << r.gflops(r.kernel.mt) << ", "
+        << "\"spread_baseline_1t\": " << r.base.t1.spread << ", "
+        << "\"spread_kernel_1t\": " << r.kernel.t1.spread << ", "
+        << "\"spread_kernel_mt\": " << r.kernel.mt.spread << ", "
+        << "\"speedup_1t\": " << r.speedup_1t() << ", ";
+    if (r.base_parallel) out << "\"speedup_mt\": " << r.speedup_mt() << ", ";
+    out << "\"scaling_mt\": " << k1 / r.kernel.mt.min_s << ", "
         << "\"weight_bytes\": " << r.weight_bytes << ", "
-        << "\"weight_gbps_1t\": " << r.weight_gbps(r.blocked_1t_s) << ", "
+        << "\"weight_gbps_1t\": " << r.weight_bytes / k1 / 1e9 << ", "
         << "\"kv_bytes\": " << r.kv_bytes << ", "
-        << "\"kv_gbps_1t\": " << r.kv_gbps(r.blocked_1t_s) << ", "
+        << "\"kv_gbps_1t\": " << r.kv_eff_bytes / k1 / 1e9 << ", "
         << "\"max_abs_diff\": " << r.max_abs_diff << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   return static_cast<bool>(out);
+}
+
+/// The ISA tiers this host can run, lowest first.
+std::vector<swat::IsaTier> supported_tiers() {
+  std::vector<swat::IsaTier> tiers;
+  for (const swat::IsaTier t : swat::kIsaTiers) {
+    if (swat::isa_tier_supported(t)) tiers.push_back(t);
+  }
+  return tiers;
 }
 
 }  // namespace
@@ -197,7 +259,8 @@ int main(int argc, char** argv) {
   const std::int64_t sc_n = smoke ? 1024 : 4096;
   const std::int64_t sc_w = smoke ? 64 : 128;
   const std::int64_t sc_h = 64;
-  const int reps = smoke ? 2 : 3;
+  const int reps = smoke ? 3 : 5;
+  const std::vector<swat::IsaTier> tiers = supported_tiers();
 
   swat::Rng rng(42);
   std::vector<BenchRow> rows;
@@ -211,11 +274,10 @@ int main(int argc, char** argv) {
              std::to_string(gemm_n) + "x" + std::to_string(gemm_n);
     r.flops = 2.0 * gemm_n * gemm_n * gemm_n;
     MatrixF c_naive, c_blocked;
-    r.naive_s = best_time(reps, [&] { c_naive = swat::matmul_naive(a, b); });
-    swat::set_num_threads(1);
-    r.blocked_1t_s = best_time(reps, [&] { c_blocked = swat::matmul(a, b); });
-    swat::set_num_threads(pool_threads);
-    r.blocked_mt_s = best_time(reps, [&] { c_blocked = swat::matmul(a, b); });
+    r.base = time_serial(reps, pool_threads,
+                         [&] { c_naive = swat::matmul_naive(a, b); });
+    r.kernel = time_threads(reps, pool_threads,
+                            [&] { c_blocked = swat::matmul(a, b); });
     r.max_abs_diff = swat::max_abs_diff(c_blocked, c_naive);
     rows.push_back(r);
   }
@@ -229,14 +291,10 @@ int main(int argc, char** argv) {
              std::to_string(gemm_n) + "x" + std::to_string(gemm_n);
     r.flops = 2.0 * gemm_n * gemm_n * gemm_n;
     MatrixF c_naive, c_blocked;
-    r.naive_s =
-        best_time(reps, [&] { c_naive = swat::matmul_nt_naive(a, b); });
-    swat::set_num_threads(1);
-    r.blocked_1t_s =
-        best_time(reps, [&] { c_blocked = swat::matmul_nt(a, b); });
-    swat::set_num_threads(pool_threads);
-    r.blocked_mt_s =
-        best_time(reps, [&] { c_blocked = swat::matmul_nt(a, b); });
+    r.base = time_serial(reps, pool_threads,
+                         [&] { c_naive = swat::matmul_nt_naive(a, b); });
+    r.kernel = time_threads(reps, pool_threads,
+                            [&] { c_blocked = swat::matmul_nt(a, b); });
     r.max_abs_diff = swat::max_abs_diff(c_blocked, c_naive);
     rows.push_back(r);
   }
@@ -252,13 +310,9 @@ int main(int argc, char** argv) {
     r.flops = 2.0 * tiles * (2 * sc_w) * (2 * sc_w) * sc_h +
               2.0 * sc_n * (2 * sc_w + 1) * sc_h;
     MatrixF z_seed, z_blocked;
-    r.naive_s = best_time(reps, [&] { z_seed = seed_sliding_chunks(in, sc_w); });
-    swat::set_num_threads(1);
-    r.blocked_1t_s = best_time(reps, [&] {
-      z_blocked = swat::attn::sliding_chunks_attention(in, sc_w).z;
-    });
-    swat::set_num_threads(pool_threads);
-    r.blocked_mt_s = best_time(reps, [&] {
+    r.base = time_serial(reps, pool_threads,
+                         [&] { z_seed = seed_sliding_chunks(in, sc_w); });
+    r.kernel = time_threads(reps, pool_threads, [&] {
       z_blocked = swat::attn::sliding_chunks_attention(in, sc_w).z;
     });
     // Accuracy against the exact banded oracle, not just the seed path.
@@ -268,11 +322,12 @@ int main(int argc, char** argv) {
   }
 
   // ---- packed-weight GEMM on the encoder's serving shapes ---------------
-  // Baseline is the blocked bias GEMM the Linear layer ran per batch until
-  // this PR (weights pre-transposed outside the timed region, exactly like
-  // the old cached-W^T path); the kernel under test streams the pre-packed
-  // panels. Both are timed on Longformer-base's projection (768 -> 768) and
-  // FFN-expand (768 -> 3072) shapes.
+  // Baseline is the blocked bias GEMM the Linear layer ran per batch
+  // before weights were packed (weights pre-transposed outside the timed
+  // region, exactly like the old cached-W^T path); the kernel under test
+  // streams the pre-packed panels, once per ISA tier. Both are timed on
+  // Longformer-base's projection (768 -> 768) and FFN-expand (768 -> 3072)
+  // shapes.
   {
     struct PackedShape {
       const char* tag;
@@ -288,72 +343,67 @@ int main(int argc, char** argv) {
       swat::MatrixF w = swat::random_normal(sh.n, sh.k, rng);
       std::vector<float> bias(static_cast<std::size_t>(sh.n));
       for (float& b : bias) b = static_cast<float>(rng.uniform(-1.0, 1.0));
-      BenchRow r;
-      r.name = std::string("gemm_packed_") + sh.tag + "_" +
-               std::to_string(sh.m) + "x" + std::to_string(sh.k) + "x" +
-               std::to_string(sh.n);
-      r.baseline = "blocked_bias_gemm";
-      r.flops = 2.0 * sh.m * sh.k * sh.n;
+      const std::string shape = std::string(sh.tag) + "_" +
+                                std::to_string(sh.m) + "x" +
+                                std::to_string(sh.k) + "x" +
+                                std::to_string(sh.n);
+      const double flops = 2.0 * sh.m * sh.k * sh.n;
       const swat::MatrixF wt = swat::transpose(w);  // the old cached W^T
-      swat::PackedWeight packed;
+      swat::PackedWeight packed, packed_f16;
       swat::pack_weight_nt(w, packed);  // packed once, as Engine::compile does
-      swat::MatrixF c_base(sh.m, sh.n), c_packed(sh.m, sh.n);
-      // Baseline timed single-threaded like every other arm's baseline,
-      // so speedup_1t compares one thread against one thread.
-      swat::set_num_threads(1);
-      r.naive_s = best_time(reps, [&] {
+      swat::pack_weight_nt(w, packed_f16, swat::Dtype::kFp16);
+      swat::MatrixF c_base(sh.m, sh.n), c_packed(sh.m, sh.n), c_f16(sh.m, sh.n);
+      // The blocked GEMM has no ISA tiers: timed once for every tier's row.
+      const ThreadTimings blocked = time_threads(reps, pool_threads, [&] {
         swat::detail::gemm(a.data(), sh.k, wt.data(), sh.n, c_base.data(),
                            sh.n, sh.m, sh.n, sh.k, bias.data(),
                            /*parallel=*/true);
       });
-      r.blocked_1t_s = best_time(reps, [&] {
-        swat::gemm_packed_into(a, packed, bias, c_packed);
-      });
-      swat::set_num_threads(pool_threads);
-      r.blocked_mt_s = best_time(reps, [&] {
-        swat::gemm_packed_into(a, packed, bias, c_packed);
-      });
-      r.max_abs_diff = swat::max_abs_diff(c_packed, c_base);
-      r.weight_bytes = static_cast<double>(packed.bytes());
-      rows.push_back(r);
+      for (const swat::IsaTier tier : tiers) {
+        const swat::ScopedIsaTier scope(tier);
+        BenchRow r;
+        r.name = "gemm_packed_" + shape;
+        r.isa = std::string(swat::isa_tier_name(tier));
+        r.baseline = "blocked_bias_gemm";
+        r.flops = flops;
+        r.base = blocked;
+        r.base_parallel = true;
+        r.kernel = time_threads(reps, pool_threads, [&] {
+          swat::gemm_packed_into(a, packed, bias, c_packed);
+        });
+        r.max_abs_diff = swat::max_abs_diff(c_packed, c_base);
+        r.weight_bytes = static_cast<double>(packed.bytes());
+        rows.push_back(r);
 
-      // The half-precision pack on the same shape, against the fp32 pack
-      // it replaces (explicitly named baseline): half the streamed weight
-      // bytes, fp32 accumulation throughout, and FMA contraction in the
-      // widened tile — the acceptance gate wants >= 1.2x on the FFN shape.
-      swat::PackedWeight packed_f16;
-      swat::pack_weight_nt(w, packed_f16, swat::Dtype::kFp16);
-      swat::MatrixF c_f16(sh.m, sh.n);
-      BenchRow h;
-      h.name = std::string("gemm_packed_f16_") + sh.tag + "_" +
-               std::to_string(sh.m) + "x" + std::to_string(sh.k) + "x" +
-               std::to_string(sh.n);
-      h.baseline = "gemm_packed_f32";
-      h.flops = r.flops;
-      h.weight_bytes = static_cast<double>(packed_f16.bytes());
-      swat::set_num_threads(1);
-      h.naive_s = best_time(reps, [&] {
-        swat::gemm_packed_into(a, packed, bias, c_packed);
-      });
-      h.blocked_1t_s = best_time(reps, [&] {
-        swat::gemm_packed_into(a, packed_f16, bias, c_f16);
-      });
-      swat::set_num_threads(pool_threads);
-      h.blocked_mt_s = best_time(reps, [&] {
-        swat::gemm_packed_into(a, packed_f16, bias, c_f16);
-      });
-      // fp16 rounds each weight once; the diff against the fp32 pack is
-      // the fidelity-budgeted rounding, not an implementation bug.
-      h.max_abs_diff = swat::max_abs_diff(c_f16, c_packed);
-      rows.push_back(h);
+        // The half-precision pack on the same shape and tier, against the
+        // fp32 pack it replaces: half the streamed weight bytes, fp32
+        // accumulation throughout, fused multiply-adds in the widened tile
+        // where the tier has FMA.
+        BenchRow h;
+        h.name = "gemm_packed_f16_" + shape;
+        h.isa = r.isa;
+        h.baseline = "gemm_packed_f32";
+        h.flops = flops;
+        h.base = r.kernel;
+        h.base_parallel = true;
+        h.weight_bytes = static_cast<double>(packed_f16.bytes());
+        h.kernel = time_threads(reps, pool_threads, [&] {
+          swat::gemm_packed_into(a, packed_f16, bias, c_f16);
+        });
+        // fp16 rounds each weight once; the diff against the fp32 pack is
+        // the fidelity-budgeted rounding, not an implementation bug.
+        h.max_abs_diff = swat::max_abs_diff(c_f16, c_packed);
+        rows.push_back(h);
+      }
     }
   }
 
   // ---- fused streaming attention (the serving kernel) -------------------
-  // Baseline replicates the per-(sequence, head) serving path this PR
-  // replaced: slice the head's Q/K/V (folding in the logit scale), run the
-  // banded stable-softmax attention into a staging matrix, scatter back
-  // into the packed concat buffer. The fused kernel streams Eq. 1 in place.
+  // Baseline replicates the per-(sequence, head) serving path the fused
+  // kernel replaced: slice the head's Q/K/V (folding in the logit scale),
+  // run the banded stable-softmax attention into a staging matrix, scatter
+  // back into the packed concat buffer. The fused kernel streams Eq. 1 in
+  // place, once per ISA tier.
   {
     const std::int64_t fa_n = smoke ? 512 : 2048;
     const std::int64_t fa_heads = 12;
@@ -366,11 +416,9 @@ int main(int argc, char** argv) {
     const swat::MatrixF k = swat::random_normal(fa_n, fa_d, rng, 0.3);
     const swat::MatrixF v = swat::random_normal(fa_n, fa_d, rng);
     const std::int64_t offsets[2] = {0, fa_n};
-
-    BenchRow r;
-    r.name = "fused_attention_n" + std::to_string(fa_n) + "_w" +
-             std::to_string(before) + "_h" + std::to_string(fa_h);
-    r.baseline = "band_slice_scatter";
+    const std::string shape = "n" + std::to_string(fa_n) + "_w" +
+                              std::to_string(before) + "_h" +
+                              std::to_string(fa_h);
     // QK + SV multiply-accumulates over the clipped band, all heads.
     double band_rows = 0;
     for (std::int64_t i = 0; i < fa_n; ++i) {
@@ -378,10 +426,17 @@ int main(int argc, char** argv) {
           std::min<std::int64_t>(fa_n - 1, i + after) -
           std::max<std::int64_t>(0, i - before) + 1);
     }
-    r.flops = 2.0 * 2.0 * fa_heads * band_rows * fa_h;
+    const double flops = 2.0 * 2.0 * fa_heads * band_rows * fa_h;
+    const double kv_f32 = static_cast<double>(
+        swat::attn::fused_window_kv_stream_bytes(
+            fa_n, fa_heads, fa_h, before, after, swat::Dtype::kFp32));
+    const double kv_f16 = static_cast<double>(
+        swat::attn::fused_window_kv_stream_bytes(
+            fa_n, fa_heads, fa_h, before, after, swat::Dtype::kFp16));
 
-    swat::MatrixF concat_base(fa_n, fa_d), concat_fused(fa_n, fa_d);
-    const auto baseline = [&] {
+    swat::MatrixF concat_base(fa_n, fa_d), concat_fused(fa_n, fa_d),
+        concat_f16(fa_n, fa_d);
+    const ThreadTimings slice_scatter = time_serial(reps, pool_threads, [&] {
       swat::attn::HeadInput in;
       swat::MatrixF z;
       for (std::int64_t head = 0; head < fa_heads; ++head) {
@@ -403,68 +458,72 @@ int main(int argc, char** argv) {
           }
         }
       }
-    };
-    const auto fused = [&] {
-      swat::attn::fused_window_attention_batch_into(
-          q, k, v, offsets, fa_heads, before, after, scale, concat_fused);
-    };
-    r.naive_s = best_time(reps, baseline);
-    swat::set_num_threads(1);
-    r.blocked_1t_s = best_time(reps, fused);
-    swat::set_num_threads(pool_threads);
-    r.blocked_mt_s = best_time(reps, fused);
-    // Eq. 1 defers the division and skips the max subtraction, so the
-    // fused kernel is numerically close to, not bitwise equal to, the
-    // stable-softmax baseline.
-    r.max_abs_diff = swat::max_abs_diff(concat_fused, concat_base);
-    r.kv_bytes = static_cast<double>(swat::attn::fused_window_kv_stream_bytes(
-        fa_n, fa_heads, fa_h, before, after, swat::Dtype::kFp32));
-    r.kv_eff_bytes = r.kv_bytes;
-    rows.push_back(r);
+    });
+    for (const swat::IsaTier tier : tiers) {
+      const swat::ScopedIsaTier scope(tier);
+      BenchRow r;
+      r.name = "fused_attention_" + shape;
+      r.isa = std::string(swat::isa_tier_name(tier));
+      r.baseline = "band_slice_scatter";
+      r.flops = flops;
+      r.base = slice_scatter;
+      r.kernel = time_threads(reps, pool_threads, [&] {
+        swat::attn::fused_window_attention_batch_into(
+            q, k, v, offsets, fa_heads, before, after, scale, concat_fused);
+      });
+      // Eq. 1 defers the division and skips the max subtraction, so the
+      // fused kernel is numerically close to, not bitwise equal to, the
+      // stable-softmax baseline.
+      r.max_abs_diff = swat::max_abs_diff(concat_fused, concat_base);
+      r.kv_bytes = kv_f32;
+      r.kv_eff_bytes = kv_f32;
+      rows.push_back(r);
 
-    // The half-precision streamed tiles on the same shape, against the
-    // fp32 stream they replace (explicitly named baseline): half the K/V
-    // tile bytes, fp32 scores/accumulation throughout. The acceptance
-    // gate wants >= 1.2x effective K/V bandwidth at one thread — both
-    // arms' kv_gbps_1t price the band at fp32 width, so the gate is
-    // exactly speedup_1t (the fp32/fp16 wall-time ratio) >= 1.2x; on the
-    // native build the fp16 worker earns it with in-register vcvtph2ps
-    // widening and libmvec's vectorized exp pass.
-    swat::MatrixF concat_f16(fa_n, fa_d);
-    BenchRow h;
-    h.name = "fused_attention_f16stream_n" + std::to_string(fa_n) + "_w" +
-             std::to_string(before) + "_h" + std::to_string(fa_h);
-    h.baseline = "fused_attention_f32stream";
-    h.flops = r.flops;
-    h.kv_bytes = static_cast<double>(swat::attn::fused_window_kv_stream_bytes(
-        fa_n, fa_heads, fa_h, before, after, swat::Dtype::kFp16));
-    h.kv_eff_bytes = r.kv_eff_bytes;
-    const auto fused_f16 = [&] {
-      swat::attn::fused_window_attention_batch_into(
-          q, k, v, offsets, fa_heads, before, after, scale, concat_f16,
-          swat::Dtype::kFp16);
-    };
-    swat::set_num_threads(1);
-    h.naive_s = best_time(reps, fused);
-    h.blocked_1t_s = best_time(reps, fused_f16);
-    swat::set_num_threads(pool_threads);
-    h.blocked_mt_s = best_time(reps, fused_f16);
-    // fp16 rounds each K/V tile element once; the diff against the fp32
-    // stream is the fidelity-budgeted rounding, not an implementation bug.
-    h.max_abs_diff = swat::max_abs_diff(concat_f16, concat_fused);
-    rows.push_back(h);
+      // The half-precision streamed tiles on the same shape and tier,
+      // against the fp32 stream they replace: half the K/V tile bytes,
+      // fp32 scores/accumulation throughout. Both arms' kv_gbps_1t price
+      // the band at fp32 width, so their ratio is exactly speedup_1t (the
+      // fp32/fp16 wall-time ratio).
+      BenchRow h;
+      h.name = "fused_attention_f16stream_" + shape;
+      h.isa = r.isa;
+      h.baseline = "fused_attention_f32stream";
+      h.flops = flops;
+      h.base = r.kernel;
+      h.base_parallel = true;
+      h.kernel = time_threads(reps, pool_threads, [&] {
+        swat::attn::fused_window_attention_batch_into(
+            q, k, v, offsets, fa_heads, before, after, scale, concat_f16,
+            swat::Dtype::kFp16);
+      });
+      // fp16 rounds each K/V tile element once; the diff against the fp32
+      // stream is the fidelity-budgeted rounding, not an implementation
+      // bug.
+      h.max_abs_diff = swat::max_abs_diff(concat_f16, concat_fused);
+      h.kv_bytes = kv_f16;
+      h.kv_eff_bytes = kv_f32;
+      rows.push_back(h);
+    }
   }
 
-  const bool json_ok = emit_json(rows, out_path, pool_threads);
+  const bool json_ok = emit_json(rows, out_path, pool_threads, reps);
 
-  std::cout << "kernel                          baseline kernel(1t) kernel("
-            << pool_threads << "t)  speedup(1t)\n";
+  std::printf("%-42s %-8s %8s %8s %8s %8s %8s %7s\n", "kernel", "isa",
+              "base 1t", "kern 1t", "kern mt", "spd 1t", "spd mt", "spread");
+  std::printf("%-42s %-8s %8s %8s %8s %8s %8s %7s\n", "", "",
+              "GFLOP/s", "GFLOP/s", "GFLOP/s", "", "", "1t");
   for (const BenchRow& r : rows) {
-    std::printf("%-30s %7.2f %10.2f %11.2f %9.2fx   (max|diff| %.2e)\n",
-                r.name.c_str(), r.gflops(r.naive_s), r.gflops(r.blocked_1t_s),
-                r.gflops(r.blocked_mt_s), r.naive_s / r.blocked_1t_s,
+    char mt[16] = "-";
+    if (r.base_parallel) std::snprintf(mt, sizeof(mt), "%.2fx", r.speedup_mt());
+    std::printf("%-42s %-8s %8.2f %8.2f %8.2f %7.2fx %8s %6.1f%%  "
+                "(max|diff| %.2e)\n",
+                r.name.c_str(), r.isa.c_str(), r.gflops(r.base.t1),
+                r.gflops(r.kernel.t1), r.gflops(r.kernel.mt), r.speedup_1t(),
+                mt, 100.0 * r.kernel.t1.spread,
                 static_cast<double>(r.max_abs_diff));
   }
+  std::printf("(%d threads for the mt columns, min of %d runs)\n",
+              pool_threads, reps);
   if (json_ok) std::cout << "wrote " << out_path << "\n";
   return json_ok ? 0 : 1;
 }

@@ -26,12 +26,13 @@ import sys
 from pathlib import Path
 
 # gflops covers the kernel microbench's per-arm throughput columns
-# (gflops_naive / gflops_blocked_*), so the packed-GEMM and fused-attention
-# arms land in the headline table alongside their speedups. _gbps is the
+# (gflops_baseline_1t / gflops_kernel_*), so the packed-GEMM and
+# fused-attention arms land in the headline table alongside their
+# same-thread-count speedups and their own thread scaling. _gbps is the
 # effective weight-stream bandwidth column (weight_bytes / kernel time) the
 # packed-GEMM arms report — the number the fp16 pack halves the demand for.
-HEADLINE_MARKERS = ("_per_s", "speedup", "_ms", "_rps", "_tps", "gflops",
-                    "_gbps")
+HEADLINE_MARKERS = ("_per_s", "speedup", "scaling", "_ms", "_rps", "_tps",
+                    "gflops", "_gbps")
 
 
 def is_number(value):
@@ -108,6 +109,29 @@ def placement_rows(name, data):
             for placement, (speedup, replicas) in sorted(best.items())]
 
 
+def pct(value):
+    return f"{100 * value:.1f}%" if is_number(value) else "-"
+
+
+def isa_tier_rows(name, data):
+    """(bench, kernel, isa, baseline, GFLOP/s 1t (spread), speedup_1t,
+    speedup_mt, scaling_mt) rows for the kernel arms measured per ISA tier,
+    so one glance shows what each tier buys. Arms without an isa field
+    (tier-independent kernels, older artifacts) are skipped."""
+    rows = []
+    for arm in data.get("kernels", []):
+        if not isinstance(arm, dict) or arm.get("isa", "-") == "-":
+            continue
+        gflops = arm.get("gflops_kernel_1t")
+        rows.append((name, str(arm.get("name", "-")), str(arm["isa"]),
+                     str(arm.get("baseline", "-")),
+                     f"{fmt(gflops)} (±{pct(arm.get('spread_kernel_1t'))})",
+                     fmt(arm.get("speedup_1t", "-")),
+                     fmt(arm.get("speedup_mt", "-")),
+                     fmt(arm.get("scaling_mt", "-"))))
+    return rows
+
+
 def render(files):
     benches = []
     for path in files:
@@ -131,6 +155,18 @@ def render(files):
         out.append("")
         out.append(table(("bench", "placement", "replicas", "speedup"),
                          [list(r) for r in placement]))
+        out.append("")
+
+    tiers = []
+    for name, data in benches:
+        tiers += isa_tier_rows(name, data)
+    if tiers:
+        out.append("## Kernel arms by ISA tier (min of N runs, spread = "
+                   "(max - min) / min)")
+        out.append("")
+        out.append(table(("bench", "kernel", "isa", "baseline",
+                          "GFLOP/s 1t", "speedup_1t", "speedup_mt",
+                          "scaling_mt"), [list(r) for r in tiers]))
         out.append("")
 
     for name, data in benches:

@@ -39,6 +39,11 @@
    mentioned in docs/ARCHITECTURE.md — the streamed-tile kernel and its
    kv-stream pricing helper are the serving hot path's attention
    contract.
+9. The runtime ISA dispatch surface (src/common/cpu_dispatch.hpp: every
+   top-level type and every free function declared at namespace scope,
+   plus the kIsaTiers list and the SWAT_ISA variable) must be mentioned in
+   docs/ARCHITECTURE.md — which tier runs, and how to pin one, decides
+   which kernels' bits a deployment gets.
 
 Exits non-zero with one line per violation.
 """
@@ -284,6 +289,25 @@ def check_fused_api_mentions(errors):
                 f"`{name}` is not documented")
 
 
+def check_cpu_dispatch_api_mentions(errors):
+    """cpu_dispatch.hpp top-level types + namespace-scope free functions,
+    plus kIsaTiers and SWAT_ISA, must be documented."""
+    header = REPO / "src" / "common" / "cpu_dispatch.hpp"
+    arch = REPO / "docs" / "ARCHITECTURE.md"
+    if not header.exists():
+        errors.append("src/common/cpu_dispatch.hpp is missing")
+        return
+    if not arch.exists():
+        return  # reported by check_architecture_mentions
+    text = arch.read_text(encoding="utf-8")
+    names = set(kernels_public_api(header)) | {"kIsaTiers", "SWAT_ISA"}
+    for name in sorted(names):
+        if not re.search(rf"\b{re.escape(name)}\b", text):
+            errors.append(
+                "docs/ARCHITECTURE.md: cpu_dispatch.hpp public API "
+                f"`{name}` is not documented")
+
+
 def check_server_api_mentions(errors):
     header = REPO / "src" / "runtime" / "server.hpp"
     arch = REPO / "docs" / "ARCHITECTURE.md"
@@ -312,13 +336,15 @@ def main():
     check_engine_api_mentions(errors)
     check_topology_api_mentions(errors)
     check_fused_api_mentions(errors)
+    check_cpu_dispatch_api_mentions(errors)
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
     if not errors:
         print(f"docs OK: {len(doc_files())} files checked, "
               "all links resolve, architecture map covers src/, "
               "server, kernel, engine, stats, fault-injection, "
-              "placement/topology and fused-attention APIs documented")
+              "placement/topology, fused-attention and ISA-dispatch APIs "
+              "documented")
     return 1 if errors else 0
 
 

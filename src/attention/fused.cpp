@@ -5,48 +5,11 @@
 #include <limits>
 #include <vector>
 
+#include "common/isa_kernels.hpp"
 #include "common/thread_pool.hpp"
 #include "tensor/kernels.hpp"
 
-#if defined(__F16C__)
-#include <immintrin.h>
-#endif
-
-#if defined(SWAT_HAVE_MVEC) && defined(__AVX512F__)
-// glibc libmvec's 16-lane expf (<= 4 ulp): the fp16 streamed path's exp
-// stage, which is free of the fp32 path's oracle-bit-parity pin.
-extern "C" __m512 _ZGVeN16v_expf(__m512 x);
-#elif defined(SWAT_HAVE_MVEC) && defined(__AVX2__)
-extern "C" __m256 _ZGVdN8v_expf(__m256 x);
-#endif
-
 namespace swat::attn {
-
-namespace {
-
-#if defined(__F16C__)
-// Inline scalar widen for the <8-lane loop tails: one vcvtph2ps, same bits
-// as the batch converter (exact widening), no out-of-line call per element.
-inline float f16_tail_to_f32(std::uint16_t bits) { return _cvtsh_ss(bits); }
-#endif
-
-// Defined below; the serial workers the batch entry point fans out.
-SWAT_NO_FP_CONTRACT
-void fused_window_tasks(ConstMatrixView q, ConstMatrixView k,
-                        ConstMatrixView v,
-                        std::span<const std::int64_t> offsets,
-                        std::int64_t num_heads, std::int64_t window_before,
-                        std::int64_t window_after, float scale, MatrixView out,
-                        std::int64_t t0, std::int64_t t1);
-
-void fused_window_tasks_f16(ConstMatrixView q, ConstMatrixView k,
-                            ConstMatrixView v,
-                            std::span<const std::int64_t> offsets,
-                            std::int64_t num_heads, std::int64_t window_before,
-                            std::int64_t window_after, float scale,
-                            MatrixView out, std::int64_t t0, std::int64_t t1);
-
-}  // namespace
 
 void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
                                        ConstMatrixView v,
@@ -72,17 +35,56 @@ void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
                  offsets[static_cast<std::size_t>(s + 1)]);
   }
 
+  const isa::KernelTable& kern = isa::active_kernels();
+  const bool half = stream_dtype == Dtype::kFp16;
+  const isa::FusedWindowFn worker =
+      half ? kern.fused_window_tasks_f16 : kern.fused_window_tasks;
+  const std::int64_t h = d_model / num_heads;
+  const isa::FusedWindowArgs args{
+      q.data(),       q.stride(),  k.data(),      k.stride(),
+      v.data(),       v.stride(),  out.data(),    out.stride(),
+      offsets.data(), num_heads,   h,             window_before,
+      window_after,   scale};
+  // Per-thread scratch, carved from one lease of the thread's Workspace
+  // arena (steady state is allocation-free): O(window x head_dim), never
+  // (rows x window). Every piece is padded to whole 64-byte lines.
+  const auto floats = [](std::int64_t n) {
+    return static_cast<std::size_t>((n + 15) / 16 * 16);
+  };
+  const auto halves = [&](std::int64_t n) { return floats((n + 1) / 2); };
+  const std::int64_t tile =
+      (isa::kFusedQueryTile + window_before + window_after) * h;
+  const bool f32_tiles = !half || kern.f16_stream_needs_f32_tiles;
+  const std::size_t scratch_floats =
+      2 * floats(h) + floats(window_before + window_after + 1) +
+      (f32_tiles ? floats(tile) : 0) +
+      (half ? halves(h) + 2 * halves(tile) : 0) +
+      (half && f32_tiles ? floats(tile) : 0);
+
   // (sequence, head) tasks fan out over the pool; rows within a task run
   // serially in index order, so every output element's reduction order is
   // fixed regardless of the partition.
   parallel_for(0, nseq * num_heads, 1, [&](std::int64_t t0, std::int64_t t1) {
-    if (stream_dtype == Dtype::kFp16) {
-      fused_window_tasks_f16(q, k, v, offsets, num_heads, window_before,
-                             window_after, scale, out, t0, t1);
-    } else {
-      fused_window_tasks(q, k, v, offsets, num_heads, window_before,
-                         window_after, scale, out, t0, t1);
+    WorkspaceLease lease(tls_workspace(), scratch_floats);
+    float* next = lease.data();
+    const auto carve = [&](std::size_t n) {
+      float* piece = next;
+      next += n;
+      return piece;
+    };
+    isa::FusedWindowScratch scratch{};
+    scratch.qs = carve(floats(h));
+    scratch.zacc = carve(floats(h));
+    scratch.scores = carve(floats(window_before + window_after + 1));
+    if (f32_tiles) scratch.kt = carve(floats(tile));
+    if (half) {
+      scratch.row16 = reinterpret_cast<std::uint16_t*>(carve(halves(h)));
+      scratch.kt16 = reinterpret_cast<std::uint16_t*>(carve(halves(tile)));
+      scratch.vb16 = reinterpret_cast<std::uint16_t*>(carve(halves(tile)));
+      if (f32_tiles) scratch.vb32 = carve(floats(tile));
     }
+    const bool denominators_positive = worker(args, scratch, t0, t1);
+    SWAT_ENSURES(denominators_positive);
   });
 }
 
@@ -108,307 +110,6 @@ std::int64_t fused_window_kv_stream_bytes(std::int64_t seq_len,
   return 2 * num_heads * head_dim * band_sum *
          static_cast<std::int64_t>(dtype_bytes(stream_dtype));
 }
-
-namespace {
-
-// Query rows are processed in tiles: for each tile the K head slice its
-// band can touch (tile rows + window reach, independent of the sequence
-// length) is transposed once into per-thread scratch, so the score stage
-// streams K^T unit-stride and vectorizes across score columns while each
-// score element keeps dot()'s exact ascending-d reduction order. The
-// transpose is O(h) per tile row and amortizes over the whole tile.
-// SWAT_NO_FP_CONTRACT pins the multiply-then-add rounding of the score
-// and S'V loops to dot()/axpy()'s, so outputs are bit-identical to the
-// per-head kernel on every ISA.
-SWAT_NO_FP_CONTRACT
-void fused_window_tasks(ConstMatrixView q, ConstMatrixView k,
-                        ConstMatrixView v,
-                        std::span<const std::int64_t> offsets,
-                        std::int64_t num_heads, std::int64_t window_before,
-                        std::int64_t window_after, float scale, MatrixView out,
-                        std::int64_t t0, std::int64_t t1) {
-  SWAT_NO_FP_CONTRACT_BODY
-  const std::int64_t h = q.cols() / num_heads;
-  constexpr std::int64_t kQueryTile = 64;
-  {
-    // The only per-thread scratch, leased from the thread's Workspace
-    // arena (steady state is allocation-free): one scaled query row, one
-    // row's score band, one transposed K tile, one output-row accumulator
-    // — O(window x head_dim), never (rows x window).
-    const std::int64_t band = window_before + window_after + 1;
-    const std::int64_t tile_cols = kQueryTile + band - 1;
-    WorkspaceLease qs_lease(tls_workspace(), static_cast<std::size_t>(h));
-    WorkspaceLease s_lease(tls_workspace(), static_cast<std::size_t>(band));
-    WorkspaceLease kt_lease(tls_workspace(),
-                            static_cast<std::size_t>(tile_cols * h));
-    WorkspaceLease z_lease(tls_workspace(), static_cast<std::size_t>(h));
-    float* const qs = qs_lease.data();
-    float* const sp = s_lease.data();
-    float* const kt = kt_lease.data();
-    float* const zacc = z_lease.data();
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t s = t / num_heads;
-      const std::int64_t base = (t % num_heads) * h;
-      const std::int64_t row0 = offsets[static_cast<std::size_t>(s)];
-      const std::int64_t n = offsets[static_cast<std::size_t>(s + 1)] - row0;
-      for (std::int64_t i0 = 0; i0 < n; i0 += kQueryTile) {
-        const std::int64_t i1 = std::min(i0 + kQueryTile, n);
-        // K columns any row of this tile can attend: [tk0, tk1].
-        const std::int64_t tk0 = std::max<std::int64_t>(0, i0 - window_before);
-        const std::int64_t tk1 =
-            std::min<std::int64_t>(n - 1, i1 - 1 + window_after);
-        const std::int64_t tk = tk1 - tk0 + 1;
-        // kt[d * tk + (j - tk0)] = K[row0 + j][base + d]: the transposed
-        // tile the score loops stream unit-stride.
-        for (std::int64_t j = tk0; j <= tk1; ++j) {
-          const float* krow = k.row(row0 + j).data() + base;
-          for (std::int64_t d = 0; d < h; ++d) {
-            kt[d * tk + (j - tk0)] = krow[d];
-          }
-        }
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const float* qrow = q.row(row0 + i).data() + base;
-          for (std::int64_t d = 0; d < h; ++d) qs[d] = qrow[d] * scale;
-          const std::int64_t lo =
-              std::max<std::int64_t>(0, i - window_before);
-          const std::int64_t hi =
-              std::min<std::int64_t>(n - 1, i + window_after);
-          const std::int64_t count = hi - lo + 1;
-          // Exactly Eq. 1's operation order per element — QK dot, exp
-          // with no max subtraction, S'V accumulation, one deferred
-          // division — scheduled as one pass per stage over the row's
-          // score band so each tight loop pipelines. Element-wise the
-          // arithmetic and its order match fused_window_attention exactly
-          // (d and j ascending everywhere), so per-head outputs are
-          // bit-identical to the per-head kernel.
-          float* const __restrict sb = sp;
-          std::fill(sb, sb + count, 0.0f);
-          for (std::int64_t d = 0; d < h; ++d) {
-            const float qd = qs[d];
-            const float* const __restrict ktd = kt + d * tk + (lo - tk0);
-            for (std::int64_t c = 0; c < count; ++c) sb[c] += qd * ktd[c];
-          }
-          float denom = 0.0f;
-          for (std::int64_t c = 0; c < count; ++c) {
-            sb[c] = std::exp(sb[c]);
-            denom += sb[c];
-          }
-          float* const __restrict za = zacc;
-          std::fill(za, za + h, 0.0f);
-          for (std::int64_t c = 0; c < count; ++c) {
-            const float* const __restrict vr =
-                v.row(row0 + lo + c).data() + base;
-            const float e = sb[c];
-            for (std::int64_t d = 0; d < h; ++d) za[d] += e * vr[d];
-          }
-          SWAT_ENSURES(denom > 0.0f);
-          float* const zrow = out.row(row0 + i).data() + base;
-          for (std::int64_t d = 0; d < h; ++d) zrow[d] = za[d] / denom;
-        }
-      }
-    }
-  }
-}
-
-// fp16 streamed-tile twin of fused_window_tasks. The transposed K tile and
-// the row-major V band are narrowed to binary16 once per (sequence, head,
-// tile) with the RNE SIMD converter, so the score and S'V stages stream 2
-// bytes per K/V element instead of 4. On F16C hosts the hot loops widen
-// lanes in-register (vcvtph2ps feeding the FMA directly — the streamed
-// bytes really halve); elsewhere the fp16 tiles are widened once per tile
-// into fp32 twins, amortizing the scalar conversion over every query row
-// that reuses the tile. Scores, the exp/denominator pass and the Z
-// accumulator stay fp32 with the same per-element ascending reduction
-// order as the fp32 worker (scores ascend d, Z ascends c), so outputs are
-// bit-identical across thread counts, arrival orders, replica counts and
-// batch compositions. Unlike the fp32 worker this one carries no
-// SWAT_NO_FP_CONTRACT pin: the tile rounding already broke oracle
-// bit-parity, so contraction is allowed (like gemm_packed's fp16 tile) and
-// accuracy is budgeted by eval/stream_fidelity instead.
-void fused_window_tasks_f16(ConstMatrixView q, ConstMatrixView k,
-                            ConstMatrixView v,
-                            std::span<const std::int64_t> offsets,
-                            std::int64_t num_heads, std::int64_t window_before,
-                            std::int64_t window_after, float scale,
-                            MatrixView out, std::int64_t t0, std::int64_t t1) {
-  const std::int64_t h = q.cols() / num_heads;
-  constexpr std::int64_t kQueryTile = 64;
-  {
-    // Same O(window x head_dim) scratch shape as the fp32 worker plus the
-    // two fp16 tiles (and, off-F16C, their fp32 twins); u16 storage leases
-    // ceil(n/2) floats from the same thread-local arena, so the path stays
-    // allocation-free after warmup.
-    const std::int64_t band = window_before + window_after + 1;
-    const std::int64_t tile_cols = kQueryTile + band - 1;
-    const auto u16_floats = [](std::int64_t n) {
-      return static_cast<std::size_t>((n + 1) / 2);
-    };
-    WorkspaceLease qs_lease(tls_workspace(), static_cast<std::size_t>(h));
-    WorkspaceLease s_lease(tls_workspace(), static_cast<std::size_t>(band));
-    WorkspaceLease z_lease(tls_workspace(), static_cast<std::size_t>(h));
-    WorkspaceLease row16_lease(tls_workspace(), u16_floats(h));
-    WorkspaceLease kt16_lease(tls_workspace(), u16_floats(tile_cols * h));
-    WorkspaceLease vb16_lease(tls_workspace(), u16_floats(tile_cols * h));
-    float* const qs = qs_lease.data();
-    float* const sp = s_lease.data();
-    float* const zacc = z_lease.data();
-    auto* const row16 = reinterpret_cast<std::uint16_t*>(row16_lease.data());
-    auto* const kt16 = reinterpret_cast<std::uint16_t*>(kt16_lease.data());
-    auto* const vb16 = reinterpret_cast<std::uint16_t*>(vb16_lease.data());
-#if !defined(__F16C__)
-    WorkspaceLease kt32_lease(tls_workspace(),
-                              static_cast<std::size_t>(tile_cols * h));
-    WorkspaceLease vb32_lease(tls_workspace(),
-                              static_cast<std::size_t>(tile_cols * h));
-    float* const kt32 = kt32_lease.data();
-    float* const vb32 = vb32_lease.data();
-#endif
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t s = t / num_heads;
-      const std::int64_t base = (t % num_heads) * h;
-      const std::int64_t row0 = offsets[static_cast<std::size_t>(s)];
-      const std::int64_t n = offsets[static_cast<std::size_t>(s + 1)] - row0;
-      for (std::int64_t i0 = 0; i0 < n; i0 += kQueryTile) {
-        const std::int64_t i1 = std::min(i0 + kQueryTile, n);
-        const std::int64_t tk0 = std::max<std::int64_t>(0, i0 - window_before);
-        const std::int64_t tk1 =
-            std::min<std::int64_t>(n - 1, i1 - 1 + window_after);
-        const std::int64_t tk = tk1 - tk0 + 1;
-        // kt16[d * tk + (j - tk0)] = fp16(K[row0 + j][base + d]): each K
-        // head row is narrowed contiguously (one SIMD batch convert) then
-        // scattered into the transposed tile. The V band keeps the row
-        // layout S'V consumes (vb16[(j - tk0) * h + d]), so it narrows
-        // straight into place with no scatter.
-        for (std::int64_t j = tk0; j <= tk1; ++j) {
-          f32_to_f16_bits_batch(k.row(row0 + j).data() + base, row16,
-                                static_cast<std::size_t>(h));
-          for (std::int64_t d = 0; d < h; ++d) {
-            kt16[d * tk + (j - tk0)] = row16[d];
-          }
-          f32_to_f16_bits_batch(v.row(row0 + j).data() + base,
-                                vb16 + (j - tk0) * h,
-                                static_cast<std::size_t>(h));
-        }
-#if !defined(__F16C__)
-        // No in-register widen on this host: round-trip the whole tile to
-        // fp32 once (two contiguous batch converts, amortized over all
-        // kQueryTile rows) and let the hot loops below run pure fp32.
-        f16_bits_to_f32_batch(kt16, kt32, static_cast<std::size_t>(tk * h));
-        f16_bits_to_f32_batch(vb16, vb32, static_cast<std::size_t>(tk * h));
-#endif
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const float* qrow = q.row(row0 + i).data() + base;
-          for (std::int64_t d = 0; d < h; ++d) qs[d] = qrow[d] * scale;
-          const std::int64_t lo =
-              std::max<std::int64_t>(0, i - window_before);
-          const std::int64_t hi =
-              std::min<std::int64_t>(n - 1, i + window_after);
-          const std::int64_t count = hi - lo + 1;
-          const std::int64_t loff = lo - tk0;
-          // Score stage: d-major over the K tile; every score column
-          // accumulates its d-sum in ascending order (lanes never split a
-          // single element's reduction), exactly like the fp32 worker.
-          float* const __restrict sb = sp;
-          std::fill(sb, sb + count, 0.0f);
-          for (std::int64_t d = 0; d < h; ++d) {
-            const float qd = qs[d];
-#if defined(__F16C__)
-            const std::uint16_t* const __restrict ktd = kt16 + d * tk + loff;
-            std::int64_t c = 0;
-#if defined(__AVX512F__)
-            // 32 fp16 bytes feed a full 64-byte zmm FMA — the halved
-            // stream doubles the lanes one load port cycle can supply.
-            const __m512 qd16 = _mm512_set1_ps(qd);
-            for (; c + 16 <= count; c += 16) {
-              const __m512 kw = _mm512_cvtph_ps(_mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(ktd + c)));
-              _mm512_storeu_ps(
-                  sb + c,
-                  _mm512_fmadd_ps(qd16, kw, _mm512_loadu_ps(sb + c)));
-            }
-#endif
-            const __m256 qd8 = _mm256_set1_ps(qd);
-            for (; c + 8 <= count; c += 8) {
-              const __m256 kw = _mm256_cvtph_ps(_mm_loadu_si128(
-                  reinterpret_cast<const __m128i*>(ktd + c)));
-              _mm256_storeu_ps(
-                  sb + c,
-                  _mm256_fmadd_ps(qd8, kw, _mm256_loadu_ps(sb + c)));
-            }
-            for (; c < count; ++c) sb[c] += qd * f16_tail_to_f32(ktd[c]);
-#else
-            const float* const __restrict ktd = kt32 + d * tk + loff;
-            for (std::int64_t c = 0; c < count; ++c) sb[c] += qd * ktd[c];
-#endif
-          }
-          // Exp pass: the fp16 stream trades oracle bit-parity for speed
-          // under the fidelity budget, so it may use libmvec's vectorized
-          // expf (<= 4 ulp — orders of magnitude inside the binary16
-          // budget) where the fp32 worker pins scalar std::exp. The
-          // denominator still sums in a separate ascending pass, so its
-          // reduction order never depends on the lane width.
-          {
-            std::int64_t c = 0;
-#if defined(SWAT_HAVE_MVEC) && defined(__AVX512F__)
-            for (; c + 16 <= count; c += 16) {
-              _mm512_storeu_ps(sb + c,
-                               _ZGVeN16v_expf(_mm512_loadu_ps(sb + c)));
-            }
-#elif defined(SWAT_HAVE_MVEC) && defined(__AVX2__)
-            for (; c + 8 <= count; c += 8) {
-              _mm256_storeu_ps(sb + c,
-                               _ZGVdN8v_expf(_mm256_loadu_ps(sb + c)));
-            }
-#endif
-            for (; c < count; ++c) sb[c] = std::exp(sb[c]);
-          }
-          float denom = 0.0f;
-          for (std::int64_t c = 0; c < count; ++c) denom += sb[c];
-          // S'V stage: c-major axpy over the row-layout V band — za[d]
-          // sums its band in the fp32 worker's ascending-c order, just
-          // from half-precision rows.
-          float* const __restrict za = zacc;
-          std::fill(za, za + h, 0.0f);
-          for (std::int64_t c = 0; c < count; ++c) {
-            const float e = sb[c];
-#if defined(__F16C__)
-            const std::uint16_t* const __restrict vr =
-                vb16 + (loff + c) * h;
-            std::int64_t d = 0;
-#if defined(__AVX512F__)
-            const __m512 e16 = _mm512_set1_ps(e);
-            for (; d + 16 <= h; d += 16) {
-              const __m512 vw = _mm512_cvtph_ps(_mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(vr + d)));
-              _mm512_storeu_ps(
-                  za + d,
-                  _mm512_fmadd_ps(e16, vw, _mm512_loadu_ps(za + d)));
-            }
-#endif
-            const __m256 e8 = _mm256_set1_ps(e);
-            for (; d + 8 <= h; d += 8) {
-              const __m256 vw = _mm256_cvtph_ps(_mm_loadu_si128(
-                  reinterpret_cast<const __m128i*>(vr + d)));
-              _mm256_storeu_ps(
-                  za + d,
-                  _mm256_fmadd_ps(e8, vw, _mm256_loadu_ps(za + d)));
-            }
-            for (; d < h; ++d) za[d] += e * f16_tail_to_f32(vr[d]);
-#else
-            const float* const __restrict vr = vb32 + (loff + c) * h;
-            for (std::int64_t d = 0; d < h; ++d) za[d] += e * vr[d];
-#endif
-          }
-          SWAT_ENSURES(denom > 0.0f);
-          float* const zrow = out.row(row0 + i).data() + base;
-          for (std::int64_t d = 0; d < h; ++d) zrow[d] = za[d] / denom;
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
 
 MatrixF fused_window_attention(const HeadInput& in,
                                std::int64_t window_radius) {

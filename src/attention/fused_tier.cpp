@@ -1,0 +1,280 @@
+// Fused window-attention workers, compiled once per ISA tier (see
+// common/isa_kernels.hpp for the build and linkage rules).
+//
+// Query rows are processed in tiles: for each tile the K head slice its
+// band can touch (tile rows + window reach, independent of the sequence
+// length) is transposed once into per-thread scratch, so the score stage
+// streams K^T unit-stride and vectorizes across score columns while each
+// score element keeps dot()'s exact ascending-d reduction order. The
+// transpose is O(h) per tile row and amortizes over the whole tile.
+#include <cmath>
+
+#include "common/fp16.hpp"
+#include "common/isa_kernels.hpp"
+
+#if defined(__F16C__)
+#include <immintrin.h>
+#endif
+
+#if defined(SWAT_HAVE_MVEC) && defined(__AVX512F__)
+// glibc libmvec's 16-lane expf (<= 4 ulp): the fp16 streamed path's exp
+// stage, which is free of the fp32 path's oracle-bit-parity pin.
+extern "C" __m512 _ZGVeN16v_expf(__m512 x);
+#elif defined(SWAT_HAVE_MVEC) && defined(__AVX2__)
+extern "C" __m256 _ZGVdN8v_expf(__m256 x);
+#endif
+
+namespace swat::isa::SWAT_ISA_TIER {
+
+namespace {
+
+std::int64_t min_i64(std::int64_t a, std::int64_t b) { return a < b ? a : b; }
+std::int64_t max_i64(std::int64_t a, std::int64_t b) { return a > b ? a : b; }
+
+void zero(float* p, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) p[i] = 0.0f;
+}
+
+/// One (sequence, head) task's coordinates.
+struct Task {
+  std::int64_t row0;  ///< first packed row of the sequence
+  std::int64_t n;     ///< sequence length
+  std::int64_t base;  ///< first column of the head slice
+};
+
+Task task_at(const FusedWindowArgs& g, std::int64_t t) {
+  const std::int64_t s = t / g.num_heads;
+  return {g.offsets[s], g.offsets[s + 1] - g.offsets[s],
+          (t % g.num_heads) * g.head_dim};
+}
+
+#if defined(__F16C__)
+// Scalar widen for the <8-lane loop tails: one vcvtph2ps, same bits as
+// the batch converter (exact widening), no out-of-line call per element.
+float f16_tail_to_f32(std::uint16_t bits) { return _cvtsh_ss(bits); }
+#endif
+
+}  // namespace
+
+// Exactly Eq. 1's operation order per element — QK dot, exp with no max
+// subtraction, S'V accumulation, one deferred division — scheduled as one
+// pass per stage over the row's score band so each tight loop pipelines.
+// Element-wise the arithmetic and its order match fused_window_attention
+// (d and j ascending everywhere, products rounded before the add by the
+// TU's -ffp-contract=off, scalar expf), so per-head outputs are
+// bit-identical to the per-head kernel on every tier.
+bool fused_window_tasks(const FusedWindowArgs& g,
+                        const FusedWindowScratch& scratch, std::int64_t t0,
+                        std::int64_t t1) {
+  const std::int64_t h = g.head_dim;
+  float* const qs = scratch.qs;
+  float* const kt = scratch.kt;
+  for (std::int64_t t = t0; t < t1; ++t) {
+    const Task task = task_at(g, t);
+    const std::int64_t n = task.n;
+    for (std::int64_t i0 = 0; i0 < n; i0 += kFusedQueryTile) {
+      const std::int64_t i1 = min_i64(i0 + kFusedQueryTile, n);
+      // K columns any row of this tile can attend: [tk0, tk1].
+      const std::int64_t tk0 = max_i64(0, i0 - g.window_before);
+      const std::int64_t tk1 = min_i64(n - 1, i1 - 1 + g.window_after);
+      const std::int64_t tk = tk1 - tk0 + 1;
+      // kt[d * tk + (j - tk0)] = K[row0 + j][base + d]: the transposed
+      // tile the score loops stream unit-stride.
+      for (std::int64_t j = tk0; j <= tk1; ++j) {
+        const float* krow = g.k + (task.row0 + j) * g.ldk + task.base;
+        for (std::int64_t d = 0; d < h; ++d) kt[d * tk + (j - tk0)] = krow[d];
+      }
+      for (std::int64_t i = i0; i < i1; ++i) {
+        const float* qrow = g.q + (task.row0 + i) * g.ldq + task.base;
+        for (std::int64_t d = 0; d < h; ++d) qs[d] = qrow[d] * g.scale;
+        const std::int64_t lo = max_i64(0, i - g.window_before);
+        const std::int64_t hi = min_i64(n - 1, i + g.window_after);
+        const std::int64_t count = hi - lo + 1;
+        float* const __restrict sb = scratch.scores;
+        zero(sb, count);
+        for (std::int64_t d = 0; d < h; ++d) {
+          const float qd = qs[d];
+          const float* const __restrict ktd = kt + d * tk + (lo - tk0);
+          for (std::int64_t c = 0; c < count; ++c) sb[c] += qd * ktd[c];
+        }
+        float denom = 0.0f;
+        for (std::int64_t c = 0; c < count; ++c) {
+          sb[c] = expf(sb[c]);
+          denom += sb[c];
+        }
+        float* const __restrict za = scratch.zacc;
+        zero(za, h);
+        for (std::int64_t c = 0; c < count; ++c) {
+          const float* const __restrict vr =
+              g.v + (task.row0 + lo + c) * g.ldv + task.base;
+          const float e = sb[c];
+          for (std::int64_t d = 0; d < h; ++d) za[d] += e * vr[d];
+        }
+        if (!(denom > 0.0f)) return false;
+        float* const zrow = g.out + (task.row0 + i) * g.ldo + task.base;
+        for (std::int64_t d = 0; d < h; ++d) zrow[d] = za[d] / denom;
+      }
+    }
+  }
+  return true;
+}
+
+// fp16 streamed-tile twin of fused_window_tasks. The transposed K tile and
+// the row-major V band are narrowed to binary16 once per (sequence, head,
+// tile) with this tier's RNE converter, so the score and S'V stages stream
+// 2 bytes per K/V element instead of 4. With F16C the hot loops widen
+// lanes in-register (vcvtph2ps feeding an FMA — the streamed bytes really
+// halve); on the baseline tier the fp16 tiles are widened once per tile
+// into fp32 twins, amortizing the scalar conversion over every query row
+// that reuses the tile. Scores, the exp/denominator pass and the Z
+// accumulator stay fp32 with the same per-element ascending reduction
+// order as the fp32 worker (scores ascend d, Z ascends c), so outputs are
+// bit-identical across thread counts, arrival orders, replica counts and
+// batch compositions. The tile rounding already broke oracle bit-parity,
+// so the vector loops fuse their multiply-adds and the exp pass may use
+// libmvec; accuracy is budgeted by eval/stream_fidelity instead.
+bool fused_window_tasks_f16(const FusedWindowArgs& g,
+                            const FusedWindowScratch& scratch,
+                            std::int64_t t0, std::int64_t t1) {
+  const std::int64_t h = g.head_dim;
+  float* const qs = scratch.qs;
+  std::uint16_t* const row16 = scratch.row16;
+  std::uint16_t* const kt16 = scratch.kt16;
+  std::uint16_t* const vb16 = scratch.vb16;
+#if !defined(__F16C__)
+  float* const kt32 = scratch.kt;
+  float* const vb32 = scratch.vb32;
+#endif
+  for (std::int64_t t = t0; t < t1; ++t) {
+    const Task task = task_at(g, t);
+    const std::int64_t n = task.n;
+    for (std::int64_t i0 = 0; i0 < n; i0 += kFusedQueryTile) {
+      const std::int64_t i1 = min_i64(i0 + kFusedQueryTile, n);
+      const std::int64_t tk0 = max_i64(0, i0 - g.window_before);
+      const std::int64_t tk1 = min_i64(n - 1, i1 - 1 + g.window_after);
+      const std::int64_t tk = tk1 - tk0 + 1;
+      // kt16[d * tk + (j - tk0)] = fp16(K[row0 + j][base + d]): each K
+      // head row is narrowed contiguously (one batch convert) then
+      // scattered into the transposed tile. The V band keeps the row
+      // layout S'V consumes (vb16[(j - tk0) * h + d]), so it narrows
+      // straight into place with no scatter.
+      for (std::int64_t j = tk0; j <= tk1; ++j) {
+        f32_to_f16_bits_batch(g.k + (task.row0 + j) * g.ldk + task.base,
+                              row16, static_cast<std::size_t>(h));
+        for (std::int64_t d = 0; d < h; ++d) {
+          kt16[d * tk + (j - tk0)] = row16[d];
+        }
+        f32_to_f16_bits_batch(g.v + (task.row0 + j) * g.ldv + task.base,
+                              vb16 + (j - tk0) * h,
+                              static_cast<std::size_t>(h));
+      }
+#if !defined(__F16C__)
+      // No in-register widen on this tier: round-trip the whole tile to
+      // fp32 once (two contiguous batch converts, amortized over all
+      // kFusedQueryTile rows) and let the hot loops below run pure fp32.
+      f16_bits_to_f32_batch(kt16, kt32, static_cast<std::size_t>(tk * h));
+      f16_bits_to_f32_batch(vb16, vb32, static_cast<std::size_t>(tk * h));
+#endif
+      for (std::int64_t i = i0; i < i1; ++i) {
+        const float* qrow = g.q + (task.row0 + i) * g.ldq + task.base;
+        for (std::int64_t d = 0; d < h; ++d) qs[d] = qrow[d] * g.scale;
+        const std::int64_t lo = max_i64(0, i - g.window_before);
+        const std::int64_t hi = min_i64(n - 1, i + g.window_after);
+        const std::int64_t count = hi - lo + 1;
+        const std::int64_t loff = lo - tk0;
+        // Score stage: d-major over the K tile; every score column
+        // accumulates its d-sum in ascending order (lanes never split a
+        // single element's reduction), exactly like the fp32 worker.
+        float* const __restrict sb = scratch.scores;
+        zero(sb, count);
+        for (std::int64_t d = 0; d < h; ++d) {
+          const float qd = qs[d];
+#if defined(__F16C__)
+          const std::uint16_t* const __restrict ktd = kt16 + d * tk + loff;
+          std::int64_t c = 0;
+#if defined(__AVX512F__)
+          // 32 fp16 bytes feed a full 64-byte zmm FMA — the halved stream
+          // doubles the lanes one load port cycle can supply.
+          const __m512 qd16 = _mm512_set1_ps(qd);
+          for (; c + 16 <= count; c += 16) {
+            const __m512 kw = _mm512_cvtph_ps(
+                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ktd + c)));
+            _mm512_storeu_ps(sb + c,
+                             _mm512_fmadd_ps(qd16, kw, _mm512_loadu_ps(sb + c)));
+          }
+#endif
+          const __m256 qd8 = _mm256_set1_ps(qd);
+          for (; c + 8 <= count; c += 8) {
+            const __m256 kw = _mm256_cvtph_ps(
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(ktd + c)));
+            _mm256_storeu_ps(sb + c,
+                             _mm256_fmadd_ps(qd8, kw, _mm256_loadu_ps(sb + c)));
+          }
+          for (; c < count; ++c) sb[c] += qd * f16_tail_to_f32(ktd[c]);
+#else
+          const float* const __restrict ktd = kt32 + d * tk + loff;
+          for (std::int64_t c = 0; c < count; ++c) sb[c] += qd * ktd[c];
+#endif
+        }
+        // Exp pass: libmvec's vectorized expf (<= 4 ulp — orders of
+        // magnitude inside the binary16 budget) where the tier has it,
+        // scalar expf for the rest. The denominator still sums in a
+        // separate ascending pass, so its reduction order never depends on
+        // the lane width.
+        {
+          std::int64_t c = 0;
+#if defined(SWAT_HAVE_MVEC) && defined(__AVX512F__)
+          for (; c + 16 <= count; c += 16) {
+            _mm512_storeu_ps(sb + c, _ZGVeN16v_expf(_mm512_loadu_ps(sb + c)));
+          }
+#elif defined(SWAT_HAVE_MVEC) && defined(__AVX2__)
+          for (; c + 8 <= count; c += 8) {
+            _mm256_storeu_ps(sb + c, _ZGVdN8v_expf(_mm256_loadu_ps(sb + c)));
+          }
+#endif
+          for (; c < count; ++c) sb[c] = expf(sb[c]);
+        }
+        float denom = 0.0f;
+        for (std::int64_t c = 0; c < count; ++c) denom += sb[c];
+        // S'V stage: c-major axpy over the row-layout V band — za[d] sums
+        // its band in the fp32 worker's ascending-c order, just from
+        // half-precision rows.
+        float* const __restrict za = scratch.zacc;
+        zero(za, h);
+        for (std::int64_t c = 0; c < count; ++c) {
+          const float e = sb[c];
+#if defined(__F16C__)
+          const std::uint16_t* const __restrict vr = vb16 + (loff + c) * h;
+          std::int64_t d = 0;
+#if defined(__AVX512F__)
+          const __m512 e16 = _mm512_set1_ps(e);
+          for (; d + 16 <= h; d += 16) {
+            const __m512 vw = _mm512_cvtph_ps(
+                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vr + d)));
+            _mm512_storeu_ps(za + d,
+                             _mm512_fmadd_ps(e16, vw, _mm512_loadu_ps(za + d)));
+          }
+#endif
+          const __m256 e8 = _mm256_set1_ps(e);
+          for (; d + 8 <= h; d += 8) {
+            const __m256 vw = _mm256_cvtph_ps(
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(vr + d)));
+            _mm256_storeu_ps(za + d,
+                             _mm256_fmadd_ps(e8, vw, _mm256_loadu_ps(za + d)));
+          }
+          for (; d < h; ++d) za[d] += e * f16_tail_to_f32(vr[d]);
+#else
+          const float* const __restrict vr = vb32 + (loff + c) * h;
+          for (std::int64_t d = 0; d < h; ++d) za[d] += e * vr[d];
+#endif
+        }
+        if (!(denom > 0.0f)) return false;
+        float* const zrow = g.out + (task.row0 + i) * g.ldo + task.base;
+        for (std::int64_t d = 0; d < h; ++d) zrow[d] = za[d] / denom;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace swat::isa::SWAT_ISA_TIER

@@ -26,14 +26,15 @@
 // SWAT_NO_FP_CONTRACT / SWAT_NO_FP_CONTRACT_BODY — pin a kernel's
 // floating-point semantics to "round every multiply, then add" regardless
 // of the target ISA. Compilers with -ffp-contract=fast (GCC's default)
-// otherwise fuse a*b+c into an FMA wherever the ISA has one, which changes
-// the low bits between -march=native and portable builds. The kernels that
-// promise bit-identical results against a scalar oracle (the packed GEMM
-// microkernel, `dot`, `axpy`, the fused streaming attention) carry these
-// markers so their outputs are identical on every ISA, thread count, and
-// tile partition. Apply SWAT_NO_FP_CONTRACT to the function declaration
-// (GCC honors the attribute) and SWAT_NO_FP_CONTRACT_BODY as the first
-// statement of the body (Clang honors the pragma).
+// otherwise fuse a*b+c into an FMA wherever the target ISA has one, which
+// changes the low bits between builds for different ISAs. Functions that
+// promise bit-identical results against a scalar oracle (`dot`, `axpy`,
+// `gelu`) carry these markers so their outputs are identical on every ISA,
+// thread count, and tile partition; the per-ISA-tier kernel translation
+// units get the same guarantee from -ffp-contract=off on the whole file
+// (see common/isa_kernels.hpp). Apply SWAT_NO_FP_CONTRACT to the function
+// declaration (GCC honors the attribute) and SWAT_NO_FP_CONTRACT_BODY as
+// the first statement of the body (Clang honors the pragma).
 #if defined(__clang__)
 #define SWAT_NO_FP_CONTRACT
 #define SWAT_NO_FP_CONTRACT_BODY _Pragma("clang fp contract(off)")

@@ -4,11 +4,8 @@
 #include <cmath>
 #include <cstring>
 
-#if defined(__F16C__)
-#include <immintrin.h>
-#endif
-
 #include "common/contracts.hpp"
+#include "common/isa_kernels.hpp"
 
 namespace swat {
 
@@ -107,48 +104,12 @@ float f16_bits_to_f32(std::uint16_t h) {
 
 void f16_bits_to_f32_batch(const std::uint16_t* src, float* dst,
                            std::size_t n) {
-  std::size_t i = 0;
-#if defined(__F16C__)
-  // vcvtph2ps is exact (every binary16 is representable in binary32) and
-  // matches the scalar routine on all patterns except signalling NaNs,
-  // which the hardware quiets. Detect NaN inputs with an integer compare
-  // ((h & 0x7fff) > 0x7c00) and redo just those lanes through the scalar
-  // path so the batch is bit-identical to f16_bits_to_f32 on the full
-  // 16-bit domain (the exhaustive-sweep test relies on this).
-  const __m128i abs_mask = _mm_set1_epi16(0x7fff);
-  const __m128i inf_bits = _mm_set1_epi16(0x7c00);
-  for (; i + 8 <= n; i += 8) {
-    const __m128i h =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    _mm256_storeu_ps(dst + i, _mm256_cvtph_ps(h));
-    const __m128i nan_lanes =
-        _mm_cmpgt_epi16(_mm_and_si128(h, abs_mask), inf_bits);
-    if (_mm_movemask_epi8(nan_lanes) != 0) {
-      for (std::size_t l = 0; l < 8; ++l) dst[i + l] = f16_bits_to_f32(src[i + l]);
-    }
-  }
-#endif
-  for (; i < n; ++i) dst[i] = f16_bits_to_f32(src[i]);
+  isa::active_kernels().f16_bits_to_f32_batch(src, dst, n);
 }
 
 void f32_to_f16_bits_batch(const float* src, std::uint16_t* dst,
                            std::size_t n) {
-  std::size_t i = 0;
-#if defined(__F16C__)
-  // vcvtps2ph with RNE matches the scalar routine (subnormals, overflow to
-  // inf, ties) except for NaN payloads; patch NaN lanes to the canonical
-  // scalar encoding. Pack time only — never on the inference hot path.
-  for (; i + 8 <= n; i += 8) {
-    const __m256 f = _mm256_loadu_ps(src + i);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm256_cvtps_ph(f, _MM_FROUND_TO_NEAREST_INT));
-    const __m256 nan_lanes = _mm256_cmp_ps(f, f, _CMP_UNORD_Q);
-    if (_mm256_movemask_ps(nan_lanes) != 0) {
-      for (std::size_t l = 0; l < 8; ++l) dst[i + l] = f32_to_f16_bits(src[i + l]);
-    }
-  }
-#endif
-  for (; i < n; ++i) dst[i] = f32_to_f16_bits(src[i]);
+  isa::active_kernels().f32_to_f16_bits_batch(src, dst, n);
 }
 
 Half half_exp(Half x) { return Half(std::exp(x.to_float())); }

@@ -30,8 +30,9 @@ float f16_bits_to_f32(std::uint16_t h);
 /// the scalar `f16_bits_to_f32` on every element (including NaN payloads —
 /// the hardware F16C path quiets signalling NaNs, so those lanes are patched
 /// back to the scalar result). This is the panel-decode primitive of the
-/// half-precision packed-weight path; on F16C hosts it runs 8 lanes per
-/// `vcvtph2ps`, elsewhere it falls back to the scalar routine.
+/// half-precision packed-weight path; it dispatches to the active ISA tier
+/// (common/cpu_dispatch.hpp): 8 lanes per `vcvtph2ps` on the AVX2 and
+/// AVX-512 tiers, the scalar routine on the baseline tier.
 void f16_bits_to_f32_batch(const std::uint16_t* src, float* dst,
                            std::size_t n);
 

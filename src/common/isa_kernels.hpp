@@ -1,0 +1,162 @@
+// The per-ISA-tier kernel interface.
+//
+// Three kernel families are compiled once per tier from one shared source
+// body each, every copy in its own namespace swat::isa::<tier>:
+//
+//   src/tensor/gemm_packed_tier.cpp  — the packed-GEMM row worker (fp32
+//                                      tile, fp16 tile, all epilogues)
+//   src/attention/fused_tier.cpp     — the fp32 and fp16 fused-attention
+//                                      workers
+//   src/common/fp16_tier.cpp         — the binary16 batch converters
+//
+// The build compiles each body with the tier's -m flags and
+// -ffp-contract=off (so fp32 arithmetic rounds every multiply and add on
+// every tier and the fp32 kernels are byte-identical across tiers; the
+// fp16 tiles fuse their multiply-adds explicitly where the tier has FMA).
+//
+// Linkage rule: a tier TU takes raw pointers and strides only, defines its
+// helpers with internal linkage, and calls nothing inline from a header.
+// An out-of-line copy of a header inline function (a weak symbol) compiled
+// for AVX-512 could be the one the linker keeps for baseline callers, which
+// would then die with SIGILL on an older CPU. scripts/check_isa_objects.py
+// fails when a tier object defines any such symbol.
+//
+// Baseline code (the public entry points in kernels.cpp, fused.cpp and
+// fp16.cpp) keeps the contract checks, the thread-pool fan-out and the
+// workspace leases, and calls the active tier through isa::active_kernels().
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+
+#include "common/cpu_dispatch.hpp"
+
+namespace swat::isa {
+
+// ------------------------------------------------------- packed GEMM ----
+
+/// Output columns per packed panel; equals PackedWeight::kPanel.
+constexpr std::int64_t kPackedPanel = 32;
+
+enum class PackedEpilogue : int { kNone, kGelu, kResidualAdd };
+
+/// out = A * W^T [+ bias] [epilogue], row-major with leading dimensions.
+/// Exactly one of `panels` / `panels_f16` is non-null (the pack's dtype).
+struct PackedGemmArgs {
+  const float* a;
+  std::int64_t lda;
+  const float* panels;
+  const std::uint16_t* panels_f16;
+  std::int64_t k;  ///< in_features
+  std::int64_t n;  ///< out_features
+  const float* bias;  ///< n floats, or null
+  PackedEpilogue ep;
+  const float* residual;  ///< m x n for kResidualAdd, else null
+  std::int64_t ldr;
+  float* out;
+  std::int64_t ldo;
+};
+
+/// Rows [i0, i1) x panels [p0, p1). `widened` is k * kPackedPanel floats
+/// of scratch for an fp16 pack's decoded panel (unused for fp32 packs).
+using PackedRowsFn = void (*)(const PackedGemmArgs& args, float* widened,
+                              std::int64_t i0, std::int64_t i1,
+                              std::int64_t p0, std::int64_t p1);
+
+// --------------------------------------------------- fused attention ----
+
+/// Query rows per tile of the fused-attention workers.
+constexpr std::int64_t kFusedQueryTile = 64;
+
+/// Packed Q/K/V (rows x num_heads * head_dim) and the concat output;
+/// sequence s occupies rows [offsets[s], offsets[s + 1]).
+struct FusedWindowArgs {
+  const float* q;
+  std::int64_t ldq;
+  const float* k;
+  std::int64_t ldk;
+  const float* v;
+  std::int64_t ldv;
+  float* out;
+  std::int64_t ldo;
+  const std::int64_t* offsets;
+  std::int64_t num_heads;
+  std::int64_t head_dim;
+  std::int64_t window_before;
+  std::int64_t window_after;
+  float scale;
+};
+
+/// Per-thread scratch, sized by the caller (tile = kFusedQueryTile +
+/// window_before + window_after columns):
+///   qs, zacc: head_dim floats; scores: window_before + window_after + 1.
+///   fp32 worker: kt (tile x head_dim floats).
+///   fp16 worker: row16 (head_dim), kt16 and vb16 (tile x head_dim
+///   halves); kt and vb32 (tile x head_dim floats) only when the tier has
+///   no F16C (KernelTable::f16_stream_needs_f32_tiles).
+struct FusedWindowScratch {
+  float* qs;
+  float* scores;
+  float* zacc;
+  float* kt;
+  float* vb32;
+  std::uint16_t* row16;
+  std::uint16_t* kt16;
+  std::uint16_t* vb16;
+};
+
+/// (sequence, head) tasks [t0, t1). Returns false as soon as a row's
+/// softmax denominator is not positive (the caller turns that into the
+/// invariant violation; the row is left unwritten).
+using FusedWindowFn = bool (*)(const FusedWindowArgs& args,
+                               const FusedWindowScratch& scratch,
+                               std::int64_t t0, std::int64_t t1);
+
+// -------------------------------------------------- fp16 converters ----
+
+using F16ToF32Fn = void (*)(const std::uint16_t* src, float* dst,
+                            std::size_t n);
+using F32ToF16Fn = void (*)(const float* src, std::uint16_t* dst,
+                            std::size_t n);
+
+// ------------------------------------------------------- tier tables ----
+
+struct KernelTable {
+  IsaTier tier;
+  PackedRowsFn gemm_packed_rows;
+  FusedWindowFn fused_window_tasks;
+  FusedWindowFn fused_window_tasks_f16;
+  F16ToF32Fn f16_bits_to_f32_batch;
+  F32ToF16Fn f32_to_f16_bits_batch;
+  bool f16_stream_needs_f32_tiles;
+};
+
+// Each tier namespace defines the same entry points.
+#define SWAT_ISA_DECLARE_TIER(tier)                                        \
+  namespace tier {                                                         \
+  void gemm_packed_rows(const PackedGemmArgs& args, float* widened,        \
+                        std::int64_t i0, std::int64_t i1, std::int64_t p0, \
+                        std::int64_t p1);                                  \
+  bool fused_window_tasks(const FusedWindowArgs& args,                     \
+                          const FusedWindowScratch& scratch,               \
+                          std::int64_t t0, std::int64_t t1);               \
+  bool fused_window_tasks_f16(const FusedWindowArgs& args,                 \
+                              const FusedWindowScratch& scratch,           \
+                              std::int64_t t0, std::int64_t t1);           \
+  void f16_bits_to_f32_batch(const std::uint16_t* src, float* dst,         \
+                             std::size_t n);                               \
+  void f32_to_f16_bits_batch(const float* src, std::uint16_t* dst,         \
+                             std::size_t n);                               \
+  }
+SWAT_ISA_DECLARE_TIER(baseline)
+SWAT_ISA_DECLARE_TIER(avx2)
+SWAT_ISA_DECLARE_TIER(avx512)
+#undef SWAT_ISA_DECLARE_TIER
+
+/// The kernels compiled for `tier` (must be supported by this CPU to run).
+const KernelTable& kernels(IsaTier tier);
+
+/// kernels(active_isa_tier()).
+const KernelTable& active_kernels();
+
+}  // namespace swat::isa

@@ -1,0 +1,138 @@
+// Packed-GEMM row worker, compiled once per ISA tier (see
+// common/isa_kernels.hpp for the build and linkage rules).
+//
+// One register-tile template serves both pack dtypes:
+//  * fp32 packs run it with separate multiply and add. The TU is built with
+//    -ffp-contract=off, so every accumulator is bias + sum_k a*w in
+//    ascending k with the product rounded before the add — the exact
+//    arithmetic of matmul_nt_naive's dot(), on every tier.
+//  * fp16 packs widen each panel into the caller's scratch with this
+//    tier's converter and run the same tile with fused multiply-adds when
+//    the tier has FMA (the pack already rounded the weights, so oracle
+//    parity is gone and fewer roundings are strictly more accurate). Same
+//    ascending-k order, so results depend only on the pack, never on the
+//    thread count or tile partition.
+#include "common/isa_kernels.hpp"
+#include "tensor/kernels.hpp"
+
+namespace swat::isa::SWAT_ISA_TIER {
+
+namespace {
+
+constexpr std::int64_t kPanel = kPackedPanel;
+// Rows per register tile: 6 rows x 32 lanes = 12 independent 512-bit
+// multiply-accumulate chains (or 24 256-bit ones) — enough to hide the
+// arithmetic latency without exhausting the architectural registers.
+constexpr std::int64_t kRowTile = 6;
+
+#if defined(__FMA__)
+constexpr bool kTierHasFma = true;
+#else
+constexpr bool kTierHasFma = false;
+#endif
+
+std::int64_t min_i64(std::int64_t a, std::int64_t b) { return a < b ? a : b; }
+
+/// Apply the epilogue to one accumulator. GELU and the residual add see
+/// exactly the value a separate pass would have loaded, so the fused
+/// epilogues are bit-identical to the unfused sequence.
+float finish(float acc, PackedEpilogue ep, float residual) {
+  switch (ep) {
+    case PackedEpilogue::kNone:
+      return acc;
+    case PackedEpilogue::kGelu:
+      return gelu(acc);
+    case PackedEpilogue::kResidualAdd:
+      return acc + residual;
+  }
+  return acc;  // unreachable
+}
+
+/// ROWS query rows against one panel. Each of the ROWS x kPanel
+/// accumulators is a single float walked in ascending k; the k loop is
+/// unrolled by 4 as separate accumulate statements (never pairwise sums),
+/// which trims loop overhead without touching the reduction order.
+template <int ROWS, bool kFused>
+void tile(const PackedGemmArgs& g, const float* panel, const float* seed,
+          std::int64_t i, std::int64_t j0, std::int64_t width) {
+  float acc[ROWS][kPanel];
+  const float* ar[ROWS];
+  for (int r = 0; r < ROWS; ++r) {
+    ar[r] = g.a + (i + r) * g.lda;
+    for (std::int64_t l = 0; l < kPanel; ++l) acc[r][l] = seed[l];
+  }
+  const auto step = [&](const float* bp, std::int64_t kk) {
+    for (int r = 0; r < ROWS; ++r) {
+      const float av = ar[r][kk];
+      for (std::int64_t l = 0; l < kPanel; ++l) {
+        if constexpr (kFused) {
+          acc[r][l] = __builtin_fmaf(av, bp[l], acc[r][l]);
+        } else {
+          acc[r][l] += av * bp[l];
+        }
+      }
+    }
+  };
+  std::int64_t kk = 0;
+  for (; kk + 4 <= g.k; kk += 4) {
+    const float* bp0 = panel + kk * kPanel;
+    for (int u = 0; u < 4; ++u) step(bp0 + u * kPanel, kk + u);
+  }
+  for (; kk < g.k; ++kk) step(panel + kk * kPanel, kk);
+  for (int r = 0; r < ROWS; ++r) {
+    float* orow = g.out + (i + r) * g.ldo + j0;
+    const float* rrow = g.ep == PackedEpilogue::kResidualAdd
+                            ? g.residual + (i + r) * g.ldr + j0
+                            : nullptr;
+    for (std::int64_t l = 0; l < width; ++l) {
+      orow[l] = finish(acc[r][l], g.ep, rrow != nullptr ? rrow[l] : 0.0f);
+    }
+  }
+}
+
+/// Full kRowTile-row tiles, then single-row tiles for the remainder (same
+/// per-element arithmetic, so the split point does not affect results).
+template <bool kFused>
+void tiles(const PackedGemmArgs& g, const float* panel, const float* seed,
+           std::int64_t i0, std::int64_t i1, std::int64_t j0,
+           std::int64_t width) {
+  std::int64_t i = i0;
+  for (; i + kRowTile <= i1; i += kRowTile) {
+    tile<kRowTile, kFused>(g, panel, seed, i, j0, width);
+  }
+  for (; i < i1; ++i) tile<1, kFused>(g, panel, seed, i, j0, width);
+}
+
+}  // namespace
+
+void gemm_packed_rows(const PackedGemmArgs& g, float* widened,
+                      std::int64_t i0, std::int64_t i1, std::int64_t p0,
+                      std::int64_t p1) {
+  const bool half = g.panels_f16 != nullptr;
+  const std::int64_t panel_elems = g.k * kPanel;
+  for (std::int64_t p = p0; p < p1; ++p) {
+    const float* panel;
+    if (half) {
+      f16_bits_to_f32_batch(g.panels_f16 + p * panel_elems, widened,
+                            static_cast<std::size_t>(panel_elems));
+      panel = widened;
+    } else {
+      panel = g.panels + p * panel_elems;
+    }
+    const std::int64_t j0 = p * kPanel;
+    const std::int64_t width = min_i64(kPanel, g.n - j0);
+    // Padded lanes seed with 0 and accumulate against zero weights; they
+    // stay finite and are never stored.
+    float seed[kPanel];
+    for (std::int64_t l = 0; l < kPanel; ++l) {
+      seed[l] = (g.bias != nullptr && l < width) ? g.bias[j0 + l] : 0.0f;
+    }
+    if (half) {
+      tiles<kTierHasFma>(g, panel, seed, i0, i1, j0, width);
+    } else {
+      tiles<false>(g, panel, seed, i0, i1, j0, width);
+    }
+  }
+}
+
+}  // namespace swat::isa::SWAT_ISA_TIER

@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "common/fp16.hpp"
+#include "common/isa_kernels.hpp"
 #include "common/thread_pool.hpp"
 
 namespace swat {
@@ -384,214 +385,24 @@ void pack_weight_nt(const MatrixF& w, PackedWeight& packed, Dtype dtype) {
 
 namespace {
 
-enum class PackedEpilogue { kNone, kGelu, kResidualAdd };
-
-constexpr std::int64_t kPanel = PackedWeight::kPanel;
-// Rows per register tile: 6 rows x 32 lanes = 12 independent 512-bit
-// multiply-accumulate chains (or 24 256-bit ones) — enough to hide the
-// arithmetic latency without exhausting the architectural registers.
-// Measured on the encoder's projection/FFN shapes this tile runs
-// 1.7-2.6x the blocked row-major GEMM with -march=native (where the
-// blocked kernel contracts to FMA but this one, pinned un-contracted for
-// cross-ISA bit-stability, still wins on register reuse alone).
-constexpr std::int64_t kPackedRowTile = 6;
-// 2D fan-out grain: row tiles x panel groups. 60 rows (10 full register
-// tiles) x 8 panels (256 columns) keeps a tile's A rows and packed panels
-// cache-resident while exposing enough tiles that the pool load-balances
-// ragged shapes.
+// 2D fan-out grain: row tiles x panel groups. 60 rows (10 full 6-row
+// register tiles) x 8 panels (256 columns) keeps a tile's A rows and
+// packed panels cache-resident while exposing enough tiles that the pool
+// load-balances ragged shapes.
 constexpr std::int64_t kPackedRowGrain = 60;
 constexpr std::int64_t kPackedPanelGrain = 8;
 
-/// Apply the epilogue to one accumulator and store it. The accumulator
-/// already holds bias + sum_k a*w in ascending-k order; GELU and the
-/// residual add see exactly the value a separate pass would have loaded,
-/// so the fused epilogues are bit-identical to the unfused sequence.
-inline float packed_finish(float acc, PackedEpilogue ep, float residual) {
-  switch (ep) {
-    case PackedEpilogue::kNone:
-      return acc;
-    case PackedEpilogue::kGelu:
-      return gelu(acc);
-    case PackedEpilogue::kResidualAdd:
-      return acc + residual;
-  }
-  return acc;  // unreachable
-}
-
-/// Register-tiled microkernel: ROWS query rows against one packed panel.
-/// Each of the ROWS x kPanel accumulators is a single float walked in
-/// ascending k — the exact reduction order of matmul_nt_naive's dot() —
-/// so results are bit-identical to the scalar oracle and independent of
-/// the tile partition, the row tile size, and the thread count. The k
-/// loop is unrolled by 4 as *separate* accumulate statements (never
-/// pairwise sums), which trims loop overhead without touching the
-/// reduction order.
-template <int ROWS>
-SWAT_NO_FP_CONTRACT void gemm_packed_tile(
-    const float* a, std::int64_t lda, const float* panel, std::int64_t k,
-    const float* seed, PackedEpilogue ep, ConstMatrixView residual,
-    MatrixView out, std::int64_t i, std::int64_t j0, std::int64_t width) {
-  SWAT_NO_FP_CONTRACT_BODY
-  float acc[ROWS][kPanel];
-  const float* ar[ROWS];
-  for (int r = 0; r < ROWS; ++r) {
-    ar[r] = a + (i + r) * lda;
-    for (std::int64_t l = 0; l < kPanel; ++l) acc[r][l] = seed[l];
-  }
-  std::int64_t kk = 0;
-  for (; kk + 4 <= k; kk += 4) {
-    const float* bp0 = panel + kk * kPanel;
-    for (int u = 0; u < 4; ++u) {
-      const float* bp = bp0 + u * kPanel;
-      for (int r = 0; r < ROWS; ++r) {
-        const float av = ar[r][kk + u];
-        for (std::int64_t l = 0; l < kPanel; ++l) acc[r][l] += av * bp[l];
-      }
-    }
-  }
-  for (; kk < k; ++kk) {
-    const float* bp = panel + kk * kPanel;
-    for (int r = 0; r < ROWS; ++r) {
-      const float av = ar[r][kk];
-      for (std::int64_t l = 0; l < kPanel; ++l) acc[r][l] += av * bp[l];
-    }
-  }
-  for (int r = 0; r < ROWS; ++r) {
-    for (std::int64_t l = 0; l < width; ++l) {
-      out(i + r, j0 + l) = packed_finish(
-          acc[r][l], ep,
-          ep == PackedEpilogue::kResidualAdd ? residual(i + r, j0 + l)
-                                             : 0.0f);
-    }
-  }
-}
-
-/// The fp16 variant of gemm_packed_tile: identical loop structure and
-/// accumulation order (single fp32 accumulator per element, ascending k),
-/// but WITHOUT the SWAT_NO_FP_CONTRACT pin. A deliberate near-duplicate
-/// rather than a shared body: GCC refuses to inline across functions with
-/// differing `optimize` attributes, and the whole point of the fp16 path
-/// is to let -march=native contract the multiply-add into FMAs — the pack
-/// already rounded the weights, so oracle bit-parity is gone and fewer
-/// roundings is strictly more accurate. The panel pointer it receives is
-/// the widened fp32 scratch copy of an fp16 panel, so results depend only
-/// on the pack contents — never on thread count or tile partition.
-template <int ROWS>
-void gemm_packed_tile_contract(const float* a, std::int64_t lda,
-                               const float* panel, std::int64_t k,
-                               const float* seed, PackedEpilogue ep,
-                               ConstMatrixView residual, MatrixView out,
-                               std::int64_t i, std::int64_t j0,
-                               std::int64_t width) {
-  float acc[ROWS][kPanel];
-  const float* ar[ROWS];
-  for (int r = 0; r < ROWS; ++r) {
-    ar[r] = a + (i + r) * lda;
-    for (std::int64_t l = 0; l < kPanel; ++l) acc[r][l] = seed[l];
-  }
-  std::int64_t kk = 0;
-  for (; kk + 4 <= k; kk += 4) {
-    const float* bp0 = panel + kk * kPanel;
-    for (int u = 0; u < 4; ++u) {
-      const float* bp = bp0 + u * kPanel;
-      for (int r = 0; r < ROWS; ++r) {
-        const float av = ar[r][kk + u];
-        for (std::int64_t l = 0; l < kPanel; ++l) acc[r][l] += av * bp[l];
-      }
-    }
-  }
-  for (; kk < k; ++kk) {
-    const float* bp = panel + kk * kPanel;
-    for (int r = 0; r < ROWS; ++r) {
-      const float av = ar[r][kk];
-      for (std::int64_t l = 0; l < kPanel; ++l) acc[r][l] += av * bp[l];
-    }
-  }
-  for (int r = 0; r < ROWS; ++r) {
-    for (std::int64_t l = 0; l < width; ++l) {
-      out(i + r, j0 + l) = packed_finish(
-          acc[r][l], ep,
-          ep == PackedEpilogue::kResidualAdd ? residual(i + r, j0 + l)
-                                             : 0.0f);
-    }
-  }
-}
-
-/// Serial packed-GEMM over rows [i0, i1) and panels [p0, p1): full
-/// kPackedRowTile-row register tiles, then single-row tiles for the
-/// remainder (same per-element arithmetic, so the split point does not
-/// affect results). For fp16 packs, each panel is widened once into a
-/// per-thread scratch buffer (k x kPanel floats, amortized over all the
-/// task's row tiles) and the contraction-allowed tile runs on the widened
-/// copy — the decode is the only extra work, and the streamed bytes per
-/// panel halve.
-void gemm_packed_rows(ConstMatrixView a, const PackedWeight& w,
-                      const float* bias, PackedEpilogue ep,
-                      ConstMatrixView residual, MatrixView out,
-                      std::int64_t i0, std::int64_t i1, std::int64_t p0,
-                      std::int64_t p1) {
-  const std::int64_t k = w.in_features;
-  const std::int64_t n = w.out_features;
-  const float* adata = a.data();
-  const std::int64_t lda = a.stride();
-  const bool half = w.dtype == Dtype::kFp16;
-  // Scratch for one widened panel; leased per task, so after warmup the
-  // per-thread workspace serves every subsequent call allocation-free.
-  // The fp32 path takes no lease at all.
-  std::optional<WorkspaceLease> widened;
-  if (half) {
-    widened.emplace(tls_workspace(), static_cast<std::size_t>(k * kPanel));
-  }
-  for (std::int64_t p = p0; p < p1; ++p) {
-    const float* panel;
-    if (half) {
-      f16_bits_to_f32_batch(
-          w.data_f16.data() + static_cast<std::size_t>(p * k * kPanel),
-          widened->data(), static_cast<std::size_t>(k * kPanel));
-      panel = widened->data();
-    } else {
-      panel = w.data.data() + static_cast<std::size_t>(p * k * kPanel);
-    }
-    const std::int64_t j0 = p * kPanel;
-    const std::int64_t width = std::min(kPanel, n - j0);
-    // Padded lanes seed with 0 and accumulate against zero weights; they
-    // stay finite and are never stored.
-    float seed[kPanel];
-    for (std::int64_t l = 0; l < kPanel; ++l) {
-      seed[l] = (bias != nullptr && l < width) ? bias[j0 + l] : 0.0f;
-    }
-    std::int64_t i = i0;
-    if (half) {
-      for (; i + kPackedRowTile <= i1; i += kPackedRowTile) {
-        gemm_packed_tile_contract<kPackedRowTile>(
-            adata, lda, panel, k, seed, ep, residual, out, i, j0, width);
-      }
-      for (; i < i1; ++i) {
-        gemm_packed_tile_contract<1>(adata, lda, panel, k, seed, ep,
-                                     residual, out, i, j0, width);
-      }
-    } else {
-      for (; i + kPackedRowTile <= i1; i += kPackedRowTile) {
-        gemm_packed_tile<kPackedRowTile>(adata, lda, panel, k, seed, ep,
-                                         residual, out, i, j0, width);
-      }
-      for (; i < i1; ++i) {
-        gemm_packed_tile<1>(adata, lda, panel, k, seed, ep, residual, out, i,
-                            j0, width);
-      }
-    }
-  }
-}
+static_assert(PackedWeight::kPanel == isa::kPackedPanel);
 
 void gemm_packed_impl(ConstMatrixView a, const PackedWeight& w,
-                      std::span<const float> bias, PackedEpilogue ep,
+                      std::span<const float> bias, isa::PackedEpilogue ep,
                       ConstMatrixView residual, MatrixView out) {
   SWAT_EXPECTS(a.cols() == w.in_features);
   SWAT_EXPECTS(out.rows() == a.rows() && out.cols() == w.out_features);
   SWAT_EXPECTS(bias.empty() ||
                bias.size() == static_cast<std::size_t>(w.out_features));
   SWAT_EXPECTS(out.size() == 0 || a.size() == 0 || out.data() != a.data());
-  if (ep == PackedEpilogue::kResidualAdd) {
+  if (ep == isa::PackedEpilogue::kResidualAdd) {
     SWAT_EXPECTS(residual.rows() == out.rows() &&
                  residual.cols() == out.cols());
     // The epilogue reads residual(i, j) while out(i, j) may still hold
@@ -603,12 +414,34 @@ void gemm_packed_impl(ConstMatrixView a, const PackedWeight& w,
   if (m == 0 || w.out_features == 0) return;  // no output elements exist
   // k == 0 still initializes every element from the bias seed (or zero):
   // the microkernel's k loop is simply empty.
-  const float* bias_ptr = bias.empty() ? nullptr : bias.data();
+  const bool half = w.dtype == Dtype::kFp16;
+  const isa::PackedGemmArgs args{
+      a.data(),
+      a.stride(),
+      half ? nullptr : w.data.data(),
+      half ? w.data_f16.data() : nullptr,
+      w.in_features,
+      w.out_features,
+      bias.empty() ? nullptr : bias.data(),
+      ep,
+      ep == isa::PackedEpilogue::kResidualAdd ? residual.data() : nullptr,
+      residual.stride(),
+      out.data(),
+      out.stride()};
+  const isa::PackedRowsFn rows = isa::active_kernels().gemm_packed_rows;
+  const std::size_t widened_floats =
+      half ? static_cast<std::size_t>(w.in_features * PackedWeight::kPanel)
+           : 0;
   parallel_for_2d(m, kPackedRowGrain, w.panels(), kPackedPanelGrain,
                   [&](std::int64_t i0, std::int64_t i1, std::int64_t panel0,
                       std::int64_t panel1) {
-                    gemm_packed_rows(a, w, bias_ptr, ep, residual, out, i0,
-                                     i1, panel0, panel1);
+                    // One widened fp16 panel of scratch per task; after
+                    // warmup the thread's workspace serves it without
+                    // allocating. fp32 packs take no lease.
+                    std::optional<WorkspaceLease> widened;
+                    if (half) widened.emplace(tls_workspace(), widened_floats);
+                    rows(args, half ? widened->data() : nullptr, i0, i1,
+                         panel0, panel1);
                   });
 }
 
@@ -616,18 +449,19 @@ void gemm_packed_impl(ConstMatrixView a, const PackedWeight& w,
 
 void gemm_packed_into(ConstMatrixView a, const PackedWeight& w,
                       std::span<const float> bias, MatrixView out) {
-  gemm_packed_impl(a, w, bias, PackedEpilogue::kNone, {}, out);
+  gemm_packed_impl(a, w, bias, isa::PackedEpilogue::kNone, {}, out);
 }
 
 void gemm_packed_gelu_into(ConstMatrixView a, const PackedWeight& w,
                            std::span<const float> bias, MatrixView out) {
-  gemm_packed_impl(a, w, bias, PackedEpilogue::kGelu, {}, out);
+  gemm_packed_impl(a, w, bias, isa::PackedEpilogue::kGelu, {}, out);
 }
 
 void gemm_packed_residual_into(ConstMatrixView a, const PackedWeight& w,
                                std::span<const float> bias,
                                ConstMatrixView residual, MatrixView out) {
-  gemm_packed_impl(a, w, bias, PackedEpilogue::kResidualAdd, residual, out);
+  gemm_packed_impl(a, w, bias, isa::PackedEpilogue::kResidualAdd, residual,
+                   out);
 }
 
 // ------------------------------------------------- naive seed kernels ----
@@ -732,8 +566,8 @@ MatrixF layer_norm_naive(const MatrixF& x, std::span<const float> gamma,
 }
 
 // No-contract so the polynomial rounds identically wherever it is called
-// from — the fused GEMM epilogue (itself a no-contract context), the
-// gelu_into pass, and the scalar oracle — on FMA and non-FMA ISAs alike.
+// from — the fused GEMM epilogue of every ISA tier, the gelu_into pass, and
+// the scalar oracle — on FMA and non-FMA ISAs alike.
 SWAT_NO_FP_CONTRACT
 float gelu(float x) {
   SWAT_NO_FP_CONTRACT_BODY

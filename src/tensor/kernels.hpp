@@ -143,11 +143,11 @@ MatrixF matmul_nt_naive(const MatrixF& a, const MatrixF& b);
 //
 //  * Dtype::kFp32 — the microkernel accumulates every output element with
 //    a single float accumulator in ascending-k order with the multiply
-//    rounded before the add (SWAT_NO_FP_CONTRACT pins that even on FMA
-//    ISAs) — the exact arithmetic of matmul_nt_naive's dot() — so
-//    gemm_packed output is bit-identical to the scalar oracle for every
-//    shape, thread count, tile partition, AND host ISA (-march=native and
-//    portable builds produce the same bits).
+//    rounded before the add (its per-ISA-tier translation units are built
+//    with -ffp-contract=off, see common/isa_kernels.hpp) — the exact
+//    arithmetic of matmul_nt_naive's dot() — so gemm_packed output is
+//    bit-identical to the scalar oracle for every shape, thread count,
+//    tile partition, AND ISA tier the kernels dispatch to.
 //  * Dtype::kFp16 — pack_weight_nt rounds each weight once (RNE) to
 //    binary16 at pack time, halving the panel bytes the microkernel
 //    streams; the kernel widens each panel back to float before the tile
@@ -155,9 +155,9 @@ MatrixF matmul_nt_naive(const MatrixF& a, const MatrixF& b);
 //    Outputs are deterministic — bit-identical across SWAT_THREADS,
 //    arrival orders and runs (the tile grid is static, see parallel_for_2d)
 //    — but NOT bit-equal to the fp32 oracle (the weights were rounded) and
-//    not pinned across ISAs: having given up oracle parity, the fp16 tile
-//    drops the no-contract pin and lets FMA ISAs contract (fewer
-//    roundings, strictly tighter error). Accuracy is gated by the
+//    not pinned across ISA tiers: having given up oracle parity, the fp16
+//    tile fuses its multiply-adds on tiers with FMA (fewer roundings,
+//    strictly tighter error). Accuracy is gated by the
 //    precision-fidelity test against the calibration budget, not by
 //    bit-equality.
 //

@@ -1,0 +1,470 @@
+// Tests for runtime ISA dispatch (common/cpu_dispatch.hpp,
+// common/isa_kernels.hpp).
+//
+// Every tier the host supports runs in this one binary (ScopedIsaTier), and
+// each is held to the same contract:
+//   * fp32 packed GEMM (all three epilogues) and fp32 fused attention are
+//     byte-identical to the baseline tier and to the scalar oracles, on
+//     ragged shapes that exercise every tile remainder;
+//   * the fp16 converters match the scalar routines on every pattern,
+//     NaN payloads included;
+//   * the fp16 pack and fp16 stream are bit-identical across thread
+//     counts and inside the calibrated fidelity budgets;
+//   * SWAT_ISA rejects unknown names and tiers above the host's.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <optional>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "attention/fused.hpp"
+#include "common/cpu_dispatch.hpp"
+#include "common/fp16.hpp"
+#include "common/isa_kernels.hpp"
+#include "eval/calibration.hpp"
+#include "test_util.hpp"
+
+namespace swat {
+namespace {
+
+using swat::testing::expect_matrix_equal;
+using swat::testing::ThreadCountGuard;
+
+std::vector<IsaTier> supported_tiers() {
+  std::vector<IsaTier> tiers;
+  for (const IsaTier t : kIsaTiers) {
+    if (isa_tier_supported(t)) tiers.push_back(t);
+  }
+  return tiers;
+}
+
+std::string tier_label(IsaTier t) { return std::string(isa_tier_name(t)); }
+
+std::uint32_t float_bits(float f) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+/// Sets (or unsets, for nullptr) SWAT_ISA for one scope.
+class EnvGuard {
+ public:
+  explicit EnvGuard(const char* value) {
+    if (const char* old = std::getenv("SWAT_ISA")) saved_ = old;
+    if (value != nullptr) {
+      ::setenv("SWAT_ISA", value, 1);
+    } else {
+      ::unsetenv("SWAT_ISA");
+    }
+  }
+  ~EnvGuard() {
+    if (saved_) {
+      ::setenv("SWAT_ISA", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("SWAT_ISA");
+    }
+  }
+  EnvGuard(const EnvGuard&) = delete;
+  EnvGuard& operator=(const EnvGuard&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+// ------------------------------------------------------------ tiers ----
+
+TEST(IsaDispatch, BaselineIsAlwaysSupportedAndTablesMatchTheirTier) {
+  EXPECT_TRUE(isa_tier_supported(IsaTier::kBaseline));
+  EXPECT_TRUE(isa_tier_supported(host_isa_tier()));
+  EXPECT_TRUE(isa_tier_supported(active_isa_tier()));
+  for (const IsaTier t : supported_tiers()) {
+    EXPECT_EQ(isa::kernels(t).tier, t) << tier_label(t);
+    const ScopedIsaTier scope(t);
+    EXPECT_EQ(active_isa_tier(), t);
+    EXPECT_EQ(isa::active_kernels().tier, t);
+  }
+}
+
+TEST(IsaDispatch, ScopedTiersNestAndRestore) {
+  const IsaTier outer = active_isa_tier();
+  {
+    const ScopedIsaTier base(IsaTier::kBaseline);
+    {
+      const ScopedIsaTier host(host_isa_tier());
+      EXPECT_EQ(active_isa_tier(), host_isa_tier());
+    }
+    EXPECT_EQ(active_isa_tier(), IsaTier::kBaseline);
+  }
+  EXPECT_EQ(active_isa_tier(), outer);
+}
+
+// ------------------------------------------------------- SWAT_ISA env ----
+
+TEST(IsaEnv, TierNamesParse) {
+  for (const IsaTier t : kIsaTiers) {
+    EXPECT_EQ(parse_isa_tier(isa_tier_name(t), IsaTier::kAvx512), t);
+  }
+  {
+    const EnvGuard env(nullptr);
+    EXPECT_EQ(isa_tier_from_env(), host_isa_tier());
+  }
+  {
+    const EnvGuard env("");
+    EXPECT_EQ(isa_tier_from_env(), host_isa_tier());
+  }
+  {
+    const EnvGuard env("baseline");
+    EXPECT_EQ(isa_tier_from_env(), IsaTier::kBaseline);
+  }
+}
+
+/// Runs `fn`, expecting std::invalid_argument whose message names `what`.
+template <typename Fn>
+void expect_rejected_naming(Fn&& fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected std::invalid_argument naming " << what;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << "message: " << e.what();
+  }
+}
+
+TEST(IsaEnv, UnknownNameThrowsNamingIt) {
+  for (const char* bad : {"avx1024", "AVX2", "sse2", " avx2", "native"}) {
+    expect_rejected_naming(
+        [&] { (void)parse_isa_tier(bad, IsaTier::kAvx512); }, bad);
+    const EnvGuard env(bad);
+    expect_rejected_naming([] { (void)isa_tier_from_env(); }, bad);
+  }
+}
+
+TEST(IsaEnv, TierAboveTheHostThrowsNamingIt) {
+  // Simulated older hosts: every tier above the host's must be refused.
+  expect_rejected_naming(
+      [] { (void)parse_isa_tier("avx512", IsaTier::kAvx2); }, "avx512");
+  expect_rejected_naming(
+      [] { (void)parse_isa_tier("avx2", IsaTier::kBaseline); }, "avx2");
+  expect_rejected_naming(
+      [] { (void)parse_isa_tier("avx512", IsaTier::kBaseline); }, "avx512");
+  // And on this host, through the environment and the scoped override.
+  for (const IsaTier t : kIsaTiers) {
+    if (isa_tier_supported(t)) continue;
+    const std::string name = tier_label(t);
+    const EnvGuard env(name.c_str());
+    expect_rejected_naming([] { (void)isa_tier_from_env(); }, name);
+    expect_rejected_naming([&] { const ScopedIsaTier scope(t); }, name);
+  }
+}
+
+// ------------------------------------------------------- packed GEMM ----
+
+/// The packed kernel's fp32 semantics in scalar form: the accumulator is
+/// seeded with the bias, then walks k ascending with the product rounded
+/// before the add.
+SWAT_NO_FP_CONTRACT
+MatrixF packed_oracle(const MatrixF& a, const MatrixF& w,
+                      std::span<const float> bias) {
+  SWAT_NO_FP_CONTRACT_BODY
+  MatrixF c(a.rows(), w.rows());
+  for (std::int64_t i = 0; i < a.rows(); ++i) {
+    for (std::int64_t j = 0; j < w.rows(); ++j) {
+      float acc = bias[static_cast<std::size_t>(j)];
+      for (std::int64_t kk = 0; kk < a.cols(); ++kk) {
+        acc += a(i, kk) * w(j, kk);
+      }
+      c(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+struct GemmOutputs {
+  MatrixF plain, gelu, residual;
+};
+
+GemmOutputs run_packed(const MatrixF& a, const PackedWeight& packed,
+                       std::span<const float> bias, const MatrixF& resid) {
+  GemmOutputs o{MatrixF(a.rows(), packed.out_features),
+                MatrixF(a.rows(), packed.out_features),
+                MatrixF(a.rows(), packed.out_features)};
+  gemm_packed_into(a, packed, bias, o.plain);
+  gemm_packed_gelu_into(a, packed, bias, o.gelu);
+  gemm_packed_residual_into(a, packed, bias, resid, o.residual);
+  return o;
+}
+
+TEST(IsaGemmPacked, Fp32ByteIdenticalAcrossTiersAndToTheOracle) {
+  // m % 6 != 0, n % 32 != 0, k % 4 != 0: every register-tile, panel and
+  // k-unroll remainder runs; m spans several row grains.
+  struct Shape {
+    std::int64_t m, k, n;
+  };
+  for (const Shape s : {Shape{1, 3, 5}, Shape{7, 13, 33}, Shape{131, 67, 97}}) {
+    Rng rng(static_cast<std::uint64_t>(s.m * 1000 + s.n));
+    const MatrixF a = random_normal(s.m, s.k, rng);
+    const MatrixF w = random_normal(s.n, s.k, rng);
+    const MatrixF resid = random_normal(s.m, s.n, rng);
+    std::vector<float> bias(static_cast<std::size_t>(s.n));
+    for (float& b : bias) b = static_cast<float>(rng.uniform(-1.0, 1.0));
+    PackedWeight packed;
+    pack_weight_nt(w, packed);
+
+    const MatrixF plain_ref = packed_oracle(a, w, bias);
+    const MatrixF gelu_ref = gelu_naive(plain_ref);
+    const MatrixF resid_ref = add_rows_naive(plain_ref, resid);
+
+    std::optional<GemmOutputs> base;
+    for (const IsaTier t : supported_tiers()) {
+      SCOPED_TRACE(tier_label(t) + " m=" + std::to_string(s.m));
+      const ScopedIsaTier scope(t);
+      for (const int threads : {1, 4}) {
+        const ThreadCountGuard guard(threads);
+        const GemmOutputs got = run_packed(a, packed, bias, resid);
+        expect_matrix_equal(got.plain, plain_ref, "bias epilogue vs oracle");
+        expect_matrix_equal(got.gelu, gelu_ref, "gelu epilogue vs oracle");
+        expect_matrix_equal(got.residual, resid_ref,
+                            "residual epilogue vs oracle");
+        if (!base) base = got;
+        expect_matrix_equal(got.plain, base->plain, "vs baseline tier");
+        expect_matrix_equal(got.gelu, base->gelu, "vs baseline tier");
+        expect_matrix_equal(got.residual, base->residual, "vs baseline tier");
+      }
+    }
+  }
+}
+
+TEST(IsaGemmPacked, Fp16PackDeterministicAndInBudgetPerTier) {
+  Rng rng(61);
+  const std::int64_t m = 130, k = 75, n = 70;
+  const MatrixF a = random_normal(m, k, rng);
+  const MatrixF w = random_normal(n, k, rng);
+  const std::vector<float> bias(static_cast<std::size_t>(n), -0.5f);
+  PackedWeight p32, p16;
+  pack_weight_nt(w, p32);
+  pack_weight_nt(w, p16, Dtype::kFp16);
+  MatrixF y32(m, n);
+  gemm_packed_into(a, p32, bias, y32);  // fp32 is tier-independent
+  for (const IsaTier t : supported_tiers()) {
+    SCOPED_TRACE(tier_label(t));
+    const ScopedIsaTier scope(t);
+    MatrixF solo(m, n), wide(m, n);
+    {
+      const ThreadCountGuard guard(1);
+      gemm_packed_into(a, p16, bias, solo);
+    }
+    {
+      const ThreadCountGuard guard(4);
+      gemm_packed_into(a, p16, bias, wide);
+    }
+    expect_matrix_equal(wide, solo, "fp16 pack across thread counts");
+    const double err = relative_error(solo, y32);
+    EXPECT_GT(err, 0.0);
+    EXPECT_LT(err, calib::kFp16LayerRelErrBudget);
+  }
+}
+
+// -------------------------------------------------- fused attention ----
+
+struct Packed {
+  MatrixF q, k, v;
+  std::vector<std::int64_t> offsets;
+};
+
+Packed make_packed(const std::vector<std::int64_t>& lengths,
+                   std::int64_t d_model, std::uint64_t seed) {
+  Rng rng(seed);
+  Packed p;
+  p.offsets = {0};
+  std::int64_t rows = 0;
+  for (const std::int64_t len : lengths) p.offsets.push_back(rows += len);
+  // 0.3 stddev keeps the unshifted exp of Eq. 1 well inside float range.
+  p.q = random_normal(rows, d_model, rng, 0.3);
+  p.k = random_normal(rows, d_model, rng, 0.3);
+  p.v = random_normal(rows, d_model, rng);
+  return p;
+}
+
+/// Eq. 1 over the band [i - before, i + after] clipped to each sequence,
+/// with the scale folded into Q: the fused kernel's exact arithmetic
+/// (dot/axpy ascending with rounded products, scalar exp, one division).
+MatrixF fused_oracle(const Packed& p, std::int64_t heads, std::int64_t before,
+                     std::int64_t after, float scale) {
+  const std::int64_t d_model = p.q.cols();
+  const std::int64_t h = d_model / heads;
+  MatrixF out(p.q.rows(), d_model);
+  std::vector<float> qs(static_cast<std::size_t>(h));
+  std::vector<float> z(static_cast<std::size_t>(h));
+  for (std::size_t s = 0; s + 1 < p.offsets.size(); ++s) {
+    const std::int64_t row0 = p.offsets[s];
+    const std::int64_t n = p.offsets[s + 1] - row0;
+    for (std::int64_t head = 0; head < heads; ++head) {
+      const std::int64_t base = head * h;
+      const auto slice = [&](const MatrixF& m, std::int64_t r) {
+        return std::span<const float>(m.row(row0 + r).data() + base,
+                                      static_cast<std::size_t>(h));
+      };
+      for (std::int64_t i = 0; i < n; ++i) {
+        const std::span<const float> qrow = slice(p.q, i);
+        for (std::size_t d = 0; d < qs.size(); ++d) qs[d] = qrow[d] * scale;
+        std::fill(z.begin(), z.end(), 0.0f);
+        float denom = 0.0f;
+        const std::int64_t lo = std::max<std::int64_t>(0, i - before);
+        const std::int64_t hi = std::min<std::int64_t>(n - 1, i + after);
+        for (std::int64_t j = lo; j <= hi; ++j) {
+          const float e = std::exp(dot(qs, slice(p.k, j)));
+          denom += e;
+          axpy(e, slice(p.v, j), z);
+        }
+        for (std::int64_t d = 0; d < h; ++d) {
+          out(row0 + i, base + d) = z[static_cast<std::size_t>(d)] / denom;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+struct Band {
+  std::int64_t before, after;
+};
+
+// Multi-sequence offsets (one sequence shorter than the band, one longer
+// than a query tile), bands clipped at both ends, before != after.
+const std::vector<std::int64_t> kLengths = {5, 70, 1, 131};
+const Band kBands[] = {{3, 7}, {9, 0}, {0, 4}, {200, 150}};
+constexpr std::int64_t kHeads = 3;
+constexpr std::int64_t kHeadDim = 20;  // not a multiple of 8 or 16
+
+TEST(IsaFusedAttention, Fp32ByteIdenticalAcrossTiersAndToTheOracle) {
+  const Packed p = make_packed(kLengths, kHeads * kHeadDim, 71);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(kHeadDim));
+  for (const Band band : kBands) {
+    const MatrixF oracle =
+        fused_oracle(p, kHeads, band.before, band.after, scale);
+    std::optional<MatrixF> base;
+    for (const IsaTier t : supported_tiers()) {
+      SCOPED_TRACE(tier_label(t) + " band " + std::to_string(band.before) +
+                   "/" + std::to_string(band.after));
+      const ScopedIsaTier scope(t);
+      for (const int threads : {1, 4}) {
+        const ThreadCountGuard guard(threads);
+        MatrixF got(p.q.rows(), p.q.cols());
+        attn::fused_window_attention_batch_into(p.q, p.k, p.v, p.offsets,
+                                                kHeads, band.before,
+                                                band.after, scale, got);
+        expect_matrix_equal(got, oracle, "fused vs Eq. 1 oracle");
+        if (!base) base = got;
+        expect_matrix_equal(got, *base, "fused vs baseline tier");
+      }
+    }
+  }
+}
+
+TEST(IsaFusedAttention, Fp16StreamDeterministicAndInBudgetPerTier) {
+  const Packed p = make_packed(kLengths, kHeads * kHeadDim, 72);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(kHeadDim));
+  for (const Band band : kBands) {
+    MatrixF f32(p.q.rows(), p.q.cols());
+    attn::fused_window_attention_batch_into(p.q, p.k, p.v, p.offsets, kHeads,
+                                            band.before, band.after, scale,
+                                            f32);
+    for (const IsaTier t : supported_tiers()) {
+      SCOPED_TRACE(tier_label(t));
+      const ScopedIsaTier scope(t);
+      MatrixF solo(p.q.rows(), p.q.cols()), wide(p.q.rows(), p.q.cols());
+      for (const int threads : {1, 4}) {
+        const ThreadCountGuard guard(threads);
+        attn::fused_window_attention_batch_into(
+            p.q, p.k, p.v, p.offsets, kHeads, band.before, band.after, scale,
+            threads == 1 ? solo : wide, Dtype::kFp16);
+      }
+      expect_matrix_equal(wide, solo, "fp16 stream across thread counts");
+      const double err = relative_error(solo, f32);
+      EXPECT_GT(err, 0.0);
+      EXPECT_LT(err, calib::kFp16StreamHeadRelErrBudget);
+    }
+  }
+}
+
+TEST(IsaFusedAttention, DenominatorUnderflowIsAnInvariantViolationOnEveryTier) {
+  Packed p = make_packed({8}, 8, 73);
+  for (std::int64_t i = 0; i < 8; ++i) {
+    for (std::int64_t d = 0; d < 8; ++d) {
+      p.q(i, d) = 40.0f;
+      p.k(i, d) = -40.0f;  // every logit ~ -12800: exp underflows to 0
+    }
+  }
+  for (const IsaTier t : supported_tiers()) {
+    const ScopedIsaTier scope(t);
+    for (const Dtype dt : {Dtype::kFp32, Dtype::kFp16}) {
+      MatrixF out(8, 8);
+      EXPECT_THROW(attn::fused_window_attention_batch_into(
+                       p.q, p.k, p.v, p.offsets, 1, 2, 2, 1.0f, out, dt),
+                   std::logic_error)
+          << tier_label(t);
+    }
+  }
+}
+
+// ---------------------------------------------------- fp16 converters ----
+
+TEST(IsaFp16Convert, DecodeMatchesScalarOnEveryPatternPerTier) {
+  std::vector<std::uint16_t> src(65536 + 5);  // odd tail
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<std::uint16_t>(i);
+  }
+  for (const IsaTier t : supported_tiers()) {
+    const ScopedIsaTier scope(t);
+    std::vector<float> got(src.size(), -1.0f);
+    f16_bits_to_f32_batch(src.data(), got.data(), src.size());
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      ASSERT_EQ(float_bits(got[i]), float_bits(f16_bits_to_f32(src[i])))
+          << tier_label(t) << " half bits 0x" << std::hex << src[i];
+    }
+  }
+}
+
+TEST(IsaFp16Convert, EncodeMatchesScalarIncludingNanPayloadsPerTier) {
+  std::vector<float> src;
+  const auto push_bits = [&](std::uint32_t bits) {
+    float f = 0.0f;
+    std::memcpy(&f, &bits, sizeof(f));
+    src.push_back(f);
+  };
+  // Quiet and signalling NaNs with assorted payloads and both signs,
+  // infinities, the overflow and subnormal boundaries, RNE ties.
+  for (const std::uint32_t bits :
+       {0x7fc00000u, 0xffc00000u, 0x7f800001u, 0xff800001u, 0x7fa5a5a5u,
+        0x7fbfffffu, 0x7fffffffu, 0xffffe000u, 0x7f802000u, 0x7f800000u,
+        0xff800000u, 0x477fe000u, 0x477ff000u, 0x47800000u, 0x33800000u,
+        0x33000000u, 0x33000001u, 0x38800000u, 0x387fe000u, 0x3f801000u,
+        0x3f803000u, 0x00000001u, 0x80000000u}) {
+    push_bits(bits);
+  }
+  std::mt19937 gen(0x15a15au);
+  std::uniform_int_distribution<std::uint32_t> dist;
+  for (int i = 0; i < 4096 + 3; ++i) push_bits(dist(gen));
+  for (const IsaTier t : supported_tiers()) {
+    const ScopedIsaTier scope(t);
+    // Offsets 0..8 move every special value through each SIMD lane
+    // position and across the body/tail split.
+    for (std::size_t off = 0; off < 9; ++off) {
+      std::vector<std::uint16_t> got(src.size() - off);
+      f32_to_f16_bits_batch(src.data() + off, got.data(), got.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], f32_to_f16_bits(src[off + i]))
+            << tier_label(t) << " off=" << off << " i=" << i;
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace swat

@@ -11,6 +11,9 @@
 //   * gemm_packed    proj + FFN shapes (the blocked bias GEMM the Linear
 //                                       layer used to run per batch vs the
 //                                       pre-packed panel microkernel)
+//   * gemm_packed_gelu  FFN shape      (the plain packed GEMM vs the same
+//                                       GEMM with the fused GELU epilogue:
+//                                       the epilogue's cost)
 //   * fused-attention                  (the per-head slice/band/scatter
 //                                       serving path vs the fused streaming
 //                                       batch kernel)
@@ -352,7 +355,8 @@ int main(int argc, char** argv) {
       swat::PackedWeight packed, packed_f16;
       swat::pack_weight_nt(w, packed);  // packed once, as Engine::compile does
       swat::pack_weight_nt(w, packed_f16, swat::Dtype::kFp16);
-      swat::MatrixF c_base(sh.m, sh.n), c_packed(sh.m, sh.n), c_f16(sh.m, sh.n);
+      swat::MatrixF c_base(sh.m, sh.n), c_packed(sh.m, sh.n), c_f16(sh.m, sh.n),
+          c_gelu(sh.m, sh.n);
       // The blocked GEMM has no ISA tiers: timed once for every tier's row.
       const ThreadTimings blocked = time_threads(reps, pool_threads, [&] {
         swat::detail::gemm(a.data(), sh.k, wt.data(), sh.n, c_base.data(),
@@ -374,6 +378,28 @@ int main(int argc, char** argv) {
         r.max_abs_diff = swat::max_abs_diff(c_packed, c_base);
         r.weight_bytes = static_cast<double>(packed.bytes());
         rows.push_back(r);
+
+        if (std::strcmp(sh.tag, "ffn") == 0) {
+          // The FFN-expand step as the encoder runs it: the same GEMM with
+          // the GELU epilogue fused, against the plain GEMM above, so
+          // 1 / speedup_1t is the epilogue's cost as a multiple of the
+          // plain GEMM's time. The fused output must equal gelu_naive of
+          // the plain one bit for bit (max_abs_diff 0).
+          BenchRow e;
+          e.name = "gemm_packed_gelu_" + shape;
+          e.isa = r.isa;
+          e.baseline = "gemm_packed_f32";
+          e.flops = flops;
+          e.base = r.kernel;
+          e.base_parallel = true;
+          e.weight_bytes = r.weight_bytes;
+          e.kernel = time_threads(reps, pool_threads, [&] {
+            swat::gemm_packed_gelu_into(a, packed, bias, c_gelu);
+          });
+          e.max_abs_diff =
+              swat::max_abs_diff(c_gelu, swat::gelu_naive(c_packed));
+          rows.push_back(e);
+        }
 
         // The half-precision pack on the same shape and tier, against the
         // fp32 pack it replaces: half the streamed weight bytes, fp32

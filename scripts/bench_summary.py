@@ -132,6 +132,26 @@ def isa_tier_rows(name, data):
     return rows
 
 
+def epilogue_rows(name, data):
+    """(bench, kernel, isa, cost_1t, cost_mt) rows for the fused-epilogue
+    arms (gemm_packed_gelu_*): the fused GEMM's time as a multiple of the
+    plain packed GEMM's on the same shape and tier (1 / speedup), so 1.0x
+    means the epilogue is free and the old libm GELU showed ~4x."""
+    rows = []
+    for arm in data.get("kernels", []):
+        if not (isinstance(arm, dict) and
+                str(arm.get("name", "")).startswith("gemm_packed_gelu_")):
+            continue
+        costs = []
+        for key in ("speedup_1t", "speedup_mt"):
+            value = arm.get(key)
+            costs.append(f"{1 / value:.2f}x" if is_number(value) and value
+                         else "-")
+        rows.append((name, str(arm["name"]), str(arm.get("isa", "-")),
+                     *costs))
+    return rows
+
+
 def render(files):
     benches = []
     for path in files:
@@ -167,6 +187,17 @@ def render(files):
         out.append(table(("bench", "kernel", "isa", "baseline",
                           "GFLOP/s 1t", "speedup_1t", "speedup_mt",
                           "scaling_mt"), [list(r) for r in tiers]))
+        out.append("")
+
+    epilogues = []
+    for name, data in benches:
+        epilogues += epilogue_rows(name, data)
+    if epilogues:
+        out.append("## Fused GEMM epilogue cost (fused time / plain packed "
+                   "GEMM time)")
+        out.append("")
+        out.append(table(("bench", "kernel", "isa", "cost 1t", "cost mt"),
+                         [list(r) for r in epilogues]))
         out.append("")
 
     for name, data in benches:

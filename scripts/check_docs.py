@@ -44,6 +44,11 @@
    plus the kIsaTiers list and the SWAT_ISA variable) must be mentioned in
    docs/ARCHITECTURE.md — which tier runs, and how to pin one, decides
    which kernels' bits a deployment gets.
+10. The deterministic math primitive (src/common/det_math.hpp: every
+    function declared at namespace scope — det_exp and the inline bodies
+    the tier kernels call) must be mentioned in docs/ARCHITECTURE.md — the
+    fp32 exp and GELU bits are swat's own, not libm's, and that contract
+    may not go undocumented.
 
 Exits non-zero with one line per violation.
 """
@@ -308,6 +313,25 @@ def check_cpu_dispatch_api_mentions(errors):
                 f"`{name}` is not documented")
 
 
+def check_det_math_api_mentions(errors):
+    """det_math.hpp namespace-scope functions must be documented."""
+    header = REPO / "src" / "common" / "det_math.hpp"
+    arch = REPO / "docs" / "ARCHITECTURE.md"
+    if not header.exists():
+        errors.append("src/common/det_math.hpp is missing")
+        return
+    if not arch.exists():
+        return  # reported by check_architecture_mentions
+    text = arch.read_text(encoding="utf-8")
+    # The bodies are declared `SWAT_DET_INLINE float name(...)` at column
+    # 0, the shape kernels_public_api scrapes.
+    for name in kernels_public_api(header):
+        if not re.search(rf"\b{re.escape(name)}\b", text):
+            errors.append(
+                "docs/ARCHITECTURE.md: det_math.hpp public API "
+                f"`{name}` is not documented")
+
+
 def check_server_api_mentions(errors):
     header = REPO / "src" / "runtime" / "server.hpp"
     arch = REPO / "docs" / "ARCHITECTURE.md"
@@ -337,14 +361,15 @@ def main():
     check_topology_api_mentions(errors)
     check_fused_api_mentions(errors)
     check_cpu_dispatch_api_mentions(errors)
+    check_det_math_api_mentions(errors)
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
     if not errors:
         print(f"docs OK: {len(doc_files())} files checked, "
               "all links resolve, architecture map covers src/, "
               "server, kernel, engine, stats, fault-injection, "
-              "placement/topology, fused-attention and ISA-dispatch APIs "
-              "documented")
+              "placement/topology, fused-attention, ISA-dispatch and "
+              "deterministic-math APIs documented")
     return 1 if errors else 0
 
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/det_math.hpp"
 #include "common/isa_kernels.hpp"
 #include "common/thread_pool.hpp"
 #include "tensor/kernels.hpp"
@@ -125,7 +126,7 @@ MatrixF fused_window_attention(const HeadInput& in,
     // One pass: numerator accumulates exp(S) * V, denominator accumulates
     // exp(S). Exactly Eq. 1 — note no max subtraction.
     for (std::int64_t j = lo; j <= hi; ++j) {
-      const float e = std::exp(dot(in.q.row(i), in.k.row(j)));
+      const float e = det_exp(dot(in.q.row(i), in.k.row(j)));
       denom += e;
       axpy(e, in.v.row(j), zrow);
     }

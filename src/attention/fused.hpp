@@ -8,7 +8,8 @@
 // row sum is applied afterwards. Three host implementations are provided:
 //
 //  * fused_window_attention        — float32, exactly the paper's operation
-//                                    order (no max subtraction);
+//                                    order (no max subtraction), exp is
+//                                    swat's det_exp (common/det_math.hpp);
 //  * fused_window_attention_online — float32, FlashAttention-style running
 //                                    max (the numerically-safe extension;
 //                                    used by the ablation bench);
@@ -50,8 +51,9 @@ MatrixF fused_window_attention(const HeadInput& in,
 /// Numeric envelope: this is the paper's form — exp WITHOUT max
 /// subtraction — and it inherits Eq. 1's float range: a scaled logit
 /// above ~88.7 overflows exp to inf (NaN output after the division), and
-/// a row whose whole band sits below ~-87.3 underflows every term (the
-/// denom > 0 invariant throws). With the 1/sqrt(h) scaling folded into Q
+/// a row whose whole band sits below ~-103.97 underflows every term (the
+/// denom > 0 invariant throws; between -103.97 and -87.34 det_exp returns
+/// graded positive subnormals). With the 1/sqrt(h) scaling folded into Q
 /// (as the model layer does), trained-model-like logits are comfortably
 /// inside that range; for adversarial magnitudes use the
 /// kWindowExact backend (stable softmax) or fused_window_attention_online

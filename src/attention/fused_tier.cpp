@@ -7,21 +7,12 @@
 // streams K^T unit-stride and vectorizes across score columns while each
 // score element keeps dot()'s exact ascending-d reduction order. The
 // transpose is O(h) per tile row and amortizes over the whole tile.
-#include <cmath>
-
+#include "common/det_math.hpp"
 #include "common/fp16.hpp"
 #include "common/isa_kernels.hpp"
 
 #if defined(__F16C__)
 #include <immintrin.h>
-#endif
-
-#if defined(SWAT_HAVE_MVEC) && defined(__AVX512F__)
-// glibc libmvec's 16-lane expf (<= 4 ulp): the fp16 streamed path's exp
-// stage, which is free of the fp32 path's oracle-bit-parity pin.
-extern "C" __m512 _ZGVeN16v_expf(__m512 x);
-#elif defined(SWAT_HAVE_MVEC) && defined(__AVX2__)
-extern "C" __m256 _ZGVdN8v_expf(__m256 x);
 #endif
 
 namespace swat::isa::SWAT_ISA_TIER {
@@ -58,11 +49,12 @@ float f16_tail_to_f32(std::uint16_t bits) { return _cvtsh_ss(bits); }
 
 // Exactly Eq. 1's operation order per element — QK dot, exp with no max
 // subtraction, S'V accumulation, one deferred division — scheduled as one
-// pass per stage over the row's score band so each tight loop pipelines.
-// Element-wise the arithmetic and its order match fused_window_attention
-// (d and j ascending everywhere, products rounded before the add by the
-// TU's -ffp-contract=off, scalar expf), so per-head outputs are
-// bit-identical to the per-head kernel on every tier.
+// pass per stage over the row's score band so each tight loop pipelines
+// (the exp pass vectorizes; the denominator then sums in its own ascending
+// pass). Element-wise the arithmetic and its order match
+// fused_window_attention (d and j ascending everywhere, products rounded
+// before the add by the TU's -ffp-contract=off, det_exp), so per-head
+// outputs are bit-identical to the per-head kernel on every tier.
 bool fused_window_tasks(const FusedWindowArgs& g,
                         const FusedWindowScratch& scratch, std::int64_t t0,
                         std::int64_t t1) {
@@ -97,11 +89,9 @@ bool fused_window_tasks(const FusedWindowArgs& g,
           const float* const __restrict ktd = kt + d * tk + (lo - tk0);
           for (std::int64_t c = 0; c < count; ++c) sb[c] += qd * ktd[c];
         }
+        for (std::int64_t c = 0; c < count; ++c) sb[c] = det_exp_inline(sb[c]);
         float denom = 0.0f;
-        for (std::int64_t c = 0; c < count; ++c) {
-          sb[c] = expf(sb[c]);
-          denom += sb[c];
-        }
+        for (std::int64_t c = 0; c < count; ++c) denom += sb[c];
         float* const __restrict za = scratch.zacc;
         zero(za, h);
         for (std::int64_t c = 0; c < count; ++c) {
@@ -131,8 +121,8 @@ bool fused_window_tasks(const FusedWindowArgs& g,
 // order as the fp32 worker (scores ascend d, Z ascends c), so outputs are
 // bit-identical across thread counts, arrival orders, replica counts and
 // batch compositions. The tile rounding already broke oracle bit-parity,
-// so the vector loops fuse their multiply-adds and the exp pass may use
-// libmvec; accuracy is budgeted by eval/stream_fidelity instead.
+// so the vector loops fuse their multiply-adds; the exp pass is the fp32
+// worker's det_exp. Accuracy is budgeted by eval/stream_fidelity.
 bool fused_window_tasks_f16(const FusedWindowArgs& g,
                             const FusedWindowScratch& scratch,
                             std::int64_t t0, std::int64_t t1) {
@@ -216,24 +206,9 @@ bool fused_window_tasks_f16(const FusedWindowArgs& g,
           for (std::int64_t c = 0; c < count; ++c) sb[c] += qd * ktd[c];
 #endif
         }
-        // Exp pass: libmvec's vectorized expf (<= 4 ulp — orders of
-        // magnitude inside the binary16 budget) where the tier has it,
-        // scalar expf for the rest. The denominator still sums in a
-        // separate ascending pass, so its reduction order never depends on
-        // the lane width.
-        {
-          std::int64_t c = 0;
-#if defined(SWAT_HAVE_MVEC) && defined(__AVX512F__)
-          for (; c + 16 <= count; c += 16) {
-            _mm512_storeu_ps(sb + c, _ZGVeN16v_expf(_mm512_loadu_ps(sb + c)));
-          }
-#elif defined(SWAT_HAVE_MVEC) && defined(__AVX2__)
-          for (; c + 8 <= count; c += 8) {
-            _mm256_storeu_ps(sb + c, _ZGVdN8v_expf(_mm256_loadu_ps(sb + c)));
-          }
-#endif
-          for (; c < count; ++c) sb[c] = expf(sb[c]);
-        }
+        // Exp pass, then the denominator in a separate ascending pass, so
+        // its reduction order never depends on the lane width.
+        for (std::int64_t c = 0; c < count; ++c) sb[c] = det_exp_inline(sb[c]);
         float denom = 0.0f;
         for (std::int64_t c = 0; c < count; ++c) denom += sb[c];
         // S'V stage: c-major axpy over the row-layout V band — za[d] sums

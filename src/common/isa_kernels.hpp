@@ -15,11 +15,13 @@
 // fp16 tiles fuse their multiply-adds explicitly where the tier has FMA).
 //
 // Linkage rule: a tier TU takes raw pointers and strides only, defines its
-// helpers with internal linkage, and calls nothing inline from a header.
-// An out-of-line copy of a header inline function (a weak symbol) compiled
-// for AVX-512 could be the one the linker keeps for baseline callers, which
-// would then die with SIGILL on an older CPU. scripts/check_isa_objects.py
-// fails when a tier object defines any such symbol.
+// helpers with internal linkage, and calls no inline function with external
+// linkage from a header (common/det_math.hpp's exp/GELU bodies are static
+// and always inlined, so the tiers may call them). An out-of-line copy of a
+// header inline function (a weak symbol) compiled for AVX-512 could be the
+// one the linker keeps for baseline callers, which would then die with
+// SIGILL on an older CPU. scripts/check_isa_objects.py fails when a tier
+// object defines any such symbol.
 //
 // Baseline code (the public entry points in kernels.cpp, fused.cpp and
 // fp16.cpp) keeps the contract checks, the thread-pool fan-out and the

@@ -199,7 +199,8 @@ class Encoder {
   std::vector<std::unique_ptr<EncoderLayer>> layers_;
 };
 
-/// GELU activation (tanh approximation), exposed for tests.
+/// GELU activation (tanh approximation in its sigmoid form; swat::gelu),
+/// exposed for tests.
 float gelu(float x);
 
 }  // namespace swat::model

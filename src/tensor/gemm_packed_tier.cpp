@@ -12,8 +12,8 @@
 //    parity is gone and fewer roundings are strictly more accurate). Same
 //    ascending-k order, so results depend only on the pack, never on the
 //    thread count or tile partition.
+#include "common/det_math.hpp"
 #include "common/isa_kernels.hpp"
-#include "tensor/kernels.hpp"
 
 namespace swat::isa::SWAT_ISA_TIER {
 
@@ -32,21 +32,6 @@ constexpr bool kTierHasFma = false;
 #endif
 
 std::int64_t min_i64(std::int64_t a, std::int64_t b) { return a < b ? a : b; }
-
-/// Apply the epilogue to one accumulator. GELU and the residual add see
-/// exactly the value a separate pass would have loaded, so the fused
-/// epilogues are bit-identical to the unfused sequence.
-float finish(float acc, PackedEpilogue ep, float residual) {
-  switch (ep) {
-    case PackedEpilogue::kNone:
-      return acc;
-    case PackedEpilogue::kGelu:
-      return gelu(acc);
-    case PackedEpilogue::kResidualAdd:
-      return acc + residual;
-  }
-  return acc;  // unreachable
-}
 
 /// ROWS query rows against one panel. Each of the ROWS x kPanel
 /// accumulators is a single float walked in ascending k; the k loop is
@@ -79,13 +64,27 @@ void tile(const PackedGemmArgs& g, const float* panel, const float* seed,
     for (int u = 0; u < 4; ++u) step(bp0 + u * kPanel, kk + u);
   }
   for (; kk < g.k; ++kk) step(panel + kk * kPanel, kk);
+  // The epilogue sees exactly the value a separate pass would have loaded,
+  // so each fused epilogue is bit-identical to the unfused sequence. One
+  // loop per epilogue keeps every row store a straight vector loop (GELU
+  // included: det_gelu_inline is branch-free).
   for (int r = 0; r < ROWS; ++r) {
-    float* orow = g.out + (i + r) * g.ldo + j0;
-    const float* rrow = g.ep == PackedEpilogue::kResidualAdd
-                            ? g.residual + (i + r) * g.ldr + j0
-                            : nullptr;
-    for (std::int64_t l = 0; l < width; ++l) {
-      orow[l] = finish(acc[r][l], g.ep, rrow != nullptr ? rrow[l] : 0.0f);
+    float* const orow = g.out + (i + r) * g.ldo + j0;
+    const float* const row_acc = acc[r];
+    switch (g.ep) {
+      case PackedEpilogue::kNone:
+        for (std::int64_t l = 0; l < width; ++l) orow[l] = row_acc[l];
+        break;
+      case PackedEpilogue::kGelu:
+        for (std::int64_t l = 0; l < width; ++l) {
+          orow[l] = det_gelu_inline(row_acc[l]);
+        }
+        break;
+      case PackedEpilogue::kResidualAdd: {
+        const float* const rrow = g.residual + (i + r) * g.ldr + j0;
+        for (std::int64_t l = 0; l < width; ++l) orow[l] = row_acc[l] + rrow[l];
+        break;
+      }
     }
   }
 }

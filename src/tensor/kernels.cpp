@@ -4,9 +4,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <numbers>
 #include <optional>
 
+#include "common/det_math.hpp"
 #include "common/fp16.hpp"
 #include "common/isa_kernels.hpp"
 #include "common/thread_pool.hpp"
@@ -565,14 +565,12 @@ MatrixF layer_norm_naive(const MatrixF& x, std::span<const float> gamma,
   return y;
 }
 
-// No-contract so the polynomial rounds identically wherever it is called
-// from — the fused GEMM epilogue of every ISA tier, the gelu_into pass, and
-// the scalar oracle — on FMA and non-FMA ISAs alike.
+// No-contract so the scalar spelling rounds exactly like the inlined body
+// in every ISA tier's fused GEMM epilogue, on FMA and non-FMA builds alike.
 SWAT_NO_FP_CONTRACT
 float gelu(float x) {
   SWAT_NO_FP_CONTRACT_BODY
-  const float c = std::sqrt(2.0f / std::numbers::pi_v<float>);
-  return 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
+  return det_gelu_inline(x);
 }
 
 void gelu_into(ConstMatrixView x, MatrixView out) {

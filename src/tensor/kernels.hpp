@@ -306,9 +306,10 @@ void layer_norm_into(ConstMatrixView x, std::span<const float> gamma,
 MatrixF layer_norm_naive(const MatrixF& x, std::span<const float> gamma,
                          std::span<const float> beta, float eps);
 
-/// GELU activation, tanh approximation — the exact expression the encoder
-/// has always used, exposed at the tensor layer so the planned and the
-/// allocating paths share one definition.
+/// GELU activation, tanh approximation in its sigmoid form
+/// x / (1 + exp(-2u)) on det_exp (common/det_math.hpp): bit-identical to the
+/// fused GEMM epilogue of every ISA tier. The one definition the planned and
+/// the allocating paths share.
 float gelu(float x);
 
 /// out[i, j] = gelu(x[i, j]); `out` may alias x (in-place).

@@ -5,7 +5,9 @@
 // each is held to the same contract:
 //   * fp32 packed GEMM (all three epilogues) and fp32 fused attention are
 //     byte-identical to the baseline tier and to the scalar oracles, on
-//     ragged shapes that exercise every tile remainder;
+//     ragged shapes that exercise every tile remainder, and byte for byte
+//     on edge inputs (GELU's deep negative tail, x^3 overflow, +-0;
+//     attention scores in exp's subnormal range);
 //   * the fp16 converters match the scalar routines on every pattern,
 //     NaN payloads included;
 //   * the fp16 pack and fp16 stream are bit-identical across thread
@@ -25,6 +27,7 @@
 
 #include "attention/fused.hpp"
 #include "common/cpu_dispatch.hpp"
+#include "common/det_math.hpp"
 #include "common/fp16.hpp"
 #include "common/isa_kernels.hpp"
 #include "eval/calibration.hpp"
@@ -240,6 +243,54 @@ TEST(IsaGemmPacked, Fp32ByteIdenticalAcrossTiersAndToTheOracle) {
   }
 }
 
+/// Byte equality (so -0 vs +0 and subnormal bits count), row by row.
+void expect_bytes_equal(const MatrixF& got, const MatrixF& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (std::int64_t i = 0; i < got.rows(); ++i) {
+    for (std::int64_t j = 0; j < got.cols(); ++j) {
+      ASSERT_EQ(float_bits(got(i, j)), float_bits(want(i, j)))
+          << what << " at (" << i << ", " << j << "): " << got(i, j)
+          << " vs " << want(i, j);
+    }
+  }
+}
+
+TEST(IsaGemmPacked, GeluEpilogueEdgeCasesMatchTheScalarOracleBytes) {
+  // k = 1, bias -0 and power-of-two weights make every accumulator exactly
+  // a * w: the deep negative tail (exp(-2u) overflows to +Inf, GELU -> -0
+  // or a subnormal), x^3 overflowing float, and both zeros, with each value
+  // in every lane position of a panel (n = 37: a full panel plus a tail).
+  const std::vector<float> edge = {
+      -9.25f, -9.5f,  -10.0f, -10.5f, -11.0f, -12.0f, -15.0f, -20.0f,
+      -50.0f, -1e6f,  1e13f,  -1e13f, 3e12f,  -3e12f, 1e20f,  -1e20f,
+      1e30f,  -1e30f, 3e38f,  -3e38f, 0.0f,   -0.0f,  1e-30f, -1e-30f};
+  const auto m = static_cast<std::int64_t>(edge.size());
+  const std::int64_t n = 37;
+  MatrixF a(m, 1);
+  for (std::int64_t i = 0; i < m; ++i) {
+    a(i, 0) = edge[static_cast<std::size_t>(i)];
+  }
+  MatrixF w(n, 1);
+  for (std::int64_t j = 0; j < n; ++j) {
+    w(j, 0) = (j % 2 == 0 ? 1.0f : -1.0f) * (j % 3 == 0 ? 1.0f : 0.5f);
+  }
+  const std::vector<float> bias(static_cast<std::size_t>(n), -0.0f);
+  PackedWeight packed;
+  pack_weight_nt(w, packed);
+  const MatrixF want = gelu_naive(packed_oracle(a, w, bias));
+  for (const IsaTier t : supported_tiers()) {
+    const ScopedIsaTier scope(t);
+    for (const int threads : {1, 4}) {
+      const ThreadCountGuard guard(threads);
+      MatrixF got(m, n);
+      gemm_packed_gelu_into(a, packed, bias, got);
+      expect_bytes_equal(got, want, tier_label(t));
+    }
+  }
+}
+
 TEST(IsaGemmPacked, Fp16PackDeterministicAndInBudgetPerTier) {
   Rng rng(61);
   const std::int64_t m = 130, k = 75, n = 70;
@@ -293,7 +344,7 @@ Packed make_packed(const std::vector<std::int64_t>& lengths,
 
 /// Eq. 1 over the band [i - before, i + after] clipped to each sequence,
 /// with the scale folded into Q: the fused kernel's exact arithmetic
-/// (dot/axpy ascending with rounded products, scalar exp, one division).
+/// (dot/axpy ascending with rounded products, det_exp, one division).
 MatrixF fused_oracle(const Packed& p, std::int64_t heads, std::int64_t before,
                      std::int64_t after, float scale) {
   const std::int64_t d_model = p.q.cols();
@@ -318,7 +369,7 @@ MatrixF fused_oracle(const Packed& p, std::int64_t heads, std::int64_t before,
         const std::int64_t lo = std::max<std::int64_t>(0, i - before);
         const std::int64_t hi = std::min<std::int64_t>(n - 1, i + after);
         for (std::int64_t j = lo; j <= hi; ++j) {
-          const float e = std::exp(dot(qs, slice(p.k, j)));
+          const float e = det_exp(dot(qs, slice(p.k, j)));
           denom += e;
           axpy(e, slice(p.v, j), z);
         }
@@ -389,6 +440,46 @@ TEST(IsaFusedAttention, Fp16StreamDeterministicAndInBudgetPerTier) {
       const double err = relative_error(solo, f32);
       EXPECT_GT(err, 0.0);
       EXPECT_LT(err, calib::kFp16StreamHeadRelErrBudget);
+    }
+  }
+}
+
+TEST(IsaFusedAttention, SubnormalExpScoresMatchTheScalarOracleBytes) {
+  // Every score sits in exp's subnormal range [-103.9, -87.4]: each exp
+  // term is a positive subnormal, the denominators stay positive, and the
+  // outputs are ratios of subnormal sums. Q is all ones and K row j spreads
+  // its target score over the head, so scores vary column by column.
+  const std::vector<std::int64_t> lengths = {70, 9};
+  Packed p = make_packed(lengths, kHeads * kHeadDim, 74);
+  for (std::int64_t i = 0; i < p.q.rows(); ++i) {
+    for (std::int64_t head = 0; head < kHeads; ++head) {
+      const double frac = std::fmod(0.618033988749 * static_cast<double>(
+                                                         i * kHeads + head),
+                                    1.0);
+      const auto per_dim =
+          static_cast<float>((-87.5 - 16.3 * frac) / kHeadDim);
+      for (std::int64_t d = 0; d < kHeadDim; ++d) {
+        p.q(i, head * kHeadDim + d) = 1.0f;
+        p.k(i, head * kHeadDim + d) = per_dim;
+      }
+    }
+  }
+  for (const Band band : kBands) {
+    const MatrixF oracle =
+        fused_oracle(p, kHeads, band.before, band.after, 1.0f);
+    for (const IsaTier t : supported_tiers()) {
+      const ScopedIsaTier scope(t);
+      for (const int threads : {1, 4}) {
+        const ThreadCountGuard guard(threads);
+        MatrixF got(p.q.rows(), p.q.cols());
+        attn::fused_window_attention_batch_into(p.q, p.k, p.v, p.offsets,
+                                                kHeads, band.before,
+                                                band.after, 1.0f, got);
+        expect_bytes_equal(got, oracle,
+                           tier_label(t) + " band " +
+                               std::to_string(band.before) + "/" +
+                               std::to_string(band.after));
+      }
     }
   }
 }

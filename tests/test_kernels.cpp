@@ -1,8 +1,14 @@
 // Tests for the dense host kernels (the oracles' oracle).
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <numbers>
 
+#include "common/det_math.hpp"
 #include "tensor/kernels.hpp"
 #include "test_util.hpp"
 
@@ -156,6 +162,130 @@ TEST(GeluInto, MatchesNaiveOracleBitExactIncludingInPlace) {
   MatrixF inplace = x;
   gelu_into(inplace, inplace);
   swat::testing::expect_matrix_equal(inplace, want, "in-place gelu");
+}
+
+// --------------------------------------------------- det_exp / gelu ----
+
+std::uint32_t bits_of(float f) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+float float_of(std::uint32_t u) {
+  float f = 0.0f;
+  std::memcpy(&f, &u, sizeof(f));
+  return f;
+}
+
+/// Signed ordinal of a float: adjacent floats differ by 1, across zero too.
+std::int64_t ordinal(float f) {
+  const std::uint32_t u = bits_of(f);
+  const auto mag = static_cast<std::int64_t>(u & 0x7fffffffu);
+  return (u >> 31) != 0 ? -mag : mag;
+}
+
+std::int64_t ulp_distance(float a, float b) {
+  const std::int64_t d = ordinal(a) - ordinal(b);
+  return d < 0 ? -d : d;
+}
+
+TEST(DetExp, WithinTwoUlpOfCorrectlyRoundedWhereverTheResultIsNormal) {
+  // A 1-in-4099 stride over every bit pattern (odd, so it visits every
+  // exponent and both signs); only finite inputs with a normal result.
+  std::int64_t checked = 0;
+  std::int64_t worst = 0;
+  float worst_x = 0.0f;
+  for (std::uint64_t b = 0; b <= 0xffffffffu; b += 4099) {
+    const float x = float_of(static_cast<std::uint32_t>(b));
+    if (!std::isfinite(x)) continue;
+    const float want = static_cast<float>(std::exp(static_cast<double>(x)));
+    if (!(want >= FLT_MIN) || std::isinf(want)) continue;
+    const std::int64_t d = ulp_distance(det_exp(x), want);
+    if (d > worst) {
+      worst = d;
+      worst_x = x;
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 50000);
+  EXPECT_LE(worst, 2) << "at x = " << worst_x;
+}
+
+TEST(DetExp, SpecialValuesAndRangeEdges) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  EXPECT_TRUE(std::isnan(det_exp(std::numeric_limits<float>::quiet_NaN())));
+  EXPECT_EQ(det_exp(kInf), kInf);
+  EXPECT_EQ(bits_of(det_exp(-kInf)), 0u);  // +0, not -0
+  EXPECT_EQ(det_exp(0.0f), 1.0f);
+  EXPECT_EQ(det_exp(-0.0f), 1.0f);
+  // ln(FLT_MAX) = 88.7228391...: the first float above it overflows; the
+  // float below it is finite.
+  EXPECT_EQ(det_exp(88.7228394f), kInf);
+  EXPECT_LT(det_exp(88.7228317f), kInf);
+  for (const float x : {89.0f, 100.0f, 1e10f, FLT_MAX}) {
+    EXPECT_EQ(det_exp(x), kInf) << x;
+  }
+  // Below the subnormal floor ln(2^-150) = -103.972...: exactly +0.
+  for (const float x : {-103.98f, -104.0f, -200.0f, -1e10f, -FLT_MAX}) {
+    EXPECT_EQ(bits_of(det_exp(x)), 0u) << x;
+  }
+  // Between the floor and ln(FLT_MIN) = -87.3365...: every result is a
+  // positive subnormal within one subnormal ulp of the rounded result (a
+  // fused-attention band down there keeps a positive denominator).
+  std::int64_t worst = 0;
+  for (float x = -103.97f; x <= -87.34f; x = std::nextafter(x, 0.0f)) {
+    const float e = det_exp(x);
+    ASSERT_GT(e, 0.0f) << x;
+    ASSERT_LT(e, FLT_MIN) << x;
+    const float want = static_cast<float>(std::exp(static_cast<double>(x)));
+    worst = std::max(worst, ulp_distance(e, want));
+  }
+  EXPECT_LE(worst, 1);
+}
+
+/// The GELU expression the sigmoid form replaced, for comparison.
+SWAT_NO_FP_CONTRACT
+float gelu_tanh_form(float x) {
+  SWAT_NO_FP_CONTRACT_BODY
+  const float c = std::sqrt(2.0f / std::numbers::pi_v<float>);
+  return 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
+}
+
+TEST(Gelu, AccurateAgainstDoubleReferenceAndNoWorseThanTheTanhForm) {
+  const double c = std::sqrt(2.0 / std::numbers::pi);
+  double worst_new = 0.0;
+  double worst_tanh = 0.0;
+  std::int64_t checked = 0;
+  // Every 1031st float in [-20, 20], both signs, normal inputs only: for a
+  // subnormal x, gelu(x) ~ x / 2 cannot be represented to relative
+  // precision (both forms round it alike).
+  for (std::uint32_t b = bits_of(FLT_MIN); b <= bits_of(20.0f); b += 1031) {
+    for (const float x : {float_of(b), -float_of(b)}) {
+      const double xd = x;
+      const double want =
+          xd / (1.0 + std::exp(-2.0 * c * (xd + 0.044715 * xd * xd * xd)));
+      const double scale = std::fabs(xd);
+      worst_new = std::max(worst_new, std::fabs(gelu(x) - want) / scale);
+      worst_tanh =
+          std::max(worst_tanh, std::fabs(gelu_tanh_form(x) - want) / scale);
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 1000000);
+  EXPECT_LE(worst_new, 1.5e-7);
+  EXPECT_LE(worst_new, worst_tanh);
+}
+
+TEST(Gelu, SpecialValues) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(bits_of(gelu(0.0f)), bits_of(0.0f));
+  EXPECT_EQ(bits_of(gelu(-0.0f)), bits_of(-0.0f));
+  EXPECT_EQ(gelu(kInf), kInf);
+  EXPECT_TRUE(std::isnan(gelu(std::numeric_limits<float>::quiet_NaN())));
+  // x^3 overflows: the positive side is the identity, the negative side -0.
+  EXPECT_EQ(gelu(1e20f), 1e20f);
+  EXPECT_EQ(bits_of(gelu(-1e20f)), bits_of(-0.0f));
 }
 
 TEST(AddRowsInto, MatchesNaiveOracleAndAliasing) {

@@ -107,13 +107,12 @@ struct ReplicaSweepResult {
   double bulk_p99_ms = 0.0;
 };
 
-/// One (shared_pack_placement, stream_dtype) cell of the placement-split
-/// sweep: partitioned replicas sharing one logical pack, so the far
-/// replica's remote-read cost — and each placement's answer to it — shows
-/// up directly in goodput, with the pack footprint alongside.
+/// One stream_dtype cell of the shared-pack sweep: partitioned replicas
+/// sharing one pack (first-touched on replica 0's group), so the far
+/// replica's remote-read cost shows up directly in goodput, with the pack
+/// footprint alongside.
 struct PackSplitResult {
-  std::string pack_placement;  ///< "first_touch", "interleaved", "replicated"
-  std::string stream_dtype;    ///< "fp32" or "fp16"
+  std::string stream_dtype;  ///< "fp32" or "fp16"
   std::int64_t served = 0;
   double goodput_per_s = 0.0;
   double packed_mib = 0.0;  ///< Server::packed_weight_bytes
@@ -503,93 +502,77 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- placement-split sweep: 2 partitioned replicas sharing one logical
-  // pack at saturating load, crossed over every shared_pack_placement
-  // policy x stream dtype. On a multi-node host the first-touch arm makes
-  // the far replica pay remote reads for every panel, interleaved splits
-  // the cost and replicated-per-node removes it (at N_nodes x the
-  // footprint, reported in the packed_mib column); fp16 streaming then
-  // halves the K/V bytes on top. Single-node hosts downgrade the
-  // non-default policies with a one-time warning and the arms honestly
-  // read ~equal.
+  // ---- shared-pack sweep: 2 partitioned replicas sharing one pack at
+  // saturating load, per stream dtype. On a multi-node host the far
+  // replica pays remote reads for every panel; fp16 streaming halves the
+  // K/V bytes on top.
   std::vector<PackSplitResult> pack_split;
   {
     const double rel = overload_intensities.back();
-    for (const swat::SharedPackPlacement pack_placement :
-         {swat::SharedPackPlacement::kFirstTouch,
-          swat::SharedPackPlacement::kInterleaved,
-          swat::SharedPackPlacement::kReplicatedPerNode}) {
-      for (const swat::Dtype stream : {swat::Dtype::kFp32, swat::Dtype::kFp16}) {
-        swat::Rng arrival_rng(5151);
-        std::vector<double> arrival(sweep_requests.size());
-        double t = 0.0;
-        for (double& a : arrival) {
-          t += -std::log(1.0 - arrival_rng.uniform(0.0, 1.0)) /
-               (rel * sweep_service_rps);
-          a = t;
-        }
-
-        swat::ServerOptions opt;
-        opt.batching.max_batch_requests = 1;
-        opt.admission = swat::OverflowPolicy::kShedBulk;
-        opt.queue_capacity = 16;
-        opt.shed_watermark = 0.75;
-        opt.num_replicas = 2;
-        opt.share_weight_pack = true;
-        opt.replica_queue_depth = 2;
-        opt.placement = swat::PlacementPolicy::kPartitioned;
-        opt.shared_pack_placement = pack_placement;
-        opt.stream_dtype = stream;
-        Server server(cfg, opt);
-
-        std::vector<Server::Ticket> tickets(sweep_requests.size());
-        const auto start = Clock::now();
-        for (std::size_t i = 0; i < sweep_requests.size(); ++i) {
-          const auto due =
-              start + std::chrono::duration_cast<Clock::duration>(
-                          std::chrono::duration<double>(arrival[i]));
-          std::this_thread::sleep_until(due);
-          InferenceRequest req = sweep_requests[i];
-          req.priority = (i % 2 == 0) ? swat::Priority::kInteractive
-                                      : swat::Priority::kBulk;
-          if (req.priority == swat::Priority::kInteractive) {
-            req.deadline = swat::Seconds{sweep_deadline_s};
-          }
-          tickets[i] = server.submit(std::move(req));
-        }
-        std::vector<double> interactive_ms;
-        std::int64_t served = 0;
-        for (std::size_t i = 0; i < tickets.size(); ++i) {
-          try {
-            const RequestResult res = tickets[i].get();
-            if (i % 2 == 0) {
-              interactive_ms.push_back(res.counters.turnaround.value * 1e3);
-            }
-            ++served;
-          } catch (const std::exception&) {
-            // shed at admission or by deadline — ledgered in server.stats()
-          }
-        }
-        const double makespan =
-            std::chrono::duration<double>(Clock::now() - start).count();
-        const double packed_mib =
-            static_cast<double>(server.packed_weight_bytes()) / (1024.0 * 1024.0);
-        server.drain();
-
-        PackSplitResult row;
-        row.pack_placement =
-            pack_placement == swat::SharedPackPlacement::kFirstTouch
-                ? "first_touch"
-                : (pack_placement == swat::SharedPackPlacement::kInterleaved
-                       ? "interleaved"
-                       : "replicated");
-        row.stream_dtype = stream == swat::Dtype::kFp16 ? "fp16" : "fp32";
-        row.served = served;
-        row.goodput_per_s = static_cast<double>(served) / makespan;
-        row.packed_mib = packed_mib;
-        row.interactive_p99_ms = percentile(interactive_ms, 0.99);
-        pack_split.push_back(row);
+    for (const swat::Dtype stream : {swat::Dtype::kFp32, swat::Dtype::kFp16}) {
+      swat::Rng arrival_rng(5151);
+      std::vector<double> arrival(sweep_requests.size());
+      double t = 0.0;
+      for (double& a : arrival) {
+        t += -std::log(1.0 - arrival_rng.uniform(0.0, 1.0)) /
+             (rel * sweep_service_rps);
+        a = t;
       }
+
+      swat::model::EncoderConfig stream_cfg = cfg;
+      stream_cfg.stream_dtype = stream;
+      swat::ServerOptions opt;
+      opt.batching.max_batch_requests = 1;
+      opt.admission = swat::OverflowPolicy::kShedBulk;
+      opt.queue_capacity = 16;
+      opt.shed_watermark = 0.75;
+      opt.num_replicas = 2;
+      opt.share_weight_pack = true;
+      opt.replica_queue_depth = 2;
+      opt.placement = swat::PlacementPolicy::kPartitioned;
+      Server server(stream_cfg, opt);
+
+      std::vector<Server::Ticket> tickets(sweep_requests.size());
+      const auto start = Clock::now();
+      for (std::size_t i = 0; i < sweep_requests.size(); ++i) {
+        const auto due =
+            start + std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double>(arrival[i]));
+        std::this_thread::sleep_until(due);
+        InferenceRequest req = sweep_requests[i];
+        req.priority = (i % 2 == 0) ? swat::Priority::kInteractive
+                                    : swat::Priority::kBulk;
+        if (req.priority == swat::Priority::kInteractive) {
+          req.deadline = swat::Seconds{sweep_deadline_s};
+        }
+        tickets[i] = server.submit(std::move(req));
+      }
+      std::vector<double> interactive_ms;
+      std::int64_t served = 0;
+      for (std::size_t i = 0; i < tickets.size(); ++i) {
+        try {
+          const RequestResult res = tickets[i].get();
+          if (i % 2 == 0) {
+            interactive_ms.push_back(res.counters.turnaround.value * 1e3);
+          }
+          ++served;
+        } catch (const std::exception&) {
+          // shed at admission or by deadline — ledgered in server.stats()
+        }
+      }
+      const double makespan =
+          std::chrono::duration<double>(Clock::now() - start).count();
+      const double packed_mib =
+          static_cast<double>(server.packed_weight_bytes()) / (1024.0 * 1024.0);
+      server.drain();
+
+      PackSplitResult row;
+      row.stream_dtype = stream == swat::Dtype::kFp16 ? "fp16" : "fp32";
+      row.served = served;
+      row.goodput_per_s = static_cast<double>(served) / makespan;
+      row.packed_mib = packed_mib;
+      row.interactive_p99_ms = percentile(interactive_ms, 0.99);
+      pack_split.push_back(row);
     }
   }
 
@@ -658,8 +641,7 @@ int main(int argc, char** argv) {
       << "  \"pack_split\": [\n";
   for (std::size_t i = 0; i < pack_split.size(); ++i) {
     const PackSplitResult& p = pack_split[i];
-    out << "    {\"pack_placement\": \"" << p.pack_placement
-        << "\", \"stream_dtype\": \"" << p.stream_dtype
+    out << "    {\"stream_dtype\": \"" << p.stream_dtype
         << "\", \"served\": " << p.served
         << ", \"goodput_per_s\": " << p.goodput_per_s
         << ", \"packed_mib\": " << p.packed_mib
@@ -715,14 +697,13 @@ int main(int argc, char** argv) {
         r.bulk_p99_ms);
   }
   std::printf(
-      "\nplacement-split sweep (2 partitioned replicas, shared pack, "
-      "%.1fx load; pack policy x stream dtype)\n",
+      "\nshared-pack sweep (2 partitioned replicas, shared pack, %.1fx "
+      "load; stream dtype)\n",
       overload_intensities.back());
-  std::printf("%-12s %6s %6s %10s %10s %9s\n", "pack", "dtype", "served",
-              "goodput/s", "pack MiB", "int p99");
+  std::printf("%6s %6s %10s %10s %9s\n", "dtype", "served", "goodput/s",
+              "pack MiB", "int p99");
   for (const PackSplitResult& p : pack_split) {
-    std::printf("%-12s %6s %6lld %10.1f %10.2f %9.2f\n",
-                p.pack_placement.c_str(), p.stream_dtype.c_str(),
+    std::printf("%6s %6lld %10.1f %10.2f %9.2f\n", p.stream_dtype.c_str(),
                 static_cast<long long>(p.served), p.goodput_per_s,
                 p.packed_mib, p.interactive_p99_ms);
   }

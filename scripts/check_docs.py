@@ -28,9 +28,8 @@
    surface) are documented contracts too.
 7. The placement/topology surface (src/common/topology.hpp: top-level
    types, free functions, CpuSet's public methods; plus the server's
-   placement/shared_pack_placement/stream_dtype knobs, Topology's
-   node_cpus/node_of helpers, and the per-replica
-   core_group/pinned_threads/pack_node stats fields) must be mentioned in
+   placement knob, the stream_dtype config field, and the per-replica
+   core_group/pinned_threads stats fields) must be mentioned in
    docs/ARCHITECTURE.md — replica placement is a behavioral contract
    (kShared stays bit-identical, kPartitioned matches solo oracles) and
    its docs may not drift.
@@ -262,12 +261,9 @@ def check_topology_api_mentions(errors):
     # pin_current_thread, ...), same shape as kernels.hpp.
     names = set(kernels_public_api(header))
     names |= class_public_methods(header_text, "CpuSet")
-    # Placement knobs live in server.hpp/stats.hpp as plain fields (and
-    # node_cpus/node_of as Topology struct methods), which the type/method
-    # scrapers don't see — pin them by name.
-    names |= {"placement", "core_group", "pinned_threads",
-              "stream_dtype", "shared_pack_placement", "pack_node",
-              "node_cpus", "node_of"}
+    # Placement knobs live in server.hpp/stats.hpp/encoder.hpp as plain
+    # fields, which the type/method scrapers don't see — pin them by name.
+    names |= {"placement", "core_group", "pinned_threads", "stream_dtype"}
     for name in sorted(names):
         if not re.search(rf"\b{re.escape(name)}\b", text):
             errors.append(

@@ -141,21 +141,6 @@ int Topology::core_count() const {
   return static_cast<int>(cores.size());
 }
 
-CpuSet Topology::node_cpus(int node) const {
-  CpuSet out;
-  for (const TopologyCpu& c : cpus) {
-    if (c.node == node) out.add(c.cpu);
-  }
-  return out;
-}
-
-int Topology::node_of(int cpu) const {
-  for (const TopologyCpu& c : cpus) {
-    if (c.cpu == cpu) return c.node;
-  }
-  return -1;
-}
-
 std::vector<CpuSet> Topology::partition(std::size_t groups) const {
   SWAT_EXPECTS(groups >= 1);
   const std::size_t total = cpus.size();

@@ -82,16 +82,6 @@ struct Topology {
   /// Distinct physical cores among the allowed CPUs.
   int core_count() const;
 
-  /// The allowed CPUs on NUMA node `node`, as a set. Empty when the node
-  /// has no allowed CPUs. The shared-pack placement policies use the
-  /// per-node sets to stripe (or replicate) pack pages across nodes.
-  CpuSet node_cpus(int node) const;
-
-  /// NUMA node of `cpu` among the allowed CPUs, or -1 when `cpu` is not
-  /// in the topology — how a replica's core group is attributed to the
-  /// node its first-touch pages land on.
-  int node_of(int cpu) const;
-
   /// Carve the allowed CPUs into `groups` contiguous slices of the
   /// locality order — floor(C/groups) CPUs each, the first C%groups
   /// groups taking one extra — so each group stays within as few nodes

@@ -76,11 +76,6 @@ void MultiHeadAttention::share_packs_with(const MultiHeadAttention& proto) {
   wo_.share_pack_with(proto.wo_);
 }
 
-bool MultiHeadAttention::packs_equal(const MultiHeadAttention& other) const {
-  return wq_.pack_equals(other.wq_) && wk_.pack_equals(other.wk_) &&
-         wv_.pack_equals(other.wv_) && wo_.pack_equals(other.wo_);
-}
-
 void MultiHeadAttention::attend_one_head_into(const attn::HeadInput& head,
                                               MatrixF& z) const {
   switch (backend_) {

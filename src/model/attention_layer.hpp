@@ -148,10 +148,6 @@ class MultiHeadAttention {
   /// Linear::share_pack_with for the copy-on-write mutation contract.
   void share_packs_with(const MultiHeadAttention& proto);
 
-  /// True when all four projections' packed panels are bit-identical to
-  /// `other`'s (Linear::pack_equals).
-  bool packs_equal(const MultiHeadAttention& other) const;
-
   AttentionBackend backend() const { return backend_; }
   Dtype stream_dtype() const { return stream_dtype_; }
   std::int64_t num_heads() const { return num_heads_; }

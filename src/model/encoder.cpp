@@ -167,11 +167,6 @@ void EncoderLayer::share_packs_with(const EncoderLayer& proto) {
   ffn2_.share_pack_with(proto.ffn2_);
 }
 
-bool EncoderLayer::packs_equal(const EncoderLayer& other) const {
-  return mha_.packs_equal(other.mha_) && ffn1_.pack_equals(other.ffn1_) &&
-         ffn2_.pack_equals(other.ffn2_);
-}
-
 Encoder::Encoder(EncoderConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.validate();
   Rng rng(cfg_.weight_seed);
@@ -238,14 +233,6 @@ void Encoder::share_packs_with(const Encoder& proto) {
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     layers_[l]->share_packs_with(*proto.layers_[l]);
   }
-}
-
-bool Encoder::packs_equal(const Encoder& other) const {
-  if (layers_.size() != other.layers_.size()) return false;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    if (!layers_[l]->packs_equal(*other.layers_[l])) return false;
-  }
-  return true;
 }
 
 Bytes Encoder::last_swat_traffic() const {

@@ -109,10 +109,6 @@ class EncoderLayer {
   /// Encoder::share_packs_with.
   void share_packs_with(const EncoderLayer& proto);
 
-  /// True when every Linear's packed panels in the layer are bit-identical
-  /// to `other`'s. See Encoder::packs_equal.
-  bool packs_equal(const EncoderLayer& other) const;
-
  private:
   MultiHeadAttention mha_;
   LayerNorm norm1_;
@@ -177,13 +173,6 @@ class Encoder {
   /// layer into a private pack (copy-on-write) — shared panels are never
   /// written through.
   void share_packs_with(const Encoder& proto);
-
-  /// True when every packed panel in the stack is bit-identical to
-  /// `other`'s, layer for layer (packing lazily as needed). The identity
-  /// the per-node replicated packs are asserted against: two encoders
-  /// built from the same config and weight_seed must compare equal no
-  /// matter which thread, pool, or striping schedule packed them.
-  bool packs_equal(const Encoder& other) const;
 
   const EncoderLayer& layer(int i) const {
     SWAT_EXPECTS(i >= 0 && i < static_cast<int>(layers_.size()));

@@ -82,14 +82,6 @@ class Linear {
   /// footprint accounting and tests).
   bool pack_is_shared() const { return packed_ && packed_.use_count() > 1; }
 
-  /// True when this layer's packed panels are bit-identical to `other`'s
-  /// (packing either side first if stale; packed_weights_equal in
-  /// tensor/kernels.hpp) — how per-node pack replicas assert identity
-  /// under SharedPackPlacement::kReplicatedPerNode.
-  bool pack_equals(const Linear& other) const {
-    return packed_weights_equal(packed_weight(), other.packed_weight());
-  }
-
   /// The element type this layer packs (and expects shared packs) in.
   Dtype pack_dtype() const { return pack_dtype_; }
 

@@ -47,7 +47,7 @@ Engine::Engine(model::EncoderConfig cfg, const Engine& pack_prototype,
         std::string(dtype_name(mine.pack_dtype)) +
         ", the prototype packed " +
         std::string(dtype_name(theirs.pack_dtype)) +
-        ") — repack the prototype or align ServerOptions::pack_dtype");
+        ") — repack the prototype or align EncoderConfig::pack_dtype");
   }
   encoder_.share_packs_with(pack_prototype.encoder_);
   packed_weight_floats_ = 0;  // footprint lives on the prototype

@@ -1,16 +1,14 @@
 #include "runtime/server.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <bit>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "common/contracts.hpp"
 #include "common/fault_injection.hpp"
-#include "tensor/kernels.hpp"
 
 namespace swat {
 
@@ -33,17 +31,26 @@ std::size_t shed_watermark_slots(const ServerOptions& opt) {
   return std::clamp<std::size_t>(slots, 1, opt.queue_capacity);
 }
 
-/// Applies the ServerOptions dtype overrides — pack_dtype and
-/// stream_dtype — to the config BEFORE anything reads it (cost model and
-/// replicas alike), so the server-level knobs and the model-level knobs
-/// can never disagree within one pool. Mutates the ctor's by-value cfg in
-/// place and returns it; called from the member init list after opt_ is
-/// initialized (declaration order guarantees it).
-model::EncoderConfig& apply_dtype_overrides(model::EncoderConfig& cfg,
-                                            const ServerOptions& opt) {
-  if (opt.pack_dtype) cfg.pack_dtype = *opt.pack_dtype;
-  if (opt.stream_dtype) cfg.stream_dtype = *opt.stream_dtype;
-  return cfg;
+/// First element of `m` that is NaN or +-Inf, as (row, col). One
+/// non-allocating pass: each row is screened by a branch-free OR over
+/// "exponent bits all set" (vectorizable), and only a poisoned row is
+/// rescanned to find the column.
+std::optional<std::pair<std::int64_t, std::int64_t>> first_non_finite(
+    const MatrixF& m) {
+  constexpr std::uint32_t kExponent = 0x7F800000u;
+  for (std::int64_t r = 0; r < m.rows(); ++r) {
+    const std::span<const float> row = m.row(r);
+    std::uint32_t poisoned = 0;
+    for (const float x : row) {
+      poisoned |= static_cast<std::uint32_t>(
+          (std::bit_cast<std::uint32_t>(x) & kExponent) == kExponent);
+    }
+    if (poisoned == 0) continue;
+    for (std::int64_t c = 0; c < m.cols(); ++c) {
+      if (!std::isfinite(row[static_cast<std::size_t>(c)])) return {{r, c}};
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -111,49 +118,11 @@ void ServerOptions::validate() const {
         "admission — got " +
         std::to_string(replica_queue_depth));
   }
-  if (pack_dtype && *pack_dtype != Dtype::kFp32 &&
-      *pack_dtype != Dtype::kFp16) {
-    throw std::invalid_argument(
-        "ServerOptions: pack_dtype must be Dtype::kFp32 or Dtype::kFp16 "
-        "(or unset to inherit EncoderConfig::pack_dtype), got enum value " +
-        std::to_string(static_cast<int>(*pack_dtype)) +
-        " — the packed GEMM streams fp32 or fp16 panels only");
-  }
-  if (stream_dtype && *stream_dtype != Dtype::kFp32 &&
-      *stream_dtype != Dtype::kFp16) {
-    throw std::invalid_argument(
-        "ServerOptions: stream_dtype must be Dtype::kFp32 or Dtype::kFp16 "
-        "(or unset to inherit EncoderConfig::stream_dtype), got enum "
-        "value " +
-        std::to_string(static_cast<int>(*stream_dtype)) +
-        " — the fused attention kernel streams fp32 or fp16 K/V tiles "
-        "only");
-  }
-  if (shared_pack_placement != SharedPackPlacement::kFirstTouch &&
-      !share_weight_pack) {
-    throw std::invalid_argument(
-        "ServerOptions: shared_pack_placement = kInterleaved / "
-        "kReplicatedPerNode places the SHARED weight pack, but "
-        "share_weight_pack is false so every replica packs privately (a "
-        "private pack is already node-local under kPartitioned) — set "
-        "share_weight_pack = true or keep shared_pack_placement = "
-        "kFirstTouch");
-  }
-  if (shared_pack_placement != SharedPackPlacement::kFirstTouch &&
-      placement != PlacementPolicy::kPartitioned) {
-    throw std::invalid_argument(
-        "ServerOptions: shared_pack_placement = kInterleaved / "
-        "kReplicatedPerNode requires placement = "
-        "PlacementPolicy::kPartitioned — without pinned per-replica core "
-        "groups there are no NUMA node sets to stripe or replicate the "
-        "pack across — got kShared");
-  }
 }
 
 Server::Server(model::EncoderConfig cfg, ServerOptions opt)
     : opt_((opt.validate(), opt)),
-      cost_model_(
-          std::make_unique<BatchCostModel>(apply_dtype_overrides(cfg, opt_))),
+      cost_model_(std::make_unique<BatchCostModel>(cfg)),
       queue_(opt.queue_capacity, opt.admission, shed_watermark_slots(opt),
              opt.bulk_aging_interval) {
   // Partitioned placement: carve the allowed cpuset (online ∩ process
@@ -162,48 +131,10 @@ Server::Server(model::EncoderConfig cfg, ServerOptions opt)
   // the host cannot give every replica at least one core — fall back
   // wholesale to shared placement rather than oversubscribe.
   std::vector<CpuSet> groups;
-  Topology topo;
   if (opt_.placement == PlacementPolicy::kPartitioned) {
-    topo = discover_topology();
-    groups = topo.partition(opt_.num_replicas);
-  }
-  // Resolve the shared-pack placement against the host: the non-default
-  // policies need a real partition spanning 2+ NUMA nodes. A single-node
-  // host (or a partition fallback to shared pools) downgrades to
-  // kFirstTouch — on one node every policy places pages identically, so
-  // this is a warning, not an error (validate() stays host-independent).
-  SharedPackPlacement pack_placement = opt_.shared_pack_placement;
-  if (pack_placement != SharedPackPlacement::kFirstTouch &&
-      (groups.empty() || topo.node_count < 2)) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(
-          stderr,
-          "swat: warning: shared_pack_placement = %s needs a partitioned "
-          "pool spanning 2+ NUMA nodes (host has %d node(s)%s) — using "
-          "kFirstTouch\n",
-          pack_placement == SharedPackPlacement::kInterleaved
-              ? "kInterleaved"
-              : "kReplicatedPerNode",
-          topo.node_count, groups.empty() ? ", partition fell back" : "");
-    }
-    pack_placement = SharedPackPlacement::kFirstTouch;
-  }
-  // The NUMA node sets the interleaved pack stripes across, and the node
-  // each replica's group belongs to (node of its first CPU — groups are
-  // contiguous slices of the node-major locality order, so the first CPU
-  // is the group's primary node).
-  std::vector<CpuSet> node_sets;
-  if (pack_placement == SharedPackPlacement::kInterleaved) {
-    for (int n = 0; n < topo.node_count; ++n) {
-      CpuSet cpus = topo.node_cpus(n);
-      if (!cpus.empty()) node_sets.push_back(std::move(cpus));
-    }
+    groups = discover_topology().partition(opt_.num_replicas);
   }
   replica_stats_.resize(opt_.num_replicas);
-  const int node0 =
-      groups.empty() ? -1 : topo.node_of(groups[0].cpus().front());
-  std::map<int, std::size_t> node_prototype;  ///< node -> pack owner replica
   replicas_.reserve(opt_.num_replicas);
   for (std::size_t r = 0; r < opt_.num_replicas; ++r) {
     auto replica = std::make_unique<Replica>();
@@ -215,65 +146,23 @@ Server::Server(model::EncoderConfig cfg, ServerOptions opt)
           std::min(replica->core_group.count(), swat::num_threads()),
           replica->core_group);
     }
-    const int node =
-        groups.empty() ? -1 : topo.node_of(groups[r].cpus().front());
     // First-touch: pin the constructing thread to the replica's group for
     // the executor build so the inline share of the pack fill (and the
     // serial parts — plan arenas bind lazily, but weights pack eagerly)
-    // first-touches pages on the replica's node too. Restored after.
+    // first-touches pages on the replica's node too. A shared pack thus
+    // lands where replica 0 packs it. Restored after.
     const CpuSet saved = replica->pool != nullptr
                              ? current_thread_affinity()
                              : CpuSet{};
     const bool repinned =
         replica->pool != nullptr && pin_current_thread(replica->core_group);
     if (r == 0 || !opt_.share_weight_pack) {
-      if (r == 0 && opt_.share_weight_pack &&
-          pack_placement == SharedPackPlacement::kInterleaved) {
-        // Interleaved: the prototype's pack fill runs node-striped on
-        // this thread (ScopedPackStriping), first-touching panels
-        // round-robin across the partition's nodes. Panel bits are
-        // unchanged — only page placement moves.
-        ScopedPackStriping striping(node_sets);
-        replica->executor = std::make_unique<BatchExecutor>(
-            cfg, opt_.batching, replica->pool.get());
-      } else {
-        replica->executor = std::make_unique<BatchExecutor>(
-            cfg, opt_.batching, replica->pool.get());
-      }
-      replica_stats_[r].pack_node =
-          opt_.share_weight_pack &&
-                  pack_placement == SharedPackPlacement::kInterleaved
-              ? -1
-              : node;
-      if (opt_.share_weight_pack) node_prototype[node] = r;
-    } else if (pack_placement == SharedPackPlacement::kReplicatedPerNode &&
-               node_prototype.find(node) == node_prototype.end()) {
-      // First replica on a new node becomes that node's pack owner: it
-      // packs a fresh copy from the same fp32 masters while pinned to its
-      // own group, so first-touch lands the whole copy node-local. The
-      // copy must be — and is asserted — bit-identical to replica 0's.
       replica->executor = std::make_unique<BatchExecutor>(
           cfg, opt_.batching, replica->pool.get());
-      SWAT_ENSURES(replica->executor->encoder().packs_equal(
-          replicas_.front()->executor->encoder()));
-      node_prototype[node] = r;
-      replica_stats_[r].pack_node = node;
     } else {
-      // Stream a read-only shared pack: the node-local owner's under
-      // kReplicatedPerNode, replica 0's otherwise.
-      const std::size_t owner =
-          pack_placement == SharedPackPlacement::kReplicatedPerNode
-              ? node_prototype.at(node)
-              : 0;
       replica->executor = std::make_unique<BatchExecutor>(
-          cfg, opt_.batching, *replicas_[owner]->executor,
+          cfg, opt_.batching, *replicas_.front()->executor,
           replica->pool.get());
-      replica_stats_[r].pack_node =
-          pack_placement == SharedPackPlacement::kInterleaved
-              ? -1
-              : (pack_placement == SharedPackPlacement::kReplicatedPerNode
-                     ? node
-                     : node0);
     }
     if (repinned && !saved.empty()) pin_current_thread(saved);
     replicas_.push_back(std::move(replica));
@@ -301,19 +190,31 @@ Server::Ticket Server::submit(InferenceRequest request) {
   }
 
   // Malformed inputs fail their own ticket instead of poisoning the
-  // scheduler thread rows deep into a forward pass.
+  // scheduler thread rows deep into a forward pass — or, for a NaN/Inf
+  // element, failing every batch-mate of the fused attention call.
   const std::int64_t d_model = encoder().config().d_model;
+  std::string malformed;
   if (request.input.rows() < 1 || request.input.cols() != d_model) {
-    {
-      std::lock_guard lock(state_mutex_);
-      ++class_stats_[lane].shed;
-    }
-    promise.set_exception(std::make_exception_ptr(std::invalid_argument(
+    malformed =
         "Server::submit: input must be seq_len x d_model with seq_len >= 1 "
         "(got " +
         std::to_string(request.input.rows()) + " x " +
         std::to_string(request.input.cols()) + ", d_model " +
-        std::to_string(d_model) + ")")));
+        std::to_string(d_model) + ")";
+  } else if (const auto bad = first_non_finite(request.input)) {
+    const auto [row, col] = *bad;
+    malformed = "Server::submit: input element (" + std::to_string(row) +
+                ", " + std::to_string(col) + ") is " +
+                std::to_string(request.input(row, col)) +
+                " — every input element must be finite";
+  }
+  if (!malformed.empty()) {
+    {
+      std::lock_guard lock(state_mutex_);
+      ++class_stats_[lane].shed;
+    }
+    promise.set_exception(
+        std::make_exception_ptr(std::invalid_argument(malformed)));
     return ticket;
   }
 
@@ -671,15 +572,17 @@ bool Server::replica_has_room(const Replica& r) const {
   return r.queue.size() < opt_.replica_queue_depth;
 }
 
+bool Server::dispatch_unblocked() const {
+  if (live_replicas_ == 0) return true;  // dispatch_batch will report it
+  for (const auto& replica : replicas_) {
+    if (replica_has_room(*replica)) return true;
+  }
+  return false;
+}
+
 void Server::wait_for_dispatch_room() {
   std::unique_lock lock(pool_mutex_);
-  pool_cv_.wait(lock, [&] {
-    if (live_replicas_ == 0) return true;  // dispatch_batch will report it
-    for (const auto& replica : replicas_) {
-      if (replica_has_room(*replica)) return true;
-    }
-    return false;
-  });
+  pool_cv_.wait(lock, [&] { return dispatch_unblocked(); });
 }
 
 void Server::dispatch_batch(BatchPlanEntry entry,
@@ -700,13 +603,7 @@ void Server::dispatch_batch(BatchPlanEntry entry,
   batch.entry = std::move(entry);
   {
     std::unique_lock lock(pool_mutex_);
-    pool_cv_.wait(lock, [&] {
-      if (live_replicas_ == 0) return true;
-      for (const auto& replica : replicas_) {
-        if (replica_has_room(*replica)) return true;
-      }
-      return false;
-    });
+    pool_cv_.wait(lock, [&] { return dispatch_unblocked(); });
     if (live_replicas_ == 0) {
       // Total pool failure. Put the members back so scheduler_failed (in
       // our caller's catch) rejects every one of them.

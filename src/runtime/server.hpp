@@ -122,7 +122,6 @@
 #include <vector>
 
 #include "common/concurrent_queue.hpp"
-#include "common/dtype.hpp"
 #include "common/topology.hpp"
 #include "runtime/cost_model.hpp"
 #include "runtime/executor.hpp"
@@ -143,31 +142,6 @@ enum class PlacementPolicy {
   /// CPUs than replicas. Results are bit-identical to kShared — the pool
   /// partition never changes any reduction order.
   kPartitioned,
-};
-
-/// Where the SHARED weight pack's pages land under partitioned placement
-/// (ServerOptions::shared_pack_placement; requires share_weight_pack and
-/// placement = kPartitioned for the non-default policies). Every policy
-/// produces bit-identical packed panels — only page placement (hence
-/// memory bandwidth locality) differs.
-enum class SharedPackPlacement {
-  /// The pack is first-touched wherever replica 0's pinned pool packs it
-  /// — all of it on replica 0's NUMA node, read cross-node by far
-  /// replicas. The default; bit- and behavior-identical to history.
-  kFirstTouch,
-  /// First-touch the shared pack's panels round-robin across the
-  /// partition's NUMA nodes (a node-striped serial fill, see
-  /// ScopedPackStriping in tensor/kernels.hpp): every replica reads a
-  /// mix of local and remote pages, spreading the pack's stream over all
-  /// nodes' memory controllers instead of saturating one. Downgrades to
-  /// kFirstTouch with a one-time warning on single-node hosts.
-  kInterleaved,
-  /// Build one read-only pack per NUMA node from the same fp32 master
-  /// weights (panels asserted bit-identical) and route every replica to
-  /// its node-local copy: N_nodes x the pack bytes for fully local
-  /// streams — the footprint/locality point between one shared pack and
-  /// N private ones. ReplicaStats::pack_node reports each replica's copy.
-  kReplicatedPerNode,
 };
 
 struct ServerOptions {
@@ -233,33 +207,6 @@ struct ServerOptions {
   /// is read cross-node by the others — the memory-vs-locality tradeoff
   /// (docs/ARCHITECTURE.md "Placement & affinity").
   PlacementPolicy placement = PlacementPolicy::kShared;
-  /// Storage dtype of the packed panel-major weights. Unset (nullopt)
-  /// inherits EncoderConfig::pack_dtype; set, it overrides the config for
-  /// every replica (and the cost model) before any engine packs, so the
-  /// server-level knob and the model-level knob can never disagree within
-  /// one pool. Dtype::kFp16 halves resident pack bytes (and the shared
-  /// pack under share_weight_pack serves N replicas from one half-size
-  /// copy); outputs stay deterministic but are no longer bit-equal to the
-  /// fp32 pack — gated by the precision-fidelity budget instead
-  /// (eval/calibration.hpp).
-  std::optional<Dtype> pack_dtype;
-  /// Streamed K/V tile dtype of the fused attention kernel. Unset
-  /// (nullopt) inherits EncoderConfig::stream_dtype; set, it overrides
-  /// the config for every replica (and the cost model's activation-stream
-  /// pricing) exactly like pack_dtype. Dtype::kFp16 halves the attention
-  /// activation bytes each batch streams; outputs stay deterministic
-  /// (bit-identical across threads, arrival orders, and replicas) but are
-  /// no longer bit-equal to the fp32 stream — gated by the
-  /// stream-fidelity budget instead (eval/stream_fidelity.hpp). Requires
-  /// the kFusedStreaming backend (EncoderConfig::validate rejects the
-  /// rest).
-  std::optional<Dtype> stream_dtype;
-  /// NUMA page placement of the shared weight pack (see
-  /// SharedPackPlacement). The non-default policies require
-  /// share_weight_pack (there is no shared pack to place otherwise) and
-  /// placement = kPartitioned (the pool must own pinned core groups to
-  /// attribute nodes); validate() rejects the combinations that don't.
-  SharedPackPlacement shared_pack_placement = SharedPackPlacement::kFirstTouch;
 
   /// Rejects inconsistent options with actionable messages
   /// (std::invalid_argument).
@@ -284,9 +231,10 @@ class Server {
 
   /// Admit one request under its SLO class. Thread-safe. The ticket always
   /// resolves: with the result once its batch ran, or with an exception if
-  /// the request was malformed, shed at admission, predicted (or observed)
-  /// to miss its deadline, failed by its batch's executor or replica, or
-  /// submitted after shutdown.
+  /// the request was malformed (wrong shape or a NaN/Inf element:
+  /// std::invalid_argument, counted as shed), shed at admission, predicted
+  /// (or observed) to miss its deadline, failed by its batch's executor or
+  /// replica, or submitted after shutdown.
   Ticket submit(InferenceRequest request);
 
   /// Admit a burst. Equivalent to submit() in order; with kReject or
@@ -341,7 +289,7 @@ class Server {
   /// pack is counted once (sharing replicas report 0).
   std::size_t packed_weight_floats() const;
   /// Resident packed-weight bytes across replicas (floats x
-  /// dtype_bytes(pack_dtype)): the footprint ServerOptions::pack_dtype =
+  /// dtype_bytes(pack_dtype)): the footprint EncoderConfig::pack_dtype =
   /// Dtype::kFp16 halves, and share_weight_pack divides by N.
   std::size_t packed_weight_bytes() const;
   const model::Encoder& encoder() const;
@@ -406,6 +354,9 @@ class Server {
   void wait_for_dispatch_room();
   /// pool_mutex_ held: can `r` accept a dispatched batch right now?
   bool replica_has_room(const Replica& r) const;
+  /// pool_mutex_ held: the dispatcher's wait predicate — some live
+  /// replica has room, or none is live (dispatch_batch reports that).
+  bool dispatch_unblocked() const;
   /// Price the batch, extract its members from `inflight`, and place it
   /// on the least-backlogged live replica with room (blocking until one
   /// exists). Throws — scheduler-fatal — on the "dispatch.place" crossing

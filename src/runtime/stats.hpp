@@ -113,14 +113,6 @@ struct ReplicaStats {
   /// workers plus the replica's own worker thread. 0 under shared
   /// placement and on hosts without affinity support.
   int pinned_threads = 0;
-  /// NUMA node whose memory holds the packed weights this replica
-  /// streams: its own group's node for a private (or per-node replicated)
-  /// pack under partitioned placement, the prototype's node for a shared
-  /// first-touch pack (so a far-node replica visibly reports a remote
-  /// pack), and -1 when the pack is not node-attributed — shared
-  /// placement, or kInterleaved (pages round-robin across nodes by
-  /// design).
-  int pack_node = -1;
   /// True once the replica died (its worker thread exited on an injected
   /// or real failure); a quarantined replica takes no further batches.
   bool quarantined = false;

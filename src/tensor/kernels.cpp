@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <optional>
 
@@ -261,42 +260,6 @@ MatrixF transpose(const MatrixF& a) {
 
 // ---------------------------------------------------- packed-weight GEMM ----
 
-namespace {
-
-/// The striping schedule ScopedPackStriping installed on this thread, if
-/// any. Thread-local so one replica pool's interleaved pack cannot leak
-/// into a concurrent pack on another thread.
-thread_local const std::vector<CpuSet>* tls_pack_striping = nullptr;
-
-}  // namespace
-
-ScopedPackStriping::ScopedPackStriping(std::vector<CpuSet> node_sets)
-    : node_sets_(std::move(node_sets)), prev_(tls_pack_striping) {
-  SWAT_EXPECTS(!node_sets_.empty());
-  tls_pack_striping = &node_sets_;
-}
-
-ScopedPackStriping::~ScopedPackStriping() { tls_pack_striping = prev_; }
-
-bool packed_weights_equal(const PackedWeight& a, const PackedWeight& b) {
-  if (a.in_features != b.in_features || a.out_features != b.out_features ||
-      a.dtype != b.dtype || a.data.size() != b.data.size() ||
-      a.data_f16.size() != b.data_f16.size()) {
-    return false;
-  }
-  if (!a.data.empty() &&
-      std::memcmp(a.data.data(), b.data.data(),
-                  a.data.size() * sizeof(float)) != 0) {
-    return false;
-  }
-  if (!a.data_f16.empty() &&
-      std::memcmp(a.data_f16.data(), b.data_f16.data(),
-                  a.data_f16.size() * sizeof(std::uint16_t)) != 0) {
-    return false;
-  }
-  return true;
-}
-
 void pack_weight_nt(const MatrixF& w, PackedWeight& packed, Dtype dtype) {
   packed.in_features = w.cols();
   packed.out_features = w.rows();
@@ -321,9 +284,7 @@ void pack_weight_nt(const MatrixF& w, PackedWeight& packed, Dtype dtype) {
     packed.data.resize(total);
     packed.data_f16.clear();
   }
-  // One panel's fill — shared verbatim by the parallel and the striped
-  // schedules, so a panel's bits never depend on which schedule (or
-  // thread) wrote it.
+  // One panel's fill.
   const auto fill_panel = [&](std::int64_t p) {
     const std::size_t base =
         static_cast<std::size_t>(p * k * PackedWeight::kPanel);
@@ -356,24 +317,6 @@ void pack_weight_nt(const MatrixF& w, PackedWeight& packed, Dtype dtype) {
       }
     }
   };
-  if (tls_pack_striping != nullptr) {
-    // Node-striped serial fill (ScopedPackStriping): panel p belongs to
-    // stripe p % nstripes, and the calling thread pins itself to each
-    // stripe's CpuSet before writing that stripe's panels, so first-touch
-    // lands the pack's pages round-robin across the stripes' NUMA nodes.
-    // Every panel is still written exactly once; only WHERE the writing
-    // thread runs — hence where pages bind — differs from the parallel
-    // schedule.
-    const std::vector<CpuSet>& stripes = *tls_pack_striping;
-    const auto nstripes = static_cast<std::int64_t>(stripes.size());
-    const CpuSet saved = current_thread_affinity();
-    for (std::int64_t s = 0; s < nstripes; ++s) {
-      pin_current_thread(stripes[static_cast<std::size_t>(s)]);
-      for (std::int64_t p = s; p < panels; p += nstripes) fill_panel(p);
-    }
-    if (!saved.empty()) pin_current_thread(saved);
-    return;
-  }
   // Parallel over whole panels: panels are disjoint slabs, and each
   // element (values and the last panel's zero padding alike) is written
   // exactly once by exactly one thread, so the result is bit-identical

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/dtype.hpp"
-#include "common/topology.hpp"
 #include "common/uninit_allocator.hpp"
 #include "tensor/matrix.hpp"
 
@@ -215,36 +214,6 @@ struct PackedWeight {
 /// weight mutation does not allocate once the shape has been seen.
 void pack_weight_nt(const MatrixF& w, PackedWeight& packed,
                     Dtype dtype = Dtype::kFp32);
-
-/// RAII: while alive on the constructing thread, pack_weight_nt fills
-/// panels under a node-striped first-touch schedule instead of the ambient
-/// pool's parallel fill — panel p belongs to stripe p % node_sets.size(),
-/// and each stripe's panels are written by the CALLING thread while it is
-/// pinned to that stripe's CpuSet, so on Linux the pack's pages land
-/// round-robin across the given NUMA nodes (the server's
-/// SharedPackPlacement::kInterleaved). Every element is still written
-/// exactly once and each panel's contents are computed by the same code as
-/// the parallel fill, so the packed bits are identical to an unstriped
-/// pack — only page placement changes. The caller's affinity is restored
-/// when the pack returns. Nesting stacks (innermost wins); a single-entry
-/// set degenerates to a pinned serial fill.
-class ScopedPackStriping {
- public:
-  explicit ScopedPackStriping(std::vector<CpuSet> node_sets);
-  ~ScopedPackStriping();
-  ScopedPackStriping(const ScopedPackStriping&) = delete;
-  ScopedPackStriping& operator=(const ScopedPackStriping&) = delete;
-
- private:
-  std::vector<CpuSet> node_sets_;
-  const std::vector<CpuSet>* prev_;
-};
-
-/// True when two packs are bit-identical: same shape, dtype, and panel
-/// bytes (padding lanes included). The per-node pack replicas built under
-/// SharedPackPlacement::kReplicatedPerNode are asserted identical to the
-/// first pack with exactly this predicate.
-bool packed_weights_equal(const PackedWeight& a, const PackedWeight& b);
 
 /// out = A * W^T [+ bias row]. A is m x in_features; out must be
 /// m x out_features and may not alias A. `bias` (length out_features, or

@@ -11,7 +11,8 @@
 //   * pinned per-replica pools + ScopedPoolBinding route every free
 //     parallel_for without changing a single result bit: kPartitioned
 //     serving is bit-identical to the solo sequential oracle across
-//     replica counts, thread counts, and arrival orders;
+//     replica counts, thread counts, arrival orders, and private vs
+//     shared weight packs (footprint N packs vs 1);
 //   * the chaos harness (PR 7) holds its conservation laws under
 //     partitioned placement too;
 //   * a warmed engine bound to a pinned pool still performs ZERO
@@ -40,6 +41,7 @@
 #include "common/fault_injection.hpp"
 #include "common/thread_pool.hpp"
 #include "common/topology.hpp"
+#include "runtime/engine.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/server.hpp"
 #include "tensor/kernels.hpp"
@@ -559,12 +561,18 @@ class PlacementTest : public ::testing::Test {
 
 /// The acceptance bar: kPartitioned output is bit-identical to the solo
 /// sequential oracle across num_replicas {1,2,4} x SWAT_THREADS {1,4} x
-/// arrival orders — pinning and per-replica pools move work, never bits.
+/// arrival orders x share_weight_pack {false,true} — pinning, per-replica
+/// pools and a shared pack (first-touched on replica 0's group) move work
+/// and pages, never bits. The footprint is one pack when shared, one per
+/// replica when private.
 TEST_F(PlacementTest, PartitionedBitIdentityAcrossReplicasOrdersAndThreads) {
   const EncoderConfig cfg = small_config();
   const std::vector<std::int64_t> lengths = {5, 63, 64, 65, 1, 40, 128, 64,
                                              17, 33, 80, 64};
   std::vector<InferenceRequest> reqs = make_requests(cfg, lengths);
+  const std::size_t single_pack_bytes =
+      Engine::compile(cfg, 8).packed_weight_bytes();
+  ASSERT_GT(single_pack_bytes, 0u);
 
   Runtime sequential(cfg);
   std::vector<RequestResult> oracle;
@@ -584,31 +592,42 @@ TEST_F(PlacementTest, PartitionedBitIdentityAcrossReplicasOrdersAndThreads) {
   for (const int threads : {1, 4}) {
     ThreadCountGuard guard(threads);
     for (const std::size_t replicas : {1u, 2u, 4u}) {
-      for (const std::vector<std::size_t>& order : orders) {
-        ServerOptions opt;
-        opt.num_replicas = replicas;
-        opt.placement = PlacementPolicy::kPartitioned;
-        opt.replica_queue_depth = replicas > 1 ? 1 : 0;
-        Server server(cfg, opt);
-        std::vector<Server::Ticket> tickets(reqs.size());
-        for (const std::size_t i : order) {
-          tickets[i] = server.submit(reqs[i]);
+      for (const bool share : {false, true}) {
+        for (const std::vector<std::size_t>& order : orders) {
+          SCOPED_TRACE("threads " + std::to_string(threads) + " replicas " +
+                       std::to_string(replicas) + " share " +
+                       std::to_string(share));
+          ServerOptions opt;
+          opt.num_replicas = replicas;
+          opt.placement = PlacementPolicy::kPartitioned;
+          opt.share_weight_pack = share;
+          opt.replica_queue_depth = replicas > 1 ? 1 : 0;
+          Server server(cfg, opt);
+          EXPECT_EQ(server.packed_weight_bytes(),
+                    (share ? 1 : replicas) * single_pack_bytes);
+          std::vector<Server::Ticket> tickets(reqs.size());
+          for (const std::size_t i : order) {
+            tickets[i] = server.submit(reqs[i]);
+          }
+          for (std::size_t i = 0; i < reqs.size(); ++i) {
+            const RequestResult got = tickets[i].get();
+            EXPECT_EQ(got.id, reqs[i].id);
+            testing::expect_matrix_equal(got.output, oracle[i].output,
+                                         "partitioned pool vs solo oracle");
+            EXPECT_EQ(got.counters.tokens, oracle[i].counters.tokens);
+            EXPECT_EQ(got.counters.heads_run, oracle[i].counters.heads_run);
+            EXPECT_EQ(got.counters.model_flops,
+                      oracle[i].counters.model_flops);
+          }
+          server.drain();
+          const ServerStats stats = server.stats();
+          ASSERT_EQ(stats.replicas.size(), replicas);
+          std::int64_t served = 0;
+          for (const ReplicaStats& rep : stats.replicas) {
+            served += rep.served();
+          }
+          EXPECT_EQ(served, static_cast<std::int64_t>(reqs.size()));
         }
-        for (std::size_t i = 0; i < reqs.size(); ++i) {
-          const RequestResult got = tickets[i].get();
-          EXPECT_EQ(got.id, reqs[i].id);
-          testing::expect_matrix_equal(got.output, oracle[i].output,
-                                       "partitioned pool vs solo oracle");
-          EXPECT_EQ(got.counters.tokens, oracle[i].counters.tokens);
-          EXPECT_EQ(got.counters.heads_run, oracle[i].counters.heads_run);
-          EXPECT_EQ(got.counters.model_flops, oracle[i].counters.model_flops);
-        }
-        server.drain();
-        const ServerStats stats = server.stats();
-        ASSERT_EQ(stats.replicas.size(), replicas);
-        std::int64_t served = 0;
-        for (const ReplicaStats& rep : stats.replicas) served += rep.served();
-        EXPECT_EQ(served, static_cast<std::int64_t>(reqs.size()));
       }
     }
   }

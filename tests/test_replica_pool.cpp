@@ -541,22 +541,14 @@ TEST_F(ReplicaPoolTest, ServerOptionsValidateReplicaKnobs) {
   fine.share_weight_pack = true;
   fine.replica_queue_depth = 2;
   EXPECT_NO_THROW(fine.validate());
-
-  ServerOptions bogus_dtype;
-  bogus_dtype.pack_dtype = static_cast<Dtype>(42);
-  expect_invalid(bogus_dtype, "pack_dtype");
-
-  ServerOptions half;
-  half.pack_dtype = Dtype::kFp16;
-  EXPECT_NO_THROW(half.validate());
 }
 
-/// ServerOptions::pack_dtype = kFp16 with a shared pack: N replicas serve
+/// EncoderConfig::pack_dtype = kFp16 with a shared pack: N replicas serve
 /// from ONE half-precision copy, so the pool's resident pack bytes are
 /// half the fp32 shared pool's — 0.5x weight bytes across N replicas —
 /// while the logical element count stays dtype-independent.
 TEST_F(ReplicaPoolTest, SharedFp16PackReportsHalvedByteFootprint) {
-  const EncoderConfig cfg = small_config();
+  EncoderConfig cfg = small_config();
   ServerOptions opt;
   opt.num_replicas = 4;
   opt.share_weight_pack = true;
@@ -570,9 +562,9 @@ TEST_F(ReplicaPoolTest, SharedFp16PackReportsHalvedByteFootprint) {
   ASSERT_GT(f32_bytes, 0u);
   EXPECT_EQ(f32_bytes, f32_floats * 4);
 
-  // The server-level knob overrides the config for every replica: same
-  // element count, half the bytes, one shared copy.
-  opt.pack_dtype = Dtype::kFp16;
+  // Every replica packs at the config's dtype: same element count, half
+  // the bytes, one shared copy.
+  cfg.pack_dtype = Dtype::kFp16;
   Server server(cfg, opt);
   EXPECT_EQ(server.encoder().config().pack_dtype, Dtype::kFp16);
   EXPECT_EQ(server.packed_weight_floats(), f32_floats);
@@ -595,24 +587,21 @@ TEST_F(ReplicaPoolTest, SharedFp16PackReportsHalvedByteFootprint) {
 
 /// The per-batch weight-stream accounting: after drain, the async server's
 /// totals charge exactly one cost-model weight sweep per executed batch —
-/// and the sweep is priced at the OVERRIDDEN dtype, not the config's.
+/// and the sweep is priced at the pack's dtype (fp16: half the fp32 bytes).
 TEST_F(ReplicaPoolTest, TotalsChargeOneWeightSweepPerBatch) {
-  const EncoderConfig cfg = small_config();
-  ServerOptions opt;
-  opt.pack_dtype = Dtype::kFp16;
-  Server server(cfg, opt);
+  EncoderConfig cfg = small_config();
+  cfg.pack_dtype = Dtype::kFp16;
+  Server server(cfg);
   std::vector<InferenceRequest> reqs = make_requests(cfg, {25, 25, 60});
   std::vector<Server::Ticket> tickets = server.submit_many(reqs);
   for (Server::Ticket& t : tickets) (void)t.get();
   server.drain();
 
-  EncoderConfig priced = cfg;
-  priced.pack_dtype = Dtype::kFp16;
   const RuntimeTotals totals = server.totals();
   ASSERT_GT(totals.batches, 0);
   EXPECT_EQ(totals.weight_stream_bytes.count,
             static_cast<std::uint64_t>(totals.batches) *
-                BatchCostModel(priced).weight_stream_bytes().count);
+                BatchCostModel(cfg).weight_stream_bytes().count);
 }
 
 // -------------------------------------------------------------- chaos ----

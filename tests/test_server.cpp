@@ -13,8 +13,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -307,6 +309,41 @@ TEST(Server, MalformedInputRejectsTicketOnly) {
   const std::vector<InferenceRequest> again = make_requests(cfg, {20});
   testing::expect_matrix_equal(got.output, oracle.forward(again[0].input));
   EXPECT_EQ(server.totals().requests, 1);
+}
+
+/// One non-finite element fails only its own request, at admission: a NaN
+/// or +-Inf in B never reaches the fused kernel, so A — submitted in the
+/// same burst and batchable with B — serves bit-identically to the solo
+/// oracle, and the ledger records B as shed, not as a failed batch.
+TEST(Server, NonFiniteInputShedsOnlyItsOwnTicket) {
+  const EncoderConfig cfg = small_config(AttentionBackend::kFusedStreaming);
+  const std::vector<InferenceRequest> clean = make_requests(cfg, {40, 40});
+  Runtime sequential(cfg);
+  const RequestResult oracle = sequential.run_one(clean[0]);
+
+  for (const float poison : {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity()}) {
+    SCOPED_TRACE("poison " + std::to_string(poison));
+    std::vector<InferenceRequest> burst = clean;
+    burst[1].input(3, 5) = poison;
+    Server server(cfg);
+    std::vector<Server::Ticket> tickets = server.submit_many(burst);
+    try {
+      tickets[1].get();
+      FAIL() << "a non-finite input was served";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("(3, 5)"), std::string::npos)
+          << e.what();
+    }
+    const RequestResult got = tickets[0].get();
+    testing::expect_matrix_equal(got.output, oracle.output,
+                                 "clean batch-mate vs solo oracle");
+    server.drain();
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.of(Priority::kInteractive).shed, 1);
+    EXPECT_EQ(stats.of(Priority::kInteractive).served, 1);
+  }
 }
 
 /// drain() blocks until every admitted request resolved; totals reconcile

@@ -11,12 +11,8 @@
 //     (the regression guard that the new tail parameter changed nothing);
 //   * fused_window_kv_stream_bytes' closed form against the brute-force
 //     band sum, and BatchCostModel's kv-stream pricing built on it;
-//   * ServerOptions/EncoderConfig validation for the stream_dtype and
-//     shared_pack_placement knobs;
-//   * the shared-pack NUMA placement policies: every arm bit-identical to
-//     kFirstTouch, the per-node replicated footprint accounted as
-//     N_nodes x the single pack, ReplicaStats::pack_node attribution, and
-//     ScopedPackStriping's striped fill bit-identical to the parallel one;
+//   * EncoderConfig validation for the stream_dtype knob (the one place
+//     it is set: servers take it from their config);
 //   * the zero-steady-state-allocation guarantee with fp16 tiles on a
 //     pinned pool (global operator-new counter, as tests/test_placement).
 #include <gtest/gtest.h>
@@ -27,7 +23,6 @@
 #include <cstdlib>
 #include <new>
 #include <random>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -269,13 +264,12 @@ TEST(StreamDeterminism, Fp32DefaultMatchesOracleAndFp16Diverges) {
                            "stream_dtype knob is not reaching the kernel";
 }
 
-/// Server-level determinism matrix: ServerOptions::stream_dtype = kFp16
-/// (overriding an fp32 config, exercising the override plumbing) serves
-/// bit-identically to the solo fp16 sequential oracle across SWAT_THREADS
-/// {1,4} x three arrival orders x replica counts {1,2} under partitioned
-/// placement.
+/// Server-level determinism matrix: a server built from an fp16-stream
+/// config serves bit-identically to the solo fp16 sequential oracle across
+/// SWAT_THREADS {1,4} x three arrival orders x replica counts {1,2} under
+/// partitioned placement.
 TEST(StreamServing, Fp16BitIdenticalAcrossThreadsOrdersAndReplicas) {
-  const EncoderConfig cfg = stream_config();  // fp32; the OPTION overrides
+  const EncoderConfig cfg = stream_config(Dtype::kFp16);
   const std::vector<std::int64_t> lengths = {5, 63, 64, 65, 1, 40, 17, 33};
   std::vector<InferenceRequest> reqs = make_requests(cfg, lengths);
 
@@ -299,7 +293,6 @@ TEST(StreamServing, Fp16BitIdenticalAcrossThreadsOrdersAndReplicas) {
     for (const std::size_t replicas : {1u, 2u}) {
       for (const std::vector<std::size_t>& order : orders) {
         ServerOptions opt;
-        opt.stream_dtype = Dtype::kFp16;
         opt.num_replicas = replicas;
         opt.placement = PlacementPolicy::kPartitioned;
         opt.replica_queue_depth = replicas > 1 ? 1 : 0;
@@ -420,202 +413,6 @@ TEST(StreamOptionsValidation, EncoderConfigRejectsBadStreamDtypes) {
   }
   // The same geometry with the fused backend is valid.
   EXPECT_NO_THROW(stream_config(Dtype::kFp16).validate());
-}
-
-TEST(StreamOptionsValidation, ServerOptionsRejectBadKnobCombinations) {
-  {
-    ServerOptions opt;
-    opt.stream_dtype = static_cast<Dtype>(42);
-    try {
-      opt.validate();
-      FAIL() << "unknown ServerOptions::stream_dtype accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("stream_dtype"),
-                std::string::npos);
-    }
-  }
-  {
-    // A NUMA pack policy without a shared pack: nothing to place.
-    ServerOptions opt;
-    opt.placement = PlacementPolicy::kPartitioned;
-    opt.shared_pack_placement = SharedPackPlacement::kReplicatedPerNode;
-    try {
-      opt.validate();
-      FAIL() << "kReplicatedPerNode without share_weight_pack accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("share_weight_pack"),
-                std::string::npos);
-    }
-  }
-  {
-    // ...and without pinned core groups: no node sets to stripe across.
-    ServerOptions opt;
-    opt.share_weight_pack = true;
-    opt.shared_pack_placement = SharedPackPlacement::kInterleaved;
-    try {
-      opt.validate();
-      FAIL() << "kInterleaved under kShared placement accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("kPartitioned"),
-                std::string::npos);
-    }
-  }
-  {
-    // The consistent combination is accepted (host fit is resolved at
-    // construction, not here — validate() stays host-independent).
-    ServerOptions opt;
-    opt.num_replicas = 2;
-    opt.share_weight_pack = true;
-    opt.placement = PlacementPolicy::kPartitioned;
-    opt.shared_pack_placement = SharedPackPlacement::kInterleaved;
-    opt.stream_dtype = Dtype::kFp16;
-    EXPECT_NO_THROW(opt.validate());
-  }
-}
-
-// --------------------------------------------- shared-pack NUMA placement ----
-
-/// Every shared-pack placement arm serves bit-identical outputs — page
-/// placement moves bytes, never bits — and the footprint/locality ledger
-/// matches the policy: the shared pack counted once under kFirstTouch and
-/// kInterleaved, one pack per distinct NUMA node under kReplicatedPerNode
-/// (downgrading to the single shared pack on single-node hosts), with
-/// ReplicaStats::pack_node attributing each replica's copy.
-TEST(SharedPackPlacementPolicy, ArmsBitIdenticalAndFootprintAccounted) {
-  const EncoderConfig cfg = stream_config();
-  constexpr std::size_t kReplicas = 2;
-  const std::vector<std::int64_t> lengths = {16, 32, 64, 5};
-  std::vector<InferenceRequest> reqs = make_requests(cfg, lengths);
-
-  Runtime sequential(cfg);
-  std::vector<RequestResult> oracle;
-  for (const InferenceRequest& req : reqs) {
-    oracle.push_back(sequential.run_one(req));
-  }
-
-  // What the server will see: same discovery, same process affinity.
-  const Topology topo = discover_topology();
-  const std::vector<CpuSet> groups = topo.partition(kReplicas);
-  const bool active = !groups.empty() && topo.node_count >= 2;
-  const int node0 =
-      groups.empty() ? -1 : topo.node_of(groups[0].cpus().front());
-  std::set<int> distinct_nodes;
-  for (const CpuSet& g : groups) {
-    distinct_nodes.insert(topo.node_of(g.cpus().front()));
-  }
-
-  const std::size_t single_pack_bytes =
-      Engine::compile(cfg, 8).packed_weight_bytes();
-  ASSERT_GT(single_pack_bytes, 0u);
-
-  for (const SharedPackPlacement policy :
-       {SharedPackPlacement::kFirstTouch, SharedPackPlacement::kInterleaved,
-        SharedPackPlacement::kReplicatedPerNode}) {
-    SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)));
-    ServerOptions opt;
-    opt.num_replicas = kReplicas;
-    opt.placement = PlacementPolicy::kPartitioned;
-    opt.share_weight_pack = true;
-    opt.shared_pack_placement = policy;
-    opt.replica_queue_depth = 1;
-    Server server(cfg, opt);
-
-    std::vector<Server::Ticket> tickets = server.submit_many(reqs);
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      const RequestResult got = tickets[i].get();
-      testing::expect_matrix_equal(got.output, oracle[i].output,
-                                   "pack placement arm vs solo oracle");
-    }
-    server.drain();
-
-    // Footprint ledger: one shared pack, except one pack per distinct
-    // node under an ACTIVE kReplicatedPerNode.
-    const std::size_t expected_packs =
-        policy == SharedPackPlacement::kReplicatedPerNode && active
-            ? distinct_nodes.size()
-            : 1;
-    EXPECT_EQ(server.packed_weight_bytes(),
-              expected_packs * single_pack_bytes);
-
-    // Locality ledger: pack_node per the policy actually in effect
-    // (single-node hosts and partition fallbacks downgrade to
-    // kFirstTouch).
-    const ServerStats stats = server.stats();
-    ASSERT_EQ(stats.replicas.size(), kReplicas);
-    for (std::size_t r = 0; r < kReplicas; ++r) {
-      const int expected_node =
-          policy == SharedPackPlacement::kInterleaved && active ? -1
-          : policy == SharedPackPlacement::kReplicatedPerNode && active
-              ? topo.node_of(groups[r].cpus().front())
-              : node0;
-      EXPECT_EQ(stats.replicas[r].pack_node, expected_node)
-          << "replica " << r;
-    }
-  }
-}
-
-/// The striped first-touch schedule ScopedPackStriping selects packs the
-/// exact same bits as the parallel fill — only the touching thread (hence
-/// the page's node) differs — for both pack dtypes, and the caller's
-/// affinity comes back.
-TEST(PackStriping, StripedFillBitIdenticalToParallelFill) {
-  Rng rng(31);
-  // Ragged shape: 70 output columns = two full panels + a 6-wide tail, so
-  // the padding path is exercised under the striped schedule too.
-  const MatrixF w = random_normal(70, 48, rng);
-
-  const CpuSet before = current_thread_affinity();
-  std::vector<CpuSet> stripes;
-  if (before.count() >= 2) {
-    // Two stripes carved from the caller's own allowed set stand in for
-    // two NUMA node cpusets.
-    CpuSet a, b;
-    const std::vector<int> cpus = before.cpus();
-    for (std::size_t i = 0; i < cpus.size(); ++i) {
-      (i % 2 == 0 ? a : b).add(cpus[i]);
-    }
-    stripes = {a, b};
-  } else {
-    stripes = {before};  // single-CPU (or unqueryable) host: one stripe
-  }
-
-  ThreadCountGuard guard(4);
-  PackedWeight parallel_pack, striped_pack;
-  pack_weight_nt(w, parallel_pack);
-  {
-    ScopedPackStriping striping(stripes);
-    pack_weight_nt(w, striped_pack);
-  }
-  EXPECT_TRUE(packed_weights_equal(parallel_pack, striped_pack));
-  EXPECT_EQ(current_thread_affinity().to_string(), before.to_string());
-
-  PackedWeight parallel_f16, striped_f16;
-  pack_weight_nt(w, parallel_f16, Dtype::kFp16);
-  {
-    ScopedPackStriping striping(stripes);
-    pack_weight_nt(w, striped_f16, Dtype::kFp16);
-  }
-  EXPECT_TRUE(packed_weights_equal(parallel_f16, striped_f16));
-
-  // packed_weights_equal is a bit compare, not a shape compare.
-  PackedWeight other;
-  pack_weight_nt(random_normal(70, 48, rng), other);
-  EXPECT_FALSE(packed_weights_equal(parallel_pack, other));
-  EXPECT_FALSE(packed_weights_equal(parallel_pack, parallel_f16));
-}
-
-/// The identity the per-node replicated packs are asserted against: two
-/// encoders built from the same config/seed compare pack-equal no matter
-/// which schedule packed them; a different seed does not.
-TEST(PackStriping, EncodersSameSeedComparePackEqual) {
-  const model::Encoder a(stream_config());
-  const model::Encoder b(stream_config());
-  EXPECT_TRUE(a.packs_equal(b));
-
-  EncoderConfig other_cfg = stream_config();
-  other_cfg.weight_seed = 6;
-  const model::Encoder c(other_cfg);
-  EXPECT_FALSE(a.packs_equal(c));
 }
 
 // -------------------------------------------------- zero-alloc steady state ----

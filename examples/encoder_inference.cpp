@@ -10,6 +10,7 @@
 
 #include "eval/table.hpp"
 #include "model/encoder.hpp"
+#include "runtime/engine.hpp"
 #include "swat/power_model.hpp"
 #include "swat/scheduler.hpp"
 #include "tensor/kernels.hpp"
@@ -34,19 +35,23 @@ int main() {
   EncoderConfig accel_cfg = host_cfg;
   accel_cfg.backend = AttentionBackend::kSwatSimulator;
 
+  // The accelerated stack is served through a compiled Engine so its run
+  // reports per-sequence attention counters (SWAT traffic included).
+  const std::int64_t seq_len = 512;
   const Encoder host(host_cfg);
-  const Encoder accel(accel_cfg);
+  swat::Engine accel = swat::Engine::compile(accel_cfg, seq_len);
   std::cout << "Encoder: " << host_cfg.layers << " layers, d_model "
             << host_cfg.d_model << ", " << host_cfg.num_heads
             << " heads; parameters: " << host.parameters() << "\n"
             << "Attention hardware: " << accel_cfg.swat.summary() << "\n\n";
 
-  const std::int64_t seq_len = 512;
   swat::Rng rng(3);
   const swat::MatrixF x = swat::random_normal(seq_len, host_cfg.d_model, rng);
 
   const swat::MatrixF y_host = host.forward(x);
-  const swat::MatrixF y_accel = accel.forward(x);
+  const std::int64_t offsets[2] = {0, seq_len};
+  AttentionStats accel_stats[1];
+  const swat::MatrixF& y_accel = accel.run(x, offsets, accel_stats);
 
   std::cout << "Activation fidelity after " << host_cfg.layers
             << " layers (fp16 datapath vs fp32 host):\n"
@@ -57,7 +62,8 @@ int main() {
             << swat::relative_error(y_accel, y_host) << "\n\n";
 
   std::cout << "SWAT off-chip traffic for the whole forward pass: "
-            << accel.last_swat_traffic().mebibytes() << " MiB\n\n";
+            << accel_stats[0].swat_offchip_traffic.mebibytes()
+            << " MiB\n\n";
 
   // Cost the attention workload on the accelerator with the scheduler.
   swat::Workload w;

@@ -64,16 +64,9 @@ std::int64_t MultiHeadAttention::parameters() const {
          wo_.parameters();
 }
 
-std::size_t MultiHeadAttention::pack_weights() const {
+std::size_t MultiHeadAttention::packed_floats() const {
   return wq_.packed_weight().floats() + wk_.packed_weight().floats() +
          wv_.packed_weight().floats() + wo_.packed_weight().floats();
-}
-
-void MultiHeadAttention::share_packs_with(const MultiHeadAttention& proto) {
-  wq_.share_pack_with(proto.wq_);
-  wk_.share_pack_with(proto.wk_);
-  wv_.share_pack_with(proto.wv_);
-  wo_.share_pack_with(proto.wo_);
 }
 
 void MultiHeadAttention::attend_one_head_into(const attn::HeadInput& head,
@@ -108,17 +101,13 @@ void MultiHeadAttention::attend_one_head_into(const attn::HeadInput& head,
 
 MatrixF MultiHeadAttention::forward(const MatrixF& x) const {
   SWAT_EXPECTS(x.cols() == d_model_);
-  if (x.rows() == 0) {
-    // Nothing to attend. forward_batch requires non-empty sequences, so
-    // preserve the historical single-sequence behaviour here.
-    stats_ = AttentionStats{};
-    if (backend_ != AttentionBackend::kSwatSimulator) {
-      stats_.heads_run = num_heads_;
-    }
-    return MatrixF(0, d_model_);
-  }
+  MatrixF out(0, d_model_);
+  // Nothing to attend; forward_batch_into requires non-empty sequences.
+  if (x.rows() == 0) return out;
   const std::int64_t offsets[2] = {0, x.rows()};
-  return forward_batch(x, offsets, {});
+  MhaWorkspace ws;
+  forward_batch_into(x, offsets, {}, ws, out);
+  return out;
 }
 
 namespace {
@@ -140,15 +129,6 @@ MatrixF& tls_head_output() {
 
 }  // namespace
 
-MatrixF MultiHeadAttention::forward_batch(
-    const MatrixF& x, std::span<const std::int64_t> offsets,
-    std::span<AttentionStats> stats) const {
-  MhaWorkspace ws;
-  MatrixF out;
-  forward_batch_into(x, offsets, stats, ws, out);
-  return out;
-}
-
 void MultiHeadAttention::forward_batch_into(
     const MatrixF& x, std::span<const std::int64_t> offsets,
     std::span<AttentionStats> stats, MhaWorkspace& ws, MatrixF& out) const {
@@ -165,7 +145,6 @@ void MultiHeadAttention::forward_batch_into(
   SWAT_EXPECTS(stats.empty() ||
                static_cast<std::int64_t>(stats.size()) == nseq);
   const std::int64_t h = head_dim();
-  stats_ = AttentionStats{};
 
   // Projections run over the whole packed batch: one GEMM spanning every
   // sequence's rows instead of one GEMM per sequence, so the row-block
@@ -237,7 +216,6 @@ void MultiHeadAttention::forward_batch_into(
                             res.random_core_loads;
       one.heads_run = 1;
       if (!stats.empty()) stats[static_cast<std::size_t>(seg_of(t))] += one;
-      stats_ += one;
     }
   } else {
     if (backend_ == AttentionBackend::kFusedStreaming) {
@@ -264,12 +242,7 @@ void MultiHeadAttention::forward_batch_into(
         }
       });
     }
-    for (std::int64_t s = 0; s < nseq; ++s) {
-      AttentionStats one;
-      one.heads_run = num_heads_;
-      if (!stats.empty()) stats[static_cast<std::size_t>(s)] += one;
-      stats_ += one;
-    }
+    for (AttentionStats& slot : stats) slot.heads_run += num_heads_;
   }
   wo_.forward_into(concat, out);
 }

@@ -89,7 +89,7 @@ class MultiHeadAttention {
   /// backend is selected; for the window backends the band is taken from
   /// swat_cfg's window parameters so all three backends agree on the
   /// pattern. `pack_dtype` is forwarded to all four projection Linears
-  /// (the packed-panel storage type; master weights stay fp32).
+  /// (the packed-panel storage type).
   /// `stream_dtype` selects the fused kernel's streamed K/V tile precision
   /// (kFusedStreaming only — the other backends require kFp32); see
   /// attention/fused.hpp for the fp16 tile contract.
@@ -98,55 +98,43 @@ class MultiHeadAttention {
                      Dtype pack_dtype = Dtype::kFp32,
                      Dtype stream_dtype = Dtype::kFp32);
 
-  /// Y = W_o . concat_heads(attend(W_q X, W_k X, W_v X)).
+  /// Y = W_o . concat_heads(attend(W_q X, W_k X, W_v X)) for one
+  /// sequence: forward_batch_into on a one-sequence batch with a throwaway
+  /// workspace (the oracle entry point).
   MatrixF forward(const MatrixF& x) const;
 
-  /// Batched forward over a packed ragged batch: `x` stacks the rows of
-  /// `offsets.size() - 1` independent sequences, sequence s occupying rows
-  /// [offsets[s], offsets[s+1]). The Q/K/V and output projections run as
-  /// single GEMMs over all packed rows; attention fans the
-  /// (sequence, head) tasks out over the thread pool, so a batch exposes
-  /// sequences * heads -way parallelism where forward() exposes heads-way.
+  /// Batched forward over a packed ragged batch — the one forward core:
+  /// `x` stacks the rows of `offsets.size() - 1` independent sequences,
+  /// sequence s occupying rows [offsets[s], offsets[s+1]). The Q/K/V and
+  /// output projections run as single GEMMs over all packed rows;
+  /// attention fans the (sequence, head) tasks out over the thread pool,
+  /// so a batch exposes sequences * heads -way parallelism where forward()
+  /// exposes heads-way. All batch-level staging lives in `ws` and the
+  /// result lands in `out` (reshaped in place; must alias neither x nor a
+  /// workspace buffer). With a host backend and a pure-window config the
+  /// call is allocation-free once ws, out, and the per-thread staging have
+  /// seen the batch's high-water shape.
   ///
   /// Sequence s's output rows are bit-identical to forward() on that
   /// sequence alone, for any thread count and any batch composition (every
   /// kernel computes each output row with a fixed reduction order, and
   /// attention never crosses an offsets boundary).
   ///
-  /// Per-sequence counters are *added* into `stats`. Contract:
-  /// `stats.size()` must be exactly `offsets.size() - 1` (one slot per
-  /// sequence) or 0 (skip per-sequence accounting) — anything else is a
-  /// precondition violation (std::invalid_argument), asserted here rather
-  /// than silently mis-attributing counters. last_stats() gets the batch
-  /// total. Like forward(), not safe to call concurrently on one instance.
-  MatrixF forward_batch(const MatrixF& x,
-                        std::span<const std::int64_t> offsets,
-                        std::span<AttentionStats> stats) const;
-
-  /// Plan-driven forward_batch: identical contract and bit-identical
-  /// output/counters, but all batch-level staging lives in `ws` and the
-  /// result lands in `out` (reshaped in place; must alias neither x nor a
-  /// workspace buffer). With a host backend and a pure-window config the
-  /// call is allocation-free once ws, out, and the per-thread staging have
-  /// seen the batch's high-water shape.
+  /// Per-sequence counters are *added* into `stats` — the only counter
+  /// channel. Contract: `stats.size()` must be exactly `offsets.size() - 1`
+  /// (one slot per sequence) or 0 (skip per-sequence accounting) —
+  /// anything else is a precondition violation (std::invalid_argument),
+  /// asserted here rather than silently mis-attributing counters. The
+  /// layer itself holds no per-call state, so concurrent calls on one
+  /// instance are safe given distinct `ws`, `out` and `stats`.
   void forward_batch_into(const MatrixF& x,
                           std::span<const std::int64_t> offsets,
                           std::span<AttentionStats> stats, MhaWorkspace& ws,
                           MatrixF& out) const;
 
-  /// Statistics from the most recent forward()/forward_batch() (SWAT
-  /// backend only; summed over the batch for forward_batch).
-  const AttentionStats& last_stats() const { return stats_; }
-
-  /// Pack all four projection weights panel-major (idempotent) and return
-  /// the total packed floats — Engine::compile calls this so serving never
-  /// packs lazily on the hot path.
-  std::size_t pack_weights() const;
-
-  /// Adopt `proto`'s packed projection panels (shared read-only pack for
-  /// engine replicas). Projections must have identical shapes; see
-  /// Linear::share_pack_with for the copy-on-write mutation contract.
-  void share_packs_with(const MultiHeadAttention& proto);
+  /// Total packed floats across the four projection weights (packed at
+  /// construction) — the engine's footprint accounting.
+  std::size_t packed_floats() const;
 
   AttentionBackend backend() const { return backend_; }
   Dtype stream_dtype() const { return stream_dtype_; }
@@ -171,7 +159,6 @@ class MultiHeadAttention {
   Linear wk_;
   Linear wv_;
   Linear wo_;
-  mutable AttentionStats stats_;
 };
 
 }  // namespace swat::model

@@ -114,15 +114,9 @@ EncoderLayer::EncoderLayer(const EncoderConfig& cfg, Rng& rng)
 MatrixF EncoderLayer::forward(const MatrixF& x) const {
   if (x.rows() == 0) return x;  // empty in, empty out (see MHA::forward)
   const std::int64_t offsets[2] = {0, x.rows()};
-  return forward_batch(x, offsets, {});
-}
-
-MatrixF EncoderLayer::forward_batch(const MatrixF& x,
-                                    std::span<const std::int64_t> offsets,
-                                    std::span<AttentionStats> stats) const {
   EncoderLayerScratch scratch;
   MatrixF out;
-  forward_batch_into(x, offsets, stats, scratch, out);
+  forward_batch_into(x, offsets, {}, scratch, out);
   return out;
 }
 
@@ -156,38 +150,24 @@ std::int64_t EncoderLayer::parameters() const {
          ffn2_.parameters() + norm2_.parameters();
 }
 
-std::size_t EncoderLayer::pack_weights() const {
-  return mha_.pack_weights() + ffn1_.packed_weight().floats() +
+std::size_t EncoderLayer::packed_floats() const {
+  return mha_.packed_floats() + ffn1_.packed_weight().floats() +
          ffn2_.packed_weight().floats();
-}
-
-void EncoderLayer::share_packs_with(const EncoderLayer& proto) {
-  mha_.share_packs_with(proto.mha_);
-  ffn1_.share_pack_with(proto.ffn1_);
-  ffn2_.share_pack_with(proto.ffn2_);
 }
 
 Encoder::Encoder(EncoderConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.validate();
   Rng rng(cfg_.weight_seed);
-  for (int l = 0; l < cfg_.layers; ++l) {
-    layers_.push_back(std::make_unique<EncoderLayer>(cfg_, rng));
-  }
+  layers_.reserve(static_cast<std::size_t>(cfg_.layers));
+  for (int l = 0; l < cfg_.layers; ++l) layers_.emplace_back(cfg_, rng);
 }
 
 MatrixF Encoder::forward(const MatrixF& x) const {
   SWAT_EXPECTS(x.cols() == cfg_.d_model);
   if (x.rows() == 0) return x;  // empty in, empty out
   const std::int64_t offsets[2] = {0, x.rows()};
-  return forward_batch(x, offsets, {});
-}
-
-MatrixF Encoder::forward_batch(
-    const MatrixF& packed, std::span<const std::int64_t> offsets,
-    std::span<AttentionStats> per_sequence_stats) const {
   EncoderArena arena;
-  const MatrixF& out =
-      forward_batch_into(packed, offsets, per_sequence_stats, arena);
+  const MatrixF& out = forward_batch_into(x, offsets, {}, arena);
   // The result lives in one of the throwaway arena's ping-pong buffers;
   // move it out instead of copying.
   return &out == &arena.ping ? std::move(arena.ping) : std::move(arena.pong);
@@ -207,9 +187,9 @@ const MatrixF& Encoder::forward_batch_into(
   // a fresh matrix.
   const MatrixF* in = &packed;
   MatrixF* out = &arena.ping;
-  for (const auto& layer : layers_) {
-    layer->forward_batch_into(*in, offsets, per_sequence_stats,
-                              arena.scratch, *out);
+  for (const EncoderLayer& layer : layers_) {
+    layer.forward_batch_into(*in, offsets, per_sequence_stats, arena.scratch,
+                             *out);
     in = out;
     out = (out == &arena.ping) ? &arena.pong : &arena.ping;
   }
@@ -218,29 +198,14 @@ const MatrixF& Encoder::forward_batch_into(
 
 std::int64_t Encoder::parameters() const {
   std::int64_t p = 0;
-  for (const auto& layer : layers_) p += layer->parameters();
+  for (const EncoderLayer& layer : layers_) p += layer.parameters();
   return p;
 }
 
-std::size_t Encoder::pack_weights() const {
+std::size_t Encoder::packed_floats() const {
   std::size_t floats = 0;
-  for (const auto& layer : layers_) floats += layer->pack_weights();
+  for (const EncoderLayer& layer : layers_) floats += layer.packed_floats();
   return floats;
-}
-
-void Encoder::share_packs_with(const Encoder& proto) {
-  SWAT_EXPECTS(layers_.size() == proto.layers_.size());
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    layers_[l]->share_packs_with(*proto.layers_[l]);
-  }
-}
-
-Bytes Encoder::last_swat_traffic() const {
-  Bytes total;
-  for (const auto& layer : layers_) {
-    total += layer->attention().last_stats().swat_offchip_traffic;
-  }
-  return total;
 }
 
 }  // namespace swat::model

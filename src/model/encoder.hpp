@@ -2,7 +2,6 @@
 // backend — the host model that SWAT accelerates.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -21,7 +20,7 @@ struct EncoderConfig {
   SwatConfig swat;  ///< attention pattern + datapath parameters
   std::uint64_t weight_seed = 1;
   /// Element type of the packed weight panels every Linear in the stack
-  /// streams (master weights stay fp32; fp16 rounds once at pack time).
+  /// streams (fp16 rounds each weight once, at pack time).
   /// kFp32 (the default) keeps full oracle bit-parity; kFp16 halves the
   /// streamed weight bytes and is gated by the precision-fidelity budget.
   Dtype pack_dtype = Dtype::kFp32;
@@ -80,17 +79,12 @@ class EncoderLayer {
  public:
   EncoderLayer(const EncoderConfig& cfg, Rng& rng);
 
+  /// One sequence through the layer (the oracle entry point).
   MatrixF forward(const MatrixF& x) const;
 
-  /// Batched forward over a packed ragged batch (see
-  /// MultiHeadAttention::forward_batch for the offsets convention and the
-  /// bit-identity guarantee). Per-sequence attention counters are added
-  /// into `stats` when non-empty.
-  MatrixF forward_batch(const MatrixF& x,
-                        std::span<const std::int64_t> offsets,
-                        std::span<AttentionStats> stats) const;
-
-  /// Plan-driven forward_batch: bit-identical output and counters, but all
+  /// Batched forward over a packed ragged batch — the layer's one forward
+  /// core (see MultiHeadAttention::forward_batch_into for the offsets
+  /// convention, the stats contract and the bit-identity guarantee). All
   /// intermediates live in `scratch` and the result lands in `out`
   /// (reshaped in place). `out` must not alias `x` or a scratch buffer.
   void forward_batch_into(const MatrixF& x,
@@ -101,13 +95,8 @@ class EncoderLayer {
   const MultiHeadAttention& attention() const { return mha_; }
   std::int64_t parameters() const;
 
-  /// Pack every Linear weight in the layer panel-major (idempotent);
-  /// returns the packed floats. See Encoder::pack_weights.
-  std::size_t pack_weights() const;
-
-  /// Adopt `proto`'s packed panels for every Linear in the layer. See
-  /// Encoder::share_packs_with.
-  void share_packs_with(const EncoderLayer& proto);
+  /// Total packed floats across every Linear in the layer.
+  std::size_t packed_floats() const;
 
  private:
   MultiHeadAttention mha_;
@@ -117,38 +106,38 @@ class EncoderLayer {
   LayerNorm norm2_;
 };
 
-/// The full stack.
+/// The full stack — an immutable value. Every Linear packs its weights at
+/// construction and nothing changes after, so one `const Encoder` may run
+/// forward calls from many threads at once, and copying an Encoder shares
+/// its weight packs read-only (the replica pool's shared pack).
 class Encoder {
  public:
   explicit Encoder(EncoderConfig cfg);
 
-  /// Forward over token embeddings X (seq_len x d_model).
+  /// Forward over one sequence's token embeddings X (seq_len x d_model) —
+  /// the oracle every batched and served path is held bit-identical to.
   MatrixF forward(const MatrixF& x) const;
 
-  /// Batched forward: `packed` stacks the token embeddings of
-  /// `offsets.size() - 1` independent sequences, sequence s occupying rows
-  /// [offsets[s], offsets[s+1]). Position-independent layers (projections,
-  /// FFN, LayerNorm, residuals, GELU) run over all packed rows at once;
-  /// attention fans out over (sequence, head) tasks and never crosses a
-  /// sequence boundary. Sequence s's output rows are bit-identical to
-  /// forward() on that sequence alone, for any thread count and any batch
-  /// composition — the property the serving runtime's tests assert.
+  /// Batched forward — the stack's one forward core. `packed` stacks the
+  /// token embeddings of `offsets.size() - 1` independent sequences,
+  /// sequence s occupying rows [offsets[s], offsets[s+1]).
+  /// Position-independent layers (projections, FFN, LayerNorm, residuals,
+  /// GELU) run over all packed rows at once; attention fans out over
+  /// (sequence, head) tasks and never crosses a sequence boundary.
+  /// Sequence s's output rows are bit-identical to forward() on that
+  /// sequence alone, for any thread count and any batch composition — the
+  /// property the serving runtime's tests assert.
   ///
   /// `per_sequence_stats` (empty, or one slot per sequence — zeroed here)
   /// receives each sequence's attention counters summed over layers, so
   /// per-request traffic stays separable from the batch total.
-  MatrixF forward_batch(
-      const MatrixF& packed, std::span<const std::int64_t> offsets,
-      std::span<AttentionStats> per_sequence_stats = {}) const;
-
-  /// Plan-driven batched forward: the same contract and bit-identical
-  /// outputs/counters as forward_batch, but every intermediate lives in
-  /// the caller's arena — layer outputs ping-pong between arena.ping and
-  /// arena.pong and the returned reference points at whichever holds the
-  /// final layer's output (valid until the arena is next written). The
-  /// allocating forward_batch delegates here with a throwaway arena; the
-  /// compiled Engine passes a persistent one, which is what makes its
-  /// steady state allocation-free.
+  ///
+  /// Every intermediate lives in the caller's arena — layer outputs
+  /// ping-pong between arena.ping and arena.pong and the returned
+  /// reference points at whichever holds the final layer's output (valid
+  /// until the arena is next written). The compiled Engine passes a
+  /// persistent arena, which is what makes its steady state
+  /// allocation-free.
   const MatrixF& forward_batch_into(
       const MatrixF& packed, std::span<const std::int64_t> offsets,
       std::span<AttentionStats> per_sequence_stats,
@@ -157,35 +146,18 @@ class Encoder {
   const EncoderConfig& config() const { return cfg_; }
   std::int64_t parameters() const;
 
-  /// Pack every Linear weight in the stack into the panel-major layout the
-  /// packed GEMM streams (idempotent — weights already packed are not
-  /// repacked). Returns the total packed floats. Engine::compile calls
-  /// this so the serving hot path never packs lazily; the allocating
-  /// Encoder paths pack on first forward instead.
-  std::size_t pack_weights() const;
-
-  /// Adopt `proto`'s packed panel-major weights across the whole stack —
-  /// the replica pool's shared read-only pack. `proto` must have the same
-  /// layer geometry (same EncoderConfig shape); numerically this is only
-  /// meaningful when the weights are identical too (same weight_seed),
-  /// which Engine's prototype constructor enforces. Packs `proto` first if
-  /// needed. Mutating weights on either encoder afterwards detaches that
-  /// layer into a private pack (copy-on-write) — shared panels are never
-  /// written through.
-  void share_packs_with(const Encoder& proto);
+  /// Total packed floats across every Linear weight in the stack (packed
+  /// at construction) — Engine::packed_weight_floats.
+  std::size_t packed_floats() const;
 
   const EncoderLayer& layer(int i) const {
     SWAT_EXPECTS(i >= 0 && i < static_cast<int>(layers_.size()));
-    return *layers_[static_cast<std::size_t>(i)];
+    return layers_[static_cast<std::size_t>(i)];
   }
-
-  /// Total SWAT off-chip traffic accumulated over the most recent forward
-  /// (zero for host backends).
-  Bytes last_swat_traffic() const;
 
  private:
   EncoderConfig cfg_;
-  std::vector<std::unique_ptr<EncoderLayer>> layers_;
+  std::vector<EncoderLayer> layers_;
 };
 
 /// GELU activation (tanh approximation in its sigmoid form; swat::gelu),

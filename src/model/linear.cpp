@@ -6,47 +6,45 @@
 
 namespace swat::model {
 
-Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
-               Dtype pack_dtype)
-    : weight_(out_features, in_features),
-      bias_(static_cast<std::size_t>(out_features), 0.0f),
-      pack_dtype_(pack_dtype) {
+namespace {
+
+MatrixF xavier_uniform(std::int64_t in_features, std::int64_t out_features,
+                       Rng& rng) {
   SWAT_EXPECTS(in_features > 0 && out_features > 0);
+  MatrixF w(out_features, in_features);
   const double bound =
       std::sqrt(6.0 / static_cast<double>(in_features + out_features));
-  for (float& w : weight_.flat()) {
-    w = static_cast<float>(rng.uniform(-bound, bound));
+  for (float& x : w.flat()) {
+    x = static_cast<float>(rng.uniform(-bound, bound));
   }
+  return w;
+}
+
+std::vector<float> zero_bias(std::int64_t out_features) {
+  SWAT_EXPECTS(out_features > 0);
+  return std::vector<float>(static_cast<std::size_t>(out_features), 0.0f);
+}
+
+}  // namespace
+
+Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
+               Dtype pack_dtype)
+    : Linear(xavier_uniform(in_features, out_features, rng),
+             zero_bias(out_features), pack_dtype) {}
+
+Linear::Linear(MatrixF weight, std::vector<float> bias, Dtype pack_dtype)
+    : bias_(std::move(bias)) {
+  SWAT_EXPECTS(weight.rows() > 0 && weight.cols() > 0);
+  SWAT_EXPECTS(static_cast<std::int64_t>(bias_.size()) == weight.rows());
+  auto packed = std::make_shared<PackedWeight>();
+  pack_weight_nt(weight, *packed, pack_dtype);
+  packed_ = std::move(packed);
 }
 
 MatrixF Linear::forward(const MatrixF& x) const {
   MatrixF y;
   forward_into(x, y);
   return y;
-}
-
-const PackedWeight& Linear::packed_weight() const {
-  if (packed_dirty_ || !packed_) {
-    // Detach-on-write: always build into a fresh pack. If the previous
-    // pack is shared with another Linear (share_pack_with), that copy
-    // stays valid and untouched — only this layer moves to the new one.
-    auto fresh = std::make_shared<PackedWeight>();
-    pack_weight_nt(weight_, *fresh, pack_dtype_);
-    packed_ = std::move(fresh);
-    packed_dirty_ = false;
-  }
-  return *packed_;
-}
-
-void Linear::share_pack_with(const Linear& proto) {
-  SWAT_EXPECTS(&proto != this);
-  SWAT_EXPECTS(proto.in_features() == in_features() &&
-               proto.out_features() == out_features());
-  SWAT_EXPECTS(proto.pack_dtype() == pack_dtype_ &&
-               "shared weight pack dtype must match the adopting layer");
-  proto.packed_weight();  // ensure the prototype's pack exists and is fresh
-  packed_ = proto.packed_;
-  packed_dirty_ = false;
 }
 
 void Linear::forward_into(const MatrixF& x, MatrixF& y) const {
@@ -56,14 +54,14 @@ void Linear::forward_into(const MatrixF& x, MatrixF& y) const {
   // The packed-panel GEMM streams the pre-packed weights unit-stride and
   // seeds the accumulators with the bias, so the bias add costs no extra
   // pass over y.
-  gemm_packed_into(x, packed_weight(), bias_, y);
+  gemm_packed_into(x, *packed_, bias_, y);
 }
 
 void Linear::forward_gelu_into(const MatrixF& x, MatrixF& y) const {
   SWAT_EXPECTS(x.cols() == in_features());
   SWAT_EXPECTS(&y != &x);
   y.reshape(x.rows(), out_features());
-  gemm_packed_gelu_into(x, packed_weight(), bias_, y);
+  gemm_packed_gelu_into(x, *packed_, bias_, y);
 }
 
 void Linear::forward_residual_into(const MatrixF& x, const MatrixF& residual,
@@ -71,7 +69,7 @@ void Linear::forward_residual_into(const MatrixF& x, const MatrixF& residual,
   SWAT_EXPECTS(x.cols() == in_features());
   SWAT_EXPECTS(&y != &x && &y != &residual);
   y.reshape(x.rows(), out_features());
-  gemm_packed_residual_into(x, packed_weight(), bias_, residual, y);
+  gemm_packed_residual_into(x, *packed_, bias_, residual, y);
 }
 
 }  // namespace swat::model

@@ -27,7 +27,7 @@ void BatchingOptions::validate() const {
   if (bucket_width < 1) {
     fail("bucket_width must be >= 1, got " + std::to_string(bucket_width));
   }
-  if (max_batch_latency.value < 0.0) {
+  if (!(max_batch_latency.value >= 0.0)) {
     fail("max_batch_latency must be >= 0 seconds (0 disables the budget), "
          "got " +
          std::to_string(max_batch_latency.value));

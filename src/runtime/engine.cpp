@@ -1,57 +1,28 @@
 #include "runtime/engine.hpp"
 
-#include <stdexcept>
-#include <string>
-
-#include "common/dtype.hpp"
-
 namespace swat {
+
+namespace {
 
 // EncoderConfig::validate runs inside the Encoder constructor, before any
 // weights are built, so a bad geometry fails here with a real message.
-// Weights are packed here, eagerly: an Engine exists to serve, and packing
-// at construction (rather than lazily on the first forward) keeps the
-// first request as allocation-free as the thousandth.
-Engine::Engine(model::EncoderConfig cfg, ThreadPool* pool)
-    : encoder_(std::move(cfg)), pool_(pool) {
-  // Pack on this engine's pool: with a pinned per-replica pool the pack
-  // fill is the first touch of every panel page, binding the private
-  // PackedWeight to the replica's NUMA node.
-  ScopedPoolBinding bind(pool_);
-  packed_weight_floats_ = encoder_.pack_weights();
+// Every Linear packs its weights in its constructor, so building the
+// encoder on `pool` makes the pack fill the first touch of every panel
+// page — with a pinned per-replica pool, on the replica's NUMA node.
+model::Encoder build_encoder(model::EncoderConfig cfg, ThreadPool* pool) {
+  ScopedPoolBinding bind(pool);
+  return model::Encoder(std::move(cfg));
 }
 
-Engine::Engine(model::EncoderConfig cfg, const Engine& pack_prototype,
-               ThreadPool* pool)
-    : encoder_(std::move(cfg)), pool_(pool) {
-  const model::EncoderConfig& mine = encoder_.config();
-  const model::EncoderConfig& theirs = pack_prototype.encoder_.config();
-  // Sharing panels is only sound when the weights are bit-identical —
-  // which they are exactly when the shape and the seed that generated
-  // them agree. Anything else would silently serve the prototype's model.
-  if (mine.d_model != theirs.d_model || mine.num_heads != theirs.num_heads ||
-      mine.ffn_mult != theirs.ffn_mult || mine.layers != theirs.layers ||
-      mine.weight_seed != theirs.weight_seed) {
-    throw std::invalid_argument(
-        "Engine: shared weight pack requires an identical model "
-        "(d_model/num_heads/ffn_mult/layers/weight_seed must all match the "
-        "prototype engine)");
-  }
-  // Same shape and seed but different panel precision is equally unsound:
-  // the replica would silently stream panels rounded differently than its
-  // configuration promises (fp16 replica reading fp32 panels, or worse).
-  if (mine.pack_dtype != theirs.pack_dtype) {
-    throw std::invalid_argument(
-        std::string("Engine: shared weight pack requires matching "
-                    "pack_dtype (this engine wants ") +
-        std::string(dtype_name(mine.pack_dtype)) +
-        ", the prototype packed " +
-        std::string(dtype_name(theirs.pack_dtype)) +
-        ") — repack the prototype or align EncoderConfig::pack_dtype");
-  }
-  encoder_.share_packs_with(pack_prototype.encoder_);
-  packed_weight_floats_ = 0;  // footprint lives on the prototype
-}
+}  // namespace
+
+Engine::Engine(model::EncoderConfig cfg, ThreadPool* pool)
+    : encoder_(build_encoder(std::move(cfg), pool)),
+      packed_weight_floats_(encoder_.packed_floats()),
+      pool_(pool) {}
+
+Engine::Engine(const Engine& pack_prototype, ThreadPool* pool)
+    : encoder_(pack_prototype.encoder_), pool_(pool) {}
 
 Engine Engine::compile(model::EncoderConfig cfg, std::int64_t max_tokens) {
   Engine engine(std::move(cfg));

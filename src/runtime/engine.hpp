@@ -23,9 +23,9 @@
 //     plan's arena. No layer materializes a fresh matrix.
 //
 // Guarantees (asserted by tests/test_engine.cpp and tests/test_runtime.cpp):
-//   * outputs and per-sequence counters are bit-identical to
-//     Encoder::forward / forward_batch for any SWAT_THREADS and any batch
-//     composition;
+//   * each sequence's output rows are bit-identical to Encoder::forward on
+//     that sequence alone, and its counters to a one-sequence run, for any
+//     SWAT_THREADS and any batch composition;
 //   * with a host attention backend and a pure-window config, a warmed
 //     plan's steady state performs ZERO heap allocations (a global
 //     operator-new counter asserts this, single-threaded — with workers the
@@ -47,11 +47,9 @@ namespace swat {
 /// The compiled artifact: a persistent activation arena bound to one
 /// high-water packed-batch shape. Plans are cheap to mint from an Engine
 /// (one per bucket shape in the serving runtime) and independent — two
-/// plans never share buffers. Runs against one Engine must still be
-/// serialized, though: the encoder underneath keeps mutable per-call
-/// state (attention counters — weight packs are immutable after
-/// construction), the same
-/// not-concurrently-callable contract as MultiHeadAttention::forward.
+/// plans never share buffers. The encoder underneath is immutable, so runs
+/// on distinct plans of one Engine may proceed concurrently; a plan's
+/// arena is the only per-call state, so one plan serves one run at a time.
 class ExecutionPlan {
  public:
   ExecutionPlan() = default;
@@ -87,28 +85,25 @@ class Engine {
   /// parallel fan-out this engine issues — weight packing at construction
   /// and every kernel inside run() — dispatches to that pool instead of
   /// the process-wide one (via ScopedPoolBinding; results are
-  /// bit-identical either way). Partitioned placement hands each replica
-  /// engine its replica's pinned pool, so packing's first-touch lands the
+  /// bit-identical either way). The encoder is built under that binding,
+  /// so with a replica's pinned pool the pack fill's first touch lands the
   /// private PackedWeight pages on the replica's NUMA node. The pool must
   /// outlive the engine; nullptr keeps today's global-pool behavior.
   explicit Engine(model::EncoderConfig cfg, ThreadPool* pool = nullptr);
 
-  /// An engine that builds its own weights but adopts `pack_prototype`'s
-  /// packed panel-major weight pack instead of packing a private copy —
-  /// the replica pool's shared read-only pack
-  /// (ServerOptions::share_weight_pack). Requires `cfg` to produce weights
-  /// bit-identical to the prototype's (same d_model / num_heads / ffn_mult
-  /// / layers / weight_seed; throws std::invalid_argument otherwise), so
-  /// sharing panels cannot change results. packed_weight_floats() reports
-  /// 0 for a sharing engine — the footprint is attributed to the
-  /// prototype, which must outlive every run() on this engine. `pool` is
-  /// the same knob as the packing constructor's; note a sharing engine
-  /// reads the PROTOTYPE's pack, so under partitioned placement sharing
-  /// trades one replica-local copy per replica for cross-node reads of
-  /// the single prototype pack (the share_weight_pack memory-vs-locality
-  /// tradeoff, documented in docs/ARCHITECTURE.md).
-  Engine(model::EncoderConfig cfg, const Engine& pack_prototype,
-         ThreadPool* pool = nullptr);
+  /// An engine serving a copy of `pack_prototype`'s encoder — the replica
+  /// pool's shared read-only pack (ServerOptions::share_weight_pack). The
+  /// copy shares the prototype's immutable weight packs, so it cannot
+  /// differ from the prototype's model, and the packs live as long as any
+  /// engine holding them (the prototype need not outlive this engine).
+  /// packed_weight_floats() reports 0 here — the footprint is attributed
+  /// to the prototype. `pool` as above; a sharing engine reads the pack
+  /// wherever the prototype first-touched it, so under partitioned
+  /// placement sharing trades one replica-local copy per replica for
+  /// cross-node reads (the share_weight_pack memory-vs-locality tradeoff,
+  /// documented in docs/ARCHITECTURE.md). `pool` has no default, so this
+  /// is never the copy constructor.
+  Engine(const Engine& pack_prototype, ThreadPool* pool);
 
   /// Compile an engine: validate `cfg`, build the encoder weights, and
   /// bind the default plan for packed batches of up to `max_tokens` rows.
@@ -119,9 +114,9 @@ class Engine {
   ExecutionPlan make_plan(std::int64_t max_tokens) const;
 
   /// Execute a packed ragged batch through the default plan. `offsets` and
-  /// `stats` follow the Encoder::forward_batch contract (stats: one slot
-  /// per sequence or empty). The returned reference points into the plan's
-  /// arena and is valid until the next run() on the same plan.
+  /// `stats` follow the Encoder::forward_batch_into contract (stats: one
+  /// slot per sequence or empty). The returned reference points into the
+  /// plan's arena and is valid until the next run() on the same plan.
   const MatrixF& run(const MatrixF& packed,
                      std::span<const std::int64_t> offsets,
                      std::span<model::AttentionStats> stats = {});

@@ -76,10 +76,9 @@ BatchExecutor::BatchExecutor(model::EncoderConfig cfg, BatchingOptions batching,
       batching_((batching.validate(), batching)),
       cache_(engine_, batching.bucket_width, batching.max_batch_tokens) {}
 
-BatchExecutor::BatchExecutor(model::EncoderConfig cfg, BatchingOptions batching,
-                             const BatchExecutor& pack_prototype,
-                             ThreadPool* pool)
-    : engine_(std::move(cfg), pack_prototype.engine_, pool),
+BatchExecutor::BatchExecutor(const BatchExecutor& pack_prototype,
+                             BatchingOptions batching, ThreadPool* pool)
+    : engine_(pack_prototype.engine_, pool),
       batching_((batching.validate(), batching)),
       cache_(engine_, batching.bucket_width, batching.max_batch_tokens) {}
 

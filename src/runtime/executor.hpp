@@ -15,12 +15,11 @@
 // composition — however a scheduler decided to cut — affects latency only,
 // never results.
 //
-// Thread safety: execution is serialized on an internal mutex (the encoder
-// underneath keeps mutable per-call state — attention counters; the
-// panel-major weight packs are built eagerly at Engine construction, so
-// they are immutable by the time any request runs), and plan compilation
-// is guarded by the PlanCache's own mutex, so concurrent submitters can
-// never race a lazy compile.
+// Thread safety: execution is serialized on an internal mutex, which guards
+// the executor's reused staging (the packed input and per-sequence stats)
+// and the cached plans' arenas — the encoder itself is immutable — and
+// plan compilation is guarded by the PlanCache's own mutex, so concurrent
+// submitters can never race a lazy compile.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +69,8 @@ struct InferenceRequest {
   /// shed first; bulk is the class kShedBulk rejects at the watermark.
   Priority priority = Priority::kInteractive;
   /// Completion deadline measured from admission; zero means none (any
-  /// ServerOptions::default_deadline applies instead). A request the cost
+  /// ServerOptions::default_deadline applies instead); negative or NaN is
+  /// malformed and Server::submit rejects it. A request the cost
   /// model predicts cannot meet its deadline is failed with
   /// DeadlineExceeded before compute is spent on it.
   Seconds deadline{0.0};
@@ -162,16 +162,14 @@ class BatchExecutor {
   BatchExecutor(model::EncoderConfig cfg, BatchingOptions batching,
                 ThreadPool* pool = nullptr);
 
-  /// An executor whose engine adopts `pack_prototype`'s packed weight pack
-  /// instead of building a private copy (the replica pool's opt-in shared
-  /// read-only pack; see Engine's prototype constructor for the identity
-  /// requirements). The prototype must outlive this executor;
+  /// An executor serving a copy of `pack_prototype`'s encoder, sharing its
+  /// read-only weight pack instead of building a private one (the replica
+  /// pool's opt-in shared pack; see Engine's sharing constructor).
   /// packed_weight_floats() reports 0 here, the footprint being the
-  /// prototype's. `pool` as above — but note execution reads the
-  /// prototype's pack, wherever its pages live.
-  BatchExecutor(model::EncoderConfig cfg, BatchingOptions batching,
-                const BatchExecutor& pack_prototype,
-                ThreadPool* pool = nullptr);
+  /// prototype's. `pool` as above — but note execution reads the shared
+  /// pack, wherever its pages live.
+  BatchExecutor(const BatchExecutor& pack_prototype, BatchingOptions batching,
+                ThreadPool* pool);
 
   /// Execute one formed batch. `inputs[i]` is the request packed at entry
   /// slot i (rows [entry.offsets[i], entry.offsets[i+1]) — its row count

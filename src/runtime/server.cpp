@@ -63,7 +63,7 @@ void ServerOptions::validate() const {
         std::to_string(queue_capacity) +
         " — the admission queue must be able to hold at least one request");
   }
-  if (max_batch_wait.value < 0.0) {
+  if (!(max_batch_wait.value >= 0.0)) {
     throw std::invalid_argument(
         "ServerOptions: max_batch_wait must be >= 0 seconds (0 disables "
         "the age cut), got " +
@@ -83,20 +83,20 @@ void ServerOptions::validate() const {
         "pops), got " +
         std::to_string(bulk_aging_interval));
   }
-  if (default_deadline.value < 0.0) {
+  if (!(default_deadline.value >= 0.0)) {
     throw std::invalid_argument(
         "ServerOptions: default_deadline must be >= 0 seconds (0 means "
         "no default deadline), got " +
         std::to_string(default_deadline.value));
   }
-  if (watchdog_multiplier != 0.0 && watchdog_multiplier < 1.0) {
+  if (watchdog_multiplier != 0.0 && !(watchdog_multiplier >= 1.0)) {
     throw std::invalid_argument(
         "ServerOptions: watchdog_multiplier must be 0 (watchdog disabled) "
         "or >= 1 — a stall threshold below the predicted service time "
         "itself would flag every healthy batch — got " +
         std::to_string(watchdog_multiplier));
   }
-  if (watchdog_grace.value < 0.0) {
+  if (!(watchdog_grace.value >= 0.0)) {
     throw std::invalid_argument(
         "ServerOptions: watchdog_grace must be >= 0 seconds (the absolute "
         "floor added to the stall threshold), got " +
@@ -161,8 +161,7 @@ Server::Server(model::EncoderConfig cfg, ServerOptions opt)
           cfg, opt_.batching, replica->pool.get());
     } else {
       replica->executor = std::make_unique<BatchExecutor>(
-          cfg, opt_.batching, *replicas_.front()->executor,
-          replica->pool.get());
+          *replicas_.front()->executor, opt_.batching, replica->pool.get());
     }
     if (repinned && !saved.empty()) pin_current_thread(saved);
     replicas_.push_back(std::move(replica));
@@ -201,6 +200,10 @@ Server::Ticket Server::submit(InferenceRequest request) {
         std::to_string(request.input.rows()) + " x " +
         std::to_string(request.input.cols()) + ", d_model " +
         std::to_string(d_model) + ")";
+  } else if (!(request.deadline.value >= 0.0)) {
+    malformed = "Server::submit: deadline must be >= 0 seconds (0 means "
+                "none), got " +
+                std::to_string(request.deadline.value);
   } else if (const auto bad = first_non_finite(request.input)) {
     const auto [row, col] = *bad;
     malformed = "Server::submit: input element (" + std::to_string(row) +
@@ -729,17 +732,37 @@ void Server::run_on_replica(std::size_t r, ReadyBatch& batch) {
         replicas_[r]->executor->execute(entry, inputs);
     exec_end(r);
     const auto finish = std::chrono::steady_clock::now();
+    // No NaN or Inf output is returned as a success: a member whose output
+    // is not finite (finite inputs can still overflow the fused kernel's
+    // Eq. 1 exponent) fails only its own ticket.
+    std::vector<std::string> non_finite(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (const auto bad = first_non_finite(results[i].output)) {
+        non_finite[i] = "Server: output element (" +
+                        std::to_string(bad->first) + ", " +
+                        std::to_string(bad->second) + ") of request " +
+                        std::to_string(results[i].id) +
+                        " is not finite — the result is withheld";
+      }
+    }
     std::int64_t batch_index = 0;
     {
       std::lock_guard lock(state_mutex_);
       batch_index = totals_.batches++;
       totals_.weight_stream_bytes += cost_model_->weight_stream_bytes();
-      for (const RequestResult& res : results) {
-        totals_.accumulate(res.counters);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (non_finite[i].empty()) totals_.accumulate(results[i].counters);
       }
     }
     std::int64_t missed = 0;
+    std::int64_t failed = 0;
     for (std::size_t i = 0; i < n; ++i) {
+      if (!non_finite[i].empty()) {
+        ++failed;
+        members[i].promise.set_exception(
+            std::make_exception_ptr(std::runtime_error(non_finite[i])));
+        continue;
+      }
       results[i].counters.batch_index = batch_index;
       results[i].counters.queue_delay =
           Seconds{seconds_between(members[i].admitted, start)};
@@ -755,10 +778,13 @@ void Server::run_on_replica(std::size_t r, ReadyBatch& batch) {
     }
     {
       std::lock_guard lock(state_mutex_);
-      class_stats_[lane].served += static_cast<std::int64_t>(n);
+      const std::int64_t served = static_cast<std::int64_t>(n) - failed;
+      class_stats_[lane].served += served;
+      class_stats_[lane].failed += failed;
       class_stats_[lane].deadline_missed += missed;
       ReplicaClassStats& mine = replica_stats_[r].per_class[lane];
-      mine.served += static_cast<std::int64_t>(n);
+      mine.served += served;
+      mine.failed += failed;
       mine.deadline_missed += missed;
       ++replica_stats_[r].batches;
       for (const Pending& member : members) outstanding_.erase(member.seq);

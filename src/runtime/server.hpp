@@ -72,7 +72,9 @@
 //     stats().replicas[i], and rolled up in the top-level counters. Two
 //     simultaneously wedged replicas are two stall episodes.
 //   * Failure isolation, batch level: an executor failure fails exactly
-//     that batch's tickets and the replica keeps serving.
+//     that batch's tickets and the replica keeps serving. A member whose
+//     output holds a NaN or Inf fails only its own ticket
+//     (std::runtime_error naming the first bad element, counted failed).
 //   * Failure isolation, replica level: a replica death (the
 //     "replica.execute" fault crossing, or any escape from the claim
 //     path) rejects only the batch that replica had claimed, QUARANTINES
@@ -231,10 +233,11 @@ class Server {
 
   /// Admit one request under its SLO class. Thread-safe. The ticket always
   /// resolves: with the result once its batch ran, or with an exception if
-  /// the request was malformed (wrong shape or a NaN/Inf element:
-  /// std::invalid_argument, counted as shed), shed at admission, predicted
-  /// (or observed) to miss its deadline, failed by its batch's executor or
-  /// replica, or submitted after shutdown.
+    /// the request was malformed (wrong shape, a NaN/Inf element, or a
+  /// negative or NaN deadline: std::invalid_argument, counted as shed),
+  /// shed at admission, predicted (or observed) to miss its deadline,
+  /// failed by its batch's executor or replica, given a non-finite output,
+  /// or submitted after shutdown.
   Ticket submit(InferenceRequest request);
 
   /// Admit a burst. Equivalent to submit() in order; with kReject or

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -67,6 +68,13 @@ TEST(BatchingOptionsValidate, RejectsEachBadFieldWithActionableMessage) {
     BatchingOptions opt;
     opt.bucket_width = 0;
     expect_rejects([&] { opt.validate(); }, "bucket_width");
+  }
+  {
+    // NaN slips past a `< 0` check; it must be rejected, not silently
+    // disable the latency budget.
+    BatchingOptions opt;
+    opt.max_batch_latency = Seconds{std::numeric_limits<double>::quiet_NaN()};
+    expect_rejects([&] { opt.validate(); }, "max_batch_latency");
   }
 }
 

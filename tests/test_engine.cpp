@@ -1,12 +1,14 @@
 // Tests for the compiled execution plan (src/runtime/engine.hpp).
 //
 // The load-bearing guarantee: Engine::run through a compiled plan is
-// bit-identical — outputs AND per-sequence counters — to the allocating
-// Encoder::forward / forward_batch paths, for every backend, any thread
-// count, and any batch composition. The zero-allocation steady-state
+// bit-identical — outputs AND per-sequence counters — to running each
+// sequence alone (Encoder::forward for outputs, a one-slot Engine::run for
+// counters), for every backend, any thread count, and any batch
+// composition. One const Encoder is also safe to share across threads. The zero-allocation steady-state
 // property is asserted in tests/test_runtime.cpp (operator-new counter).
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -126,8 +128,8 @@ TEST(EngineCompile, RunRejectsAnUncompiledPlan) {
 
 // ------------------------------------------------------- bit-identity ----
 
-/// Planned outputs and per-sequence counters must be bit-identical to the
-/// allocating forward_batch AND to per-request Encoder::forward.
+/// Planned outputs must be bit-identical to per-request Encoder::forward,
+/// and per-sequence counters to each request run alone.
 void check_planned_bit_identity(AttentionBackend backend) {
   const EncoderConfig cfg = small_config(backend);
   const std::vector<std::int64_t> lengths = {5, 63, 64, 1, 40};
@@ -137,37 +139,9 @@ void check_planned_bit_identity(AttentionBackend backend) {
   std::vector<AttentionStats> planned_stats(lengths.size());
   const MatrixF& planned = engine.run(packed, offsets, planned_stats);
 
-  // Oracle 1: the allocating batched path on an identically seeded encoder.
   const model::Encoder oracle(cfg);
-  std::vector<AttentionStats> batch_stats(lengths.size());
-  const MatrixF batched = oracle.forward_batch(packed, offsets, batch_stats);
-  testing::expect_matrix_equal(planned, batched, "planned vs forward_batch");
-  for (std::size_t s = 0; s < lengths.size(); ++s) {
-    EXPECT_EQ(planned_stats[s].swat_offchip_traffic.count,
-              batch_stats[s].swat_offchip_traffic.count);
-    EXPECT_EQ(planned_stats[s].swat_core_loads,
-              batch_stats[s].swat_core_loads);
-    EXPECT_EQ(planned_stats[s].heads_run, batch_stats[s].heads_run);
-  }
-
-  // Oracle 2: each sequence alone through Encoder::forward.
-  for (std::size_t s = 0; s < lengths.size(); ++s) {
-    const std::int64_t row0 = offsets[s];
-    const std::int64_t n = offsets[s + 1] - row0;
-    MatrixF one(n, cfg.d_model);
-    for (std::int64_t i = 0; i < n; ++i) {
-      for (std::int64_t j = 0; j < cfg.d_model; ++j) {
-        one(i, j) = packed(row0 + i, j);
-      }
-    }
-    const MatrixF alone = oracle.forward(one);
-    for (std::int64_t i = 0; i < n; ++i) {
-      for (std::int64_t j = 0; j < cfg.d_model; ++j) {
-        ASSERT_EQ(planned(row0 + i, j), alone(i, j))
-            << "sequence " << s << " row " << i << " col " << j;
-      }
-    }
-  }
+  testing::expect_batch_matches_solo(oracle, packed, offsets, planned,
+                                     planned_stats, "planned vs solo");
 }
 
 TEST(EngineBitIdentity, WindowBackend) {
@@ -243,8 +217,43 @@ TEST(EnginePlanReuse, OnePlanServesEveryShapeAtOrBelowItsHighWater) {
       const auto [packed, offsets] =
           make_packed(cfg, batches[b], 7 * (b + 1));
       const MatrixF& got = engine.run(packed, offsets);
-      const MatrixF want = oracle.forward_batch(packed, offsets, {});
-      testing::expect_matrix_equal(got, want, "mixed-shape planned run");
+      testing::expect_batch_matches_solo(oracle, packed, offsets, got, {},
+                                         "mixed-shape planned run");
+    }
+  }
+}
+
+// ------------------------------------------------ immutable encoder ----
+
+/// One const Encoder shared by two threads: the model holds no per-call
+/// state, so concurrent forward calls on different inputs are race-free
+/// (the TSan CI job runs this) and bit-identical to serial runs.
+TEST(EncoderConcurrency, ConstEncoderSharedByTwoThreadsMatchesSerialRuns) {
+  for (const AttentionBackend backend :
+       {AttentionBackend::kFusedStreaming, AttentionBackend::kWindowExact}) {
+    const EncoderConfig cfg = small_config(backend);
+    const model::Encoder encoder(cfg);
+    Rng rng(123);
+    const MatrixF inputs[2] = {random_normal(37, cfg.d_model, rng),
+                               random_normal(64, cfg.d_model, rng)};
+    const MatrixF serial[2] = {encoder.forward(inputs[0]),
+                               encoder.forward(inputs[1])};
+    std::vector<MatrixF> got[2];
+    std::thread workers[2];
+    for (int t = 0; t < 2; ++t) {
+      workers[t] = std::thread([&, t] {
+        for (int rep = 0; rep < 20; ++rep) {
+          got[t].push_back(encoder.forward(inputs[t]));
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    for (int t = 0; t < 2; ++t) {
+      ASSERT_EQ(got[t].size(), 20u);
+      for (const MatrixF& out : got[t]) {
+        testing::expect_matrix_equal(out, serial[t],
+                                     "concurrent forward vs serial");
+      }
     }
   }
 }

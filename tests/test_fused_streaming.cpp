@@ -258,28 +258,8 @@ TEST(FusedStreamingBackend, PlannedPathBitIdenticalToAllocatingPath) {
   const MatrixF& planned = engine.run(packed, offsets);
 
   const model::Encoder oracle(cfg);
-  const MatrixF batched = oracle.forward_batch(packed, offsets, {});
-  swat::testing::expect_matrix_equal(planned, batched,
-                                     "planned vs forward_batch (fused)");
-
-  // And each sequence alone through Encoder::forward.
-  for (std::size_t s = 0; s < lengths.size(); ++s) {
-    const std::int64_t row0 = offsets[s];
-    const std::int64_t n = offsets[s + 1] - row0;
-    MatrixF one(n, cfg.d_model);
-    for (std::int64_t i = 0; i < n; ++i) {
-      for (std::int64_t j = 0; j < cfg.d_model; ++j) {
-        one(i, j) = packed(row0 + i, j);
-      }
-    }
-    const MatrixF alone = oracle.forward(one);
-    for (std::int64_t i = 0; i < n; ++i) {
-      for (std::int64_t j = 0; j < cfg.d_model; ++j) {
-        ASSERT_EQ(planned(row0 + i, j), alone(i, j))
-            << "sequence " << s << " row " << i << " col " << j;
-      }
-    }
-  }
+  swat::testing::expect_batch_matches_solo(oracle, packed, offsets, planned,
+                                           {}, "planned vs solo (fused)");
 }
 
 TEST(FusedStreamingBackend, CloseToWindowExactBackend) {

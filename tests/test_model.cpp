@@ -28,15 +28,14 @@ EncoderConfig small_config(AttentionBackend backend) {
 }
 
 TEST(Linear, ForwardMatchesManualComputation) {
-  Rng rng(1);
-  Linear lin(3, 2, rng);
-  lin.weight()(0, 0) = 1.0f;
-  lin.weight()(0, 1) = 2.0f;
-  lin.weight()(0, 2) = 3.0f;
-  lin.weight()(1, 0) = -1.0f;
-  lin.weight()(1, 1) = 0.5f;
-  lin.weight()(1, 2) = 0.0f;
-  lin.bias() = {10.0f, -10.0f};
+  MatrixF w(2, 3);
+  w(0, 0) = 1.0f;
+  w(0, 1) = 2.0f;
+  w(0, 2) = 3.0f;
+  w(1, 0) = -1.0f;
+  w(1, 1) = 0.5f;
+  w(1, 2) = 0.0f;
+  const Linear lin(std::move(w), {10.0f, -10.0f});
   MatrixF x(1, 3);
   x(0, 0) = 1.0f;
   x(0, 1) = 1.0f;
@@ -50,7 +49,11 @@ TEST(Linear, XavierInitBounded) {
   Rng rng(2);
   Linear lin(100, 100, rng);
   const double bound = std::sqrt(6.0 / 200.0);
-  for (float w : lin.weight().flat()) {
+  // The layer keeps only its pack; the identity input reads the weights
+  // back out exactly (Y = I W^T + 0 = W^T).
+  MatrixF eye(100, 100);
+  for (std::int64_t i = 0; i < 100; ++i) eye(i, i) = 1.0f;
+  for (float w : lin.forward(eye).flat()) {
     EXPECT_LE(std::abs(w), bound + 1e-6);
   }
   EXPECT_EQ(lin.parameters(), 100 * 100 + 100);
@@ -144,8 +147,12 @@ TEST(Mha, StatsTrackTrafficAndHeads) {
   Rng wrng(8);
   MultiHeadAttention sim(32, 4, AttentionBackend::kSwatSimulator, base.swat,
                          wrng);
-  (void)sim.forward(x);
-  const AttentionStats& s = sim.last_stats();
+  const std::vector<std::int64_t> offsets = {0, n};
+  AttentionStats stats[1];
+  MhaWorkspace ws;
+  MatrixF out;
+  sim.forward_batch_into(x, offsets, stats, ws, out);
+  const AttentionStats& s = stats[0];
   EXPECT_EQ(s.heads_run, 4);
   // 4 heads x (Q + K + V + Z) x n x 8 dims x 2 bytes.
   EXPECT_EQ(s.swat_offchip_traffic.count, 4ull * 4 * n * 8 * 2);
@@ -165,12 +172,14 @@ TEST(Mha, StatsSpanMustMatchSequenceCountOrBeEmpty) {
   const std::vector<std::int64_t> offsets = {0, 10, 24};  // two sequences
 
   std::vector<AttentionStats> too_few(1), too_many(3), just_right(2);
-  EXPECT_THROW(mha.forward_batch(x, offsets, too_few),
+  MhaWorkspace ws;
+  MatrixF out;
+  EXPECT_THROW(mha.forward_batch_into(x, offsets, too_few, ws, out),
                std::invalid_argument);
-  EXPECT_THROW(mha.forward_batch(x, offsets, too_many),
+  EXPECT_THROW(mha.forward_batch_into(x, offsets, too_many, ws, out),
                std::invalid_argument);
-  EXPECT_NO_THROW(mha.forward_batch(x, offsets, just_right));
-  EXPECT_NO_THROW(mha.forward_batch(x, offsets, {}));
+  EXPECT_NO_THROW(mha.forward_batch_into(x, offsets, just_right, ws, out));
+  EXPECT_NO_THROW(mha.forward_batch_into(x, offsets, {}, ws, out));
   EXPECT_EQ(just_right[0].heads_run, 4);
   EXPECT_EQ(just_right[1].heads_run, 4);
 }
@@ -321,8 +330,14 @@ TEST(Encoder, SwatBackendStaysCloseToHostBackendOverDepth) {
   const MatrixF ya = accel.forward(x);
   // fp16 error compounds over layers but layer norms keep it bounded.
   EXPECT_GT(mean_row_cosine(ya, yh), 0.99);
-  EXPECT_GT(accel.last_swat_traffic().count, 0u);
-  EXPECT_EQ(host.last_swat_traffic().count, 0u);
+  // SWAT traffic is reported through the per-sequence stats span.
+  const std::vector<std::int64_t> offsets = {0, x.rows()};
+  AttentionStats accel_stats[1], host_stats[1];
+  EncoderArena arena;
+  accel.forward_batch_into(x, offsets, accel_stats, arena);
+  host.forward_batch_into(x, offsets, host_stats, arena);
+  EXPECT_GT(accel_stats[0].swat_offchip_traffic.count, 0u);
+  EXPECT_EQ(host_stats[0].swat_offchip_traffic.count, 0u);
 }
 
 TEST(Encoder, LongformerBaseFactory) {

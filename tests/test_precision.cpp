@@ -15,6 +15,7 @@
 //     Encoder oracle — the fp16 path rides beside it, never through it.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -237,19 +238,20 @@ TEST(PrecisionEngine, Fp16BatchCompositionCannotChangeResults) {
 
 TEST(PrecisionEngine, Fp32DefaultStaysBitIdenticalToTheOracle) {
   // The regression that proves the fp16 path rides BESIDE the fp32 path:
-  // a default-dtype engine still matches the allocating encoder bit for
+  // a default-dtype engine still matches the solo encoder oracle bit for
   // bit, and an fp16 engine from the same weights measurably differs.
   const EncoderConfig cfg = small_config();
   ASSERT_EQ(cfg.pack_dtype, Dtype::kFp32);
   auto [packed, offsets] = make_packed(cfg, {29, 43});
   Engine engine = Engine::compile(cfg, 128);
   const model::Encoder oracle(cfg);
-  expect_matrix_equal(engine.run(packed, offsets),
-                      oracle.forward_batch(packed, offsets),
-                      "fp32 default vs oracle");
+  swat::testing::expect_batch_matches_solo(oracle, packed, offsets,
+                                           engine.run(packed, offsets), {},
+                                           "fp32 default vs oracle");
   Engine half = Engine::compile(small_config(Dtype::kFp16), 128);
   EXPECT_GT(max_abs_diff(half.run(packed, offsets),
-                         oracle.forward_batch(packed, offsets)),
+                         swat::testing::solo_forward_packed(oracle, packed,
+                                                            offsets)),
             0.0f);
 }
 
@@ -302,21 +304,11 @@ TEST(PrecisionFootprint, RuntimeChargesOneWeightSweepPerBatch) {
 
 // ------------------------------------------------------ config guards ----
 
-TEST(PrecisionConfig, EnginePrototypeDtypeMismatchIsRejected) {
-  const Engine prototype(small_config(Dtype::kFp16));
-  try {
-    Engine replica(small_config(Dtype::kFp32), prototype);
-    FAIL() << "dtype-mismatched shared pack was accepted";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("pack_dtype"), std::string::npos) << what;
-  }
-}
-
 TEST(PrecisionConfig, MatchingDtypeSharedPackStaysBitIdentical) {
   const EncoderConfig cfg = small_config(Dtype::kFp16);
-  const Engine prototype(cfg);
-  Engine replica(cfg, prototype);
+  std::optional<Engine> prototype(std::in_place, cfg);
+  Engine replica(*prototype, nullptr);
+  prototype.reset();  // the replica's copy keeps the shared pack alive
   EXPECT_EQ(replica.packed_weight_floats(), 0u);
   EXPECT_EQ(replica.packed_weight_bytes(), 0u);
   auto [packed, offsets] = make_packed(cfg, {26, 30});

@@ -242,22 +242,6 @@ TEST_F(ReplicaPoolTest, SharedWeightPackBitIdenticalWithQuarterFootprint) {
   }
 }
 
-/// A sharing engine must refuse a prototype with different weights — the
-/// shared panels would silently serve the wrong model.
-TEST_F(ReplicaPoolTest, SharedPackRejectsMismatchedPrototype) {
-  const EncoderConfig cfg = small_config();
-  BatchExecutor prototype(cfg, BatchingOptions{});
-  EncoderConfig other = cfg;
-  other.weight_seed = cfg.weight_seed + 1;
-  try {
-    BatchExecutor sharer(other, BatchingOptions{}, prototype);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("weight_seed"), std::string::npos)
-        << e.what();
-  }
-}
-
 // -------------------------------------------------- per-replica ledger ----
 
 /// Mixed-class concurrent load over a multi-replica pool: the per-replica

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -608,6 +609,24 @@ TEST_F(ResilienceTest, ServerOptionsValidateNewKnobs) {
   opt = ServerOptions();
   opt.watchdog_grace = Seconds{-1.0};
   expect_invalid(opt, "watchdog_grace");
+
+  // NaN slips past a `< 0` check and would silently disable each feature.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  opt = ServerOptions();
+  opt.max_batch_wait = Seconds{nan};
+  expect_invalid(opt, "max_batch_wait");
+  opt = ServerOptions();
+  opt.default_deadline = Seconds{nan};
+  expect_invalid(opt, "default_deadline");
+  opt = ServerOptions();
+  opt.watchdog_multiplier = nan;
+  expect_invalid(opt, "watchdog_multiplier");
+  opt = ServerOptions();
+  opt.watchdog_grace = Seconds{nan};
+  expect_invalid(opt, "watchdog_grace");
+  opt = ServerOptions();
+  opt.batching.max_batch_latency = Seconds{nan};
+  expect_invalid(opt, "max_batch_latency");
 
   opt = ServerOptions();  // defaults are valid
   EXPECT_NO_THROW(opt.validate());

@@ -311,29 +311,42 @@ TEST(Server, MalformedInputRejectsTicketOnly) {
   EXPECT_EQ(server.totals().requests, 1);
 }
 
-/// One non-finite element fails only its own request, at admission: a NaN
-/// or +-Inf in B never reaches the fused kernel, so A — submitted in the
-/// same burst and batchable with B — serves bit-identically to the solo
-/// oracle, and the ledger records B as shed, not as a failed batch.
+/// One malformed request fails only itself, at admission: a NaN or +-Inf
+/// element in B never reaches the fused kernel, and neither does a negative
+/// or NaN deadline (which must not fall back to the default deadline). A —
+/// submitted in the same burst and batchable with B — serves
+/// bit-identically to the solo oracle, and the ledger records B as shed,
+/// not as a failed batch.
 TEST(Server, NonFiniteInputShedsOnlyItsOwnTicket) {
   const EncoderConfig cfg = small_config(AttentionBackend::kFusedStreaming);
   const std::vector<InferenceRequest> clean = make_requests(cfg, {40, 40});
   Runtime sequential(cfg);
   const RequestResult oracle = sequential.run_one(clean[0]);
 
-  for (const float poison : {std::numeric_limits<float>::quiet_NaN(),
-                             std::numeric_limits<float>::infinity(),
-                             -std::numeric_limits<float>::infinity()}) {
-    SCOPED_TRACE("poison " + std::to_string(poison));
+  const float inf = std::numeric_limits<float>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    float element;    ///< written to B's input at (3, 5)
+    double deadline;  ///< B's deadline in seconds
+    const char* needle;
+  };
+  for (const Case c : {Case{std::numeric_limits<float>::quiet_NaN(), 0.0,
+                            "(3, 5)"},
+                       Case{inf, 0.0, "(3, 5)"}, Case{-inf, 0.0, "(3, 5)"},
+                       Case{0.5f, -1.0, "deadline"},
+                       Case{0.5f, nan, "deadline"}}) {
+    SCOPED_TRACE("element " + std::to_string(c.element) + ", deadline " +
+                 std::to_string(c.deadline));
     std::vector<InferenceRequest> burst = clean;
-    burst[1].input(3, 5) = poison;
+    burst[1].input(3, 5) = c.element;
+    burst[1].deadline = Seconds{c.deadline};
     Server server(cfg);
     std::vector<Server::Ticket> tickets = server.submit_many(burst);
     try {
       tickets[1].get();
-      FAIL() << "a non-finite input was served";
+      FAIL() << "a malformed request was served";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("(3, 5)"), std::string::npos)
+      EXPECT_NE(std::string(e.what()).find(c.needle), std::string::npos)
           << e.what();
     }
     const RequestResult got = tickets[0].get();
@@ -344,6 +357,42 @@ TEST(Server, NonFiniteInputShedsOnlyItsOwnTicket) {
     EXPECT_EQ(stats.of(Priority::kInteractive).shed, 1);
     EXPECT_EQ(stats.of(Priority::kInteractive).served, 1);
   }
+}
+
+/// No NaN or Inf output is returned as a success. Finite inputs scaled by
+/// 1e3 overflow the fused kernel's Eq. 1 exponent (no max subtraction):
+/// through one layer they come out all-NaN without tripping the kernel's
+/// denominator check (a second layer would, failing the whole batch — the
+/// open per-sequence status item). That request fails only its own
+/// ticket, counted failed and kept out of the totals, while its batch-mate
+/// serves bit-identically to the solo oracle.
+TEST(Server, NonFiniteOutputFailsOnlyItsOwnTicket) {
+  EncoderConfig cfg = small_config(AttentionBackend::kFusedStreaming);
+  cfg.layers = 1;
+  cfg.swat.window_cores = 128;
+  std::vector<InferenceRequest> burst = make_requests(cfg, {40, 40});
+  for (float& x : burst[1].input.flat()) x *= 1e3f;
+  Runtime sequential(cfg);
+  const RequestResult oracle = sequential.run_one(burst[0]);
+
+  Server server(cfg);
+  std::vector<Server::Ticket> tickets = server.submit_many(burst);
+  try {
+    tickets[1].get();
+    FAIL() << "a non-finite output was returned as a success";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("not finite"), std::string::npos)
+        << e.what();
+  }
+  testing::expect_matrix_equal(tickets[0].get().output, oracle.output,
+                               "clean batch-mate vs solo oracle");
+  server.drain();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.of(Priority::kInteractive).served, 1);
+  EXPECT_EQ(stats.of(Priority::kInteractive).failed, 1);
+  EXPECT_EQ(stats.of(Priority::kInteractive).shed, 0);
+  EXPECT_EQ(server.totals().requests, 1);
+  EXPECT_EQ(server.totals().tokens, 40);
 }
 
 /// drain() blocks until every admitted request resolved; totals reconcile

@@ -242,12 +242,14 @@ TEST(StreamDeterminism, Fp32DefaultMatchesOracleAndFp16Diverges) {
   const EncoderConfig cfg = stream_config();
   const PackedBatch batch = make_batch(cfg, {31, 64, 17});
   const model::Encoder oracle(cfg);
-  const MatrixF expected = oracle.forward_batch(batch.packed, batch.offsets);
+  const MatrixF expected =
+      testing::solo_forward_packed(oracle, batch.packed, batch.offsets);
 
   ThreadCountGuard guard(4);
   Engine fp32 = Engine::compile(cfg, batch.packed.rows());
-  testing::expect_matrix_equal(fp32.run(batch.packed, batch.offsets),
-                               expected, "fp32 stream default vs oracle");
+  testing::expect_batch_matches_solo(oracle, batch.packed, batch.offsets,
+                                     fp32.run(batch.packed, batch.offsets),
+                                     {}, "fp32 stream default vs oracle");
 
   Engine fp16 = Engine::compile(stream_config(Dtype::kFp16),
                                 batch.packed.rows());

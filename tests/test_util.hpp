@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "attention/reference.hpp"
 #include "common/thread_pool.hpp"
+#include "model/encoder.hpp"
+#include "runtime/engine.hpp"
 #include "tensor/kernels.hpp"
 
 namespace swat::testing {
@@ -44,6 +49,60 @@ inline void expect_matrix_equal(const MatrixF& actual,
       ASSERT_EQ(actual(i, j), expected(i, j))
           << what << " mismatch at (" << i << ", " << j << ")";
     }
+  }
+}
+
+/// Rows [offsets[s], offsets[s+1]) of a packed batch as their own matrix.
+inline MatrixF sequence_rows(const MatrixF& packed,
+                             std::span<const std::int64_t> offsets,
+                             std::size_t s) {
+  const std::int64_t row0 = offsets[s];
+  MatrixF one(offsets[s + 1] - row0, packed.cols());
+  std::copy_n(packed.row(row0).data(), one.size(), one.data());
+  return one;
+}
+
+/// The packed-batch oracle: every sequence of `packed` run alone through
+/// `oracle.forward`, stacked back at its offsets.
+inline MatrixF solo_forward_packed(const model::Encoder& oracle,
+                                   const MatrixF& packed,
+                                   std::span<const std::int64_t> offsets) {
+  MatrixF stacked(packed.rows(), packed.cols());
+  for (std::size_t s = 0; s + 1 < offsets.size(); ++s) {
+    const MatrixF alone = oracle.forward(sequence_rows(packed, offsets, s));
+    std::copy_n(alone.data(), alone.size(), stacked.row(offsets[s]).data());
+  }
+  return stacked;
+}
+
+/// Asserts that `got` — the output of running `packed` as one batch — is,
+/// sequence by sequence, bit-identical to solo `oracle.forward`. When
+/// `stats` is non-empty (one slot per sequence), slot s must also equal
+/// the counters of sequence s run alone through Engine::run with one
+/// stats slot.
+inline void expect_batch_matches_solo(
+    const model::Encoder& oracle, const MatrixF& packed,
+    std::span<const std::int64_t> offsets, const MatrixF& got,
+    std::span<const model::AttentionStats> stats = {},
+    const char* what = "") {
+  expect_matrix_equal(got, solo_forward_packed(oracle, packed, offsets),
+                      what);
+  if (stats.empty()) return;
+  const std::size_t nseq = offsets.size() - 1;
+  ASSERT_EQ(stats.size(), nseq) << what;
+  Engine solo = Engine::compile(oracle.config(), packed.rows());
+  for (std::size_t s = 0; s < nseq; ++s) {
+    const MatrixF one = sequence_rows(packed, offsets, s);
+    const std::int64_t solo_offsets[2] = {0, one.rows()};
+    model::AttentionStats alone[1];
+    solo.run(one, solo_offsets, alone);
+    EXPECT_EQ(stats[s].swat_offchip_traffic.count,
+              alone[0].swat_offchip_traffic.count)
+        << what << ": sequence " << s;
+    EXPECT_EQ(stats[s].swat_core_loads, alone[0].swat_core_loads)
+        << what << ": sequence " << s;
+    EXPECT_EQ(stats[s].heads_run, alone[0].heads_run)
+        << what << ": sequence " << s;
   }
 }
 

@@ -16,7 +16,9 @@
 //                                       the epilogue's cost)
 //   * fused-attention                  (the per-head slice/band/scatter
 //                                       serving path vs the fused streaming
-//                                       batch kernel)
+//                                       batch kernel, fp32 and fp16 K/V
+//                                       tiles: one long sequence, and 8
+//                                       ragged 16-128-token sequences)
 //
 // The packed-GEMM and fused-attention arms run once per ISA tier the host
 // supports (the row's "isa" field; see common/cpu_dispatch.hpp), so the
@@ -27,11 +29,15 @@
 // baselines that parallelize); scaling_mt is the kernel's own 1-thread /
 // N-thread ratio.
 //
+// The run exits nonzero when the fp32 fused-attention output differs in any
+// byte between ISA tiers (or the JSON cannot be written).
+//
 // Usage: kernels_microbench [--smoke] [--out <path>]
 //   --smoke   small shapes / fewer reps (CI)
 //   default   acceptance shapes: 512^3 GEMM, sliding chunks n=4096 w=128
 //             h=64, packed GEMM on the Longformer-base projection/FFN
-//             shapes, fused attention at n=2048 w=256.
+//             shapes, fused attention at n=2048 w=256 (the short-sequence
+//             arm is the same in both modes).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -245,6 +251,138 @@ std::vector<swat::IsaTier> supported_tiers() {
   return tiers;
 }
 
+/// One fused-attention workload: `lengths` ragged sequences packed back to
+/// back, `heads` x `head_dim` columns, band [i - before, i + after].
+struct FusedShape {
+  std::string tag;
+  std::vector<std::int64_t> lengths;
+  std::int64_t heads, head_dim, before, after;
+};
+
+/// The fused-attention arms on one shape, appended to `rows`. Baseline
+/// replicates the per-(sequence, head) serving path the fused kernel
+/// replaced: slice the head's Q/K/V (folding in the logit scale), run the
+/// banded stable-softmax attention into a staging matrix, scatter back into
+/// the packed concat buffer. The fused kernel streams Eq. 1 in place, once
+/// per ISA tier, in fp32 and with fp16 K/V tiles. Returns false when the
+/// fp32 output differs in any byte between tiers.
+bool bench_fused(const FusedShape& s, const std::vector<swat::IsaTier>& tiers,
+                 int reps, int pool_threads, swat::Rng& rng,
+                 std::vector<BenchRow>& rows) {
+  const std::int64_t d_model = s.heads * s.head_dim;
+  std::vector<std::int64_t> offsets = {0};
+  for (const std::int64_t len : s.lengths) {
+    offsets.push_back(offsets.back() + len);
+  }
+  const std::int64_t total = offsets.back();
+  const float scale = 1.0f / std::sqrt(static_cast<float>(s.head_dim));
+  const MatrixF q = swat::random_normal(total, d_model, rng, 0.3);
+  const MatrixF k = swat::random_normal(total, d_model, rng, 0.3);
+  const MatrixF v = swat::random_normal(total, d_model, rng);
+  // QK + SV multiply-accumulates over each clipped band, all heads.
+  double band_rows = 0;
+  double kv_f32 = 0, kv_f16 = 0;
+  for (const std::int64_t n : s.lengths) {
+    for (std::int64_t i = 0; i < n; ++i) {
+      band_rows += static_cast<double>(
+          std::min<std::int64_t>(n - 1, i + s.after) -
+          std::max<std::int64_t>(0, i - s.before) + 1);
+    }
+    kv_f32 += static_cast<double>(swat::attn::fused_window_kv_stream_bytes(
+        n, s.heads, s.head_dim, s.before, s.after, swat::Dtype::kFp32));
+    kv_f16 += static_cast<double>(swat::attn::fused_window_kv_stream_bytes(
+        n, s.heads, s.head_dim, s.before, s.after, swat::Dtype::kFp16));
+  }
+  const double flops = 2.0 * 2.0 * s.heads * band_rows * s.head_dim;
+
+  MatrixF concat_base(total, d_model), concat_fused(total, d_model),
+      concat_f16(total, d_model), first_tier;
+  const ThreadTimings slice_scatter = time_serial(reps, pool_threads, [&] {
+    swat::attn::HeadInput in;
+    MatrixF z;
+    for (std::size_t seq = 0; seq < s.lengths.size(); ++seq) {
+      const std::int64_t row0 = offsets[seq];
+      const std::int64_t n = s.lengths[seq];
+      for (std::int64_t head = 0; head < s.heads; ++head) {
+        const std::int64_t base = head * s.head_dim;
+        in.q.reshape(n, s.head_dim);
+        in.k.reshape(n, s.head_dim);
+        in.v.reshape(n, s.head_dim);
+        for (std::int64_t i = 0; i < n; ++i) {
+          for (std::int64_t d = 0; d < s.head_dim; ++d) {
+            in.q(i, d) = q(row0 + i, base + d) * scale;
+            in.k(i, d) = k(row0 + i, base + d);
+            in.v(i, d) = v(row0 + i, base + d);
+          }
+        }
+        swat::attn::band_attention_into(in, s.before, s.after, z);
+        for (std::int64_t i = 0; i < n; ++i) {
+          for (std::int64_t d = 0; d < s.head_dim; ++d) {
+            concat_base(row0 + i, base + d) = z(i, d);
+          }
+        }
+      }
+    }
+  });
+  bool identical = true;
+  for (const swat::IsaTier tier : tiers) {
+    const swat::ScopedIsaTier scope(tier);
+    BenchRow r;
+    r.name = "fused_attention_" + s.tag;
+    r.isa = std::string(swat::isa_tier_name(tier));
+    r.baseline = "band_slice_scatter";
+    r.flops = flops;
+    r.base = slice_scatter;
+    r.kernel = time_threads(reps, pool_threads, [&] {
+      swat::attn::fused_window_attention_batch_into(
+          q, k, v, offsets, s.heads, s.before, s.after, scale, concat_fused);
+    });
+    // Eq. 1 defers the division and skips the max subtraction, so the
+    // fused kernel is numerically close to, not bitwise equal to, the
+    // stable-softmax baseline. Across tiers it must be bitwise equal.
+    r.max_abs_diff = swat::max_abs_diff(concat_fused, concat_base);
+    if (first_tier.rows() == 0) {
+      first_tier = concat_fused;
+    } else if (std::memcmp(first_tier.data(), concat_fused.data(),
+                           sizeof(float) * static_cast<std::size_t>(
+                                               total * d_model)) != 0) {
+      std::cerr << "error: " << r.name << " on " << r.isa
+                << " differs in bytes from " << swat::isa_tier_name(tiers[0])
+                << "\n";
+      identical = false;
+    }
+    r.kv_bytes = kv_f32;
+    r.kv_eff_bytes = kv_f32;
+    rows.push_back(r);
+
+    // The half-precision streamed tiles on the same shape and tier,
+    // against the fp32 stream they replace: half the K/V tile bytes,
+    // fp32 scores/accumulation throughout. Both arms' kv_gbps_1t price
+    // the band at fp32 width, so their ratio is exactly speedup_1t (the
+    // fp32/fp16 wall-time ratio).
+    BenchRow h;
+    h.name = "fused_attention_f16stream_" + s.tag;
+    h.isa = r.isa;
+    h.baseline = "fused_attention_f32stream";
+    h.flops = flops;
+    h.base = r.kernel;
+    h.base_parallel = true;
+    h.kernel = time_threads(reps, pool_threads, [&] {
+      swat::attn::fused_window_attention_batch_into(
+          q, k, v, offsets, s.heads, s.before, s.after, scale, concat_f16,
+          swat::Dtype::kFp16);
+    });
+    // fp16 rounds each K/V tile element once; the diff against the fp32
+    // stream is the fidelity-budgeted rounding, not an implementation
+    // bug.
+    h.max_abs_diff = swat::max_abs_diff(concat_f16, concat_fused);
+    h.kv_bytes = kv_f16;
+    h.kv_eff_bytes = kv_f32;
+    rows.push_back(h);
+  }
+  return identical;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -425,111 +563,20 @@ int main(int argc, char** argv) {
   }
 
   // ---- fused streaming attention (the serving kernel) -------------------
-  // Baseline replicates the per-(sequence, head) serving path the fused
-  // kernel replaced: slice the head's Q/K/V (folding in the logit scale),
-  // run the banded stable-softmax attention into a staging matrix, scatter
-  // back into the packed concat buffer. The fused kernel streams Eq. 1 in
-  // place, once per ISA tier.
-  {
-    const std::int64_t fa_n = smoke ? 512 : 2048;
-    const std::int64_t fa_heads = 12;
-    const std::int64_t fa_h = 64;
-    const std::int64_t fa_d = fa_heads * fa_h;
-    const std::int64_t before = smoke ? 64 : 256;
-    const std::int64_t after = before - 1;  // SWAT's 2w-core band
-    const float scale = 1.0f / std::sqrt(static_cast<float>(fa_h));
-    const swat::MatrixF q = swat::random_normal(fa_n, fa_d, rng, 0.3);
-    const swat::MatrixF k = swat::random_normal(fa_n, fa_d, rng, 0.3);
-    const swat::MatrixF v = swat::random_normal(fa_n, fa_d, rng);
-    const std::int64_t offsets[2] = {0, fa_n};
-    const std::string shape = "n" + std::to_string(fa_n) + "_w" +
-                              std::to_string(before) + "_h" +
-                              std::to_string(fa_h);
-    // QK + SV multiply-accumulates over the clipped band, all heads.
-    double band_rows = 0;
-    for (std::int64_t i = 0; i < fa_n; ++i) {
-      band_rows += static_cast<double>(
-          std::min<std::int64_t>(fa_n - 1, i + after) -
-          std::max<std::int64_t>(0, i - before) + 1);
-    }
-    const double flops = 2.0 * 2.0 * fa_heads * band_rows * fa_h;
-    const double kv_f32 = static_cast<double>(
-        swat::attn::fused_window_kv_stream_bytes(
-            fa_n, fa_heads, fa_h, before, after, swat::Dtype::kFp32));
-    const double kv_f16 = static_cast<double>(
-        swat::attn::fused_window_kv_stream_bytes(
-            fa_n, fa_heads, fa_h, before, after, swat::Dtype::kFp16));
-
-    swat::MatrixF concat_base(fa_n, fa_d), concat_fused(fa_n, fa_d),
-        concat_f16(fa_n, fa_d);
-    const ThreadTimings slice_scatter = time_serial(reps, pool_threads, [&] {
-      swat::attn::HeadInput in;
-      swat::MatrixF z;
-      for (std::int64_t head = 0; head < fa_heads; ++head) {
-        const std::int64_t base = head * fa_h;
-        in.q.reshape(fa_n, fa_h);
-        in.k.reshape(fa_n, fa_h);
-        in.v.reshape(fa_n, fa_h);
-        for (std::int64_t i = 0; i < fa_n; ++i) {
-          for (std::int64_t d = 0; d < fa_h; ++d) {
-            in.q(i, d) = q(i, base + d) * scale;
-            in.k(i, d) = k(i, base + d);
-            in.v(i, d) = v(i, base + d);
-          }
-        }
-        swat::attn::band_attention_into(in, before, after, z);
-        for (std::int64_t i = 0; i < fa_n; ++i) {
-          for (std::int64_t d = 0; d < fa_h; ++d) {
-            concat_base(i, base + d) = z(i, d);
-          }
-        }
-      }
-    });
-    for (const swat::IsaTier tier : tiers) {
-      const swat::ScopedIsaTier scope(tier);
-      BenchRow r;
-      r.name = "fused_attention_" + shape;
-      r.isa = std::string(swat::isa_tier_name(tier));
-      r.baseline = "band_slice_scatter";
-      r.flops = flops;
-      r.base = slice_scatter;
-      r.kernel = time_threads(reps, pool_threads, [&] {
-        swat::attn::fused_window_attention_batch_into(
-            q, k, v, offsets, fa_heads, before, after, scale, concat_fused);
-      });
-      // Eq. 1 defers the division and skips the max subtraction, so the
-      // fused kernel is numerically close to, not bitwise equal to, the
-      // stable-softmax baseline.
-      r.max_abs_diff = swat::max_abs_diff(concat_fused, concat_base);
-      r.kv_bytes = kv_f32;
-      r.kv_eff_bytes = kv_f32;
-      rows.push_back(r);
-
-      // The half-precision streamed tiles on the same shape and tier,
-      // against the fp32 stream they replace: half the K/V tile bytes,
-      // fp32 scores/accumulation throughout. Both arms' kv_gbps_1t price
-      // the band at fp32 width, so their ratio is exactly speedup_1t (the
-      // fp32/fp16 wall-time ratio).
-      BenchRow h;
-      h.name = "fused_attention_f16stream_" + shape;
-      h.isa = r.isa;
-      h.baseline = "fused_attention_f32stream";
-      h.flops = flops;
-      h.base = r.kernel;
-      h.base_parallel = true;
-      h.kernel = time_threads(reps, pool_threads, [&] {
-        swat::attn::fused_window_attention_batch_into(
-            q, k, v, offsets, fa_heads, before, after, scale, concat_f16,
-            swat::Dtype::kFp16);
-      });
-      // fp16 rounds each K/V tile element once; the diff against the fp32
-      // stream is the fidelity-budgeted rounding, not an implementation
-      // bug.
-      h.max_abs_diff = swat::max_abs_diff(concat_f16, concat_fused);
-      h.kv_bytes = kv_f16;
-      h.kv_eff_bytes = kv_f32;
-      rows.push_back(h);
-    }
+  // One long sequence (the long-document regime) and eight ragged short
+  // ones under a band that covers each (the short-request batch regime).
+  const std::int64_t fa_n = smoke ? 512 : 2048;
+  const std::int64_t fa_before = smoke ? 64 : 256;
+  const FusedShape fused_shapes[] = {
+      {"n" + std::to_string(fa_n) + "_w" + std::to_string(fa_before) + "_h64",
+       {fa_n}, 12, 64, fa_before, fa_before - 1},
+      {"short8_n16-128_w256_h64", {16, 128, 45, 97, 23, 120, 64, 80}, 4, 64,
+       256, 255},
+  };
+  bool tiers_identical = true;
+  for (const FusedShape& shape : fused_shapes) {
+    tiers_identical &=
+        bench_fused(shape, tiers, reps, pool_threads, rng, rows);
   }
 
   const bool json_ok = emit_json(rows, out_path, pool_threads, reps);
@@ -551,5 +598,9 @@ int main(int argc, char** argv) {
   std::printf("(%d threads for the mt columns, min of %d runs)\n",
               pool_threads, reps);
   if (json_ok) std::cout << "wrote " << out_path << "\n";
-  return json_ok ? 0 : 1;
+  if (!tiers_identical) {
+    std::cerr << "error: fp32 fused attention differs in bytes between ISA "
+                 "tiers\n";
+  }
+  return json_ok && tiers_identical ? 0 : 1;
 }

@@ -48,17 +48,24 @@ void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
       window_after,   scale};
   // Per-thread scratch, carved from one lease of the thread's Workspace
   // arena (steady state is allocation-free): O(window x head_dim), never
-  // (rows x window). Every piece is padded to whole 64-byte lines.
+  // (rows x window). Every piece is padded to whole 64-byte lines; the
+  // layouts are in isa::FusedWindowScratch.
   const auto floats = [](std::int64_t n) {
     return static_cast<std::size_t>((n + 15) / 16 * 16);
   };
   const auto halves = [&](std::int64_t n) { return floats((n + 1) / 2); };
   const std::int64_t tile =
       (isa::kFusedQueryTile + window_before + window_after) * h;
+  // Sized for the fp32 worker; the fp16 worker uses a prefix of each.
+  const std::int64_t qs_floats = isa::kFusedRowGroup * h;
+  const std::int64_t score_floats =
+      isa::kFusedRowGroup * (window_before + window_after +
+                             isa::kFusedRowGroup + isa::kFusedMaxColTile);
+  const std::int64_t kt_floats = tile + isa::kFusedMaxColTile * h;
   const bool f32_tiles = !half || kern.f16_stream_needs_f32_tiles;
   const std::size_t scratch_floats =
-      2 * floats(h) + floats(window_before + window_after + 1) +
-      (f32_tiles ? floats(tile) : 0) +
+      floats(qs_floats) + floats(score_floats) + (half ? floats(h) : 0) +
+      (f32_tiles ? floats(kt_floats) : 0) +
       (half ? halves(h) + 2 * halves(tile) : 0) +
       (half && f32_tiles ? floats(tile) : 0);
 
@@ -74,11 +81,11 @@ void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
       return piece;
     };
     isa::FusedWindowScratch scratch{};
-    scratch.qs = carve(floats(h));
-    scratch.zacc = carve(floats(h));
-    scratch.scores = carve(floats(window_before + window_after + 1));
-    if (f32_tiles) scratch.kt = carve(floats(tile));
+    scratch.qs = carve(floats(qs_floats));
+    scratch.scores = carve(floats(score_floats));
+    if (f32_tiles) scratch.kt = carve(floats(kt_floats));
     if (half) {
+      scratch.zacc = carve(floats(h));
       scratch.row16 = reinterpret_cast<std::uint16_t*>(carve(halves(h)));
       scratch.kt16 = reinterpret_cast<std::uint16_t*>(carve(halves(tile)));
       scratch.vb16 = reinterpret_cast<std::uint16_t*>(carve(halves(tile)));

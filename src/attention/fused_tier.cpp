@@ -1,12 +1,18 @@
 // Fused window-attention workers, compiled once per ISA tier (see
 // common/isa_kernels.hpp for the build and linkage rules).
 //
-// Query rows are processed in tiles: for each tile the K head slice its
-// band can touch (tile rows + window reach, independent of the sequence
-// length) is transposed once into per-thread scratch, so the score stage
-// streams K^T unit-stride and vectorizes across score columns while each
-// score element keeps dot()'s exact ascending-d reduction order. The
-// transpose is O(h) per tile row and amortizes over the whole tile.
+// Both workers walk each (sequence, head) task in query tiles of
+// kFusedQueryTile rows. For each tile the K head slice its band can touch
+// (tile rows + window reach, independent of the sequence length) is
+// transposed once into per-thread scratch, so score columns stream K^T
+// unit-stride while each score element keeps dot()'s exact ascending-d
+// reduction order. The transpose is O(h) per tile row and amortizes over
+// the whole tile.
+//
+// The fp32 worker is register-tiled, the host form of SWAT's row-wise
+// input-stationary dataflow: kFusedRowGroup adjacent query rows share every
+// K^T column and every V band row they load, against the union of their
+// bands. The fp16 worker still runs one query row at a time.
 #include "common/det_math.hpp"
 #include "common/fp16.hpp"
 #include "common/isa_kernels.hpp"
@@ -18,6 +24,30 @@
 namespace swat::isa::SWAT_ISA_TIER {
 
 namespace {
+
+// Register tiles of the fp32 worker, in the tier's native vectors. A score
+// tile is kRowGroup x kColTile accumulators and an S'V tile kRowGroup x
+// kHeadTile; each fills about half the tier's vector registers (16 zmm,
+// 8 ymm, 8 xmm), leaving room for the streamed operand and the broadcasts.
+// The tiles are spelled with vector types because left to itself the
+// compiler vectorizes the small row loop instead of the columns.
+constexpr int kRowGroup = static_cast<int>(kFusedRowGroup);
+#if defined(__AVX512F__)
+constexpr std::int64_t kLanes = 16;
+constexpr std::int64_t kColTile = 64;
+constexpr std::int64_t kHeadTile = 64;
+#elif defined(__AVX2__)
+constexpr std::int64_t kLanes = 8;
+constexpr std::int64_t kColTile = 16;
+constexpr std::int64_t kHeadTile = 16;
+#else
+constexpr std::int64_t kLanes = 4;
+constexpr std::int64_t kColTile = 8;
+constexpr std::int64_t kHeadTile = 8;
+#endif
+using Vec = float __attribute__((vector_size(kLanes * sizeof(float))));
+static_assert(kColTile <= kFusedMaxColTile,
+              "the caller pads the K tile and score rows by kFusedMaxColTile");
 
 std::int64_t min_i64(std::int64_t a, std::int64_t b) { return a < b ? a : b; }
 std::int64_t max_i64(std::int64_t a, std::int64_t b) { return a > b ? a : b; }
@@ -39,6 +69,168 @@ Task task_at(const FusedWindowArgs& g, std::int64_t t) {
           (t % g.num_heads) * g.head_dim};
 }
 
+/// The transposed K tile of one query tile: kt[d * ld + c] holds K column
+/// `first + c` of the head slice; columns [width, ld) are zero padding.
+struct KTile {
+  const float* kt;
+  std::int64_t ld;
+  std::int64_t first;
+};
+
+/// kt[d * ld + c] = K row c's column d for the tk rows at `k` (stride ldk),
+/// ld = tk + kColTile, with the kColTile padding columns zeroed. Eight K
+/// rows at a time, so each d step writes eight contiguous floats.
+KTile transpose_k(const float* k, std::int64_t ldk, std::int64_t tk,
+                  std::int64_t h, float* kt, std::int64_t first) {
+  constexpr std::int64_t kBlock = 8;
+  const std::int64_t ld = tk + kColTile;
+  std::int64_t j = 0;
+  for (; j + kBlock <= tk; j += kBlock) {
+    for (std::int64_t d = 0; d < h; ++d) {
+      for (std::int64_t b = 0; b < kBlock; ++b) {
+        kt[d * ld + j + b] = k[(j + b) * ldk + d];
+      }
+    }
+  }
+  for (; j < tk; ++j) {
+    for (std::int64_t d = 0; d < h; ++d) kt[d * ld + j] = k[j * ldk + d];
+  }
+  for (std::int64_t d = 0; d < h; ++d) zero(kt + d * ld + tk, kColTile);
+  return {kt, ld, first};
+}
+
+Vec load(const float* p) {
+  Vec v;
+  __builtin_memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+void store(float* p, Vec v) { __builtin_memcpy(p, &v, sizeof(v)); }
+
+/// Scores of ROWS query rows (scaled Q in qs, ROWS x h) against kColTile
+/// K columns, every accumulator held in registers for the whole ascending-d
+/// loop: acc = 0, then acc += q * k per d with the product rounded first,
+/// exactly dot()'s arithmetic.
+template <int ROWS>
+void score_tile(const float* qs, std::int64_t h, const float* ktc,
+                std::int64_t ldk, float* sc, std::int64_t lds) {
+  constexpr std::int64_t kVecs = kColTile / kLanes;
+  Vec acc[ROWS][kVecs] = {};
+  for (std::int64_t d = 0; d < h; ++d) {
+    Vec kd[kVecs];
+    for (std::int64_t l = 0; l < kVecs; ++l) {
+      kd[l] = load(ktc + d * ldk + l * kLanes);
+    }
+    for (int r = 0; r < ROWS; ++r) {
+      const float qd = qs[r * h + d];
+      for (std::int64_t l = 0; l < kVecs; ++l) acc[r][l] += qd * kd[l];
+    }
+  }
+  for (int r = 0; r < ROWS; ++r) {
+    for (std::int64_t l = 0; l < kVecs; ++l) {
+      store(sc + r * lds + l * kLanes, acc[r][l]);
+    }
+  }
+}
+
+/// Z columns [0, kHeadTile) of ROWS rows over the union band's `width` V
+/// rows, ascending c, every accumulator in registers, then one division
+/// each.
+template <int ROWS>
+void sv_tile(const float* es, std::int64_t lds, std::int64_t width,
+             const float* vband, std::int64_t ldv, const float* denom,
+             float* out, std::int64_t ldo) {
+  constexpr std::int64_t kVecs = kHeadTile / kLanes;
+  Vec acc[ROWS][kVecs] = {};
+  for (std::int64_t c = 0; c < width; ++c) {
+    Vec vr[kVecs];
+    for (std::int64_t l = 0; l < kVecs; ++l) {
+      vr[l] = load(vband + c * ldv + l * kLanes);
+    }
+    for (int r = 0; r < ROWS; ++r) {
+      const float e = es[r * lds + c];
+      for (std::int64_t l = 0; l < kVecs; ++l) acc[r][l] += e * vr[l];
+    }
+  }
+  for (int r = 0; r < ROWS; ++r) {
+    for (std::int64_t l = 0; l < kVecs; ++l) {
+      store(out + r * ldo + l * kLanes, acc[r][l] / denom[r]);
+    }
+  }
+}
+
+/// The same for one head column: the tail of a head_dim that is not a
+/// multiple of kHeadTile.
+template <int ROWS>
+void sv_column(const float* es, std::int64_t lds, std::int64_t width,
+               const float* vband, std::int64_t ldv, const float* denom,
+               float* out, std::int64_t ldo) {
+  float acc[ROWS] = {};
+  for (std::int64_t c = 0; c < width; ++c) {
+    for (int r = 0; r < ROWS; ++r) acc[r] += es[r * lds + c] * vband[c * ldv];
+  }
+  for (int r = 0; r < ROWS; ++r) out[r * ldo] = acc[r] / denom[r];
+}
+
+/// Query rows [i, i + ROWS) of one task against their union band
+/// [ulo, uhi]. Each row's out-of-band exp entries are overwritten with
+/// exact +0 (never multiplied: an out-of-band score may overflow exp to
+/// +Inf), so the padded sums below add only +0 or 0 * v outside a row's
+/// band. A sum that starts at +0 never becomes -0, so those adds are
+/// bit-neutral for finite V and every row gets exactly its own Eq. 1
+/// bytes. Returns false on a non-positive denominator.
+template <int ROWS>
+bool row_group(const FusedWindowArgs& g, const FusedWindowScratch& s,
+               const Task& task, const KTile& kt, std::int64_t i) {
+  const std::int64_t h = g.head_dim;
+  const std::int64_t ulo = max_i64(0, i - g.window_before);
+  const std::int64_t uhi = min_i64(task.n - 1, i + ROWS - 1 + g.window_after);
+  const std::int64_t width = uhi - ulo + 1;
+  const std::int64_t lds = (width + kColTile - 1) / kColTile * kColTile;
+  float* const qs = s.qs;
+  float* const es = s.scores;
+  for (int r = 0; r < ROWS; ++r) {
+    const float* qrow = g.q + (task.row0 + i + r) * g.ldq + task.base;
+    for (std::int64_t d = 0; d < h; ++d) qs[r * h + d] = qrow[d] * g.scale;
+  }
+  // 1. Scores over the union band, kColTile columns per register tile; the
+  // last tile runs into the K tile's zero padding.
+  const float* const ktu = kt.kt + (ulo - kt.first);
+  for (std::int64_t c0 = 0; c0 < width; c0 += kColTile) {
+    score_tile<ROWS>(qs, h, ktu + c0, kt.ld, es + c0, lds);
+  }
+  // 2. exp over each row's own band, exact zeros elsewhere.
+  for (int r = 0; r < ROWS; ++r) {
+    float* const er = es + r * lds;
+    const std::int64_t lo = max_i64(0, i + r - g.window_before) - ulo;
+    const std::int64_t hi = min_i64(task.n - 1, i + r + g.window_after) - ulo;
+    zero(er, lo);
+    for (std::int64_t c = lo; c <= hi; ++c) er[c] = det_exp_inline(er[c]);
+    zero(er + hi + 1, width - hi - 1);
+  }
+  // 3. Denominators: ROWS interleaved ascending chains.
+  float denom[ROWS] = {};
+  for (std::int64_t c = 0; c < width; ++c) {
+    for (int r = 0; r < ROWS; ++r) denom[r] += es[r * lds + c];
+  }
+  for (int r = 0; r < ROWS; ++r) {
+    if (!(denom[r] > 0.0f)) return false;
+  }
+  // 4. S'V, kHeadTile head columns per register tile, then single columns.
+  const float* const vband = g.v + (task.row0 + ulo) * g.ldv + task.base;
+  float* const out = g.out + (task.row0 + i) * g.ldo + task.base;
+  std::int64_t d0 = 0;
+  for (; d0 + kHeadTile <= h; d0 += kHeadTile) {
+    sv_tile<ROWS>(es, lds, width, vband + d0, g.ldv, denom, out + d0,
+                  g.ldo);
+  }
+  for (; d0 < h; ++d0) {
+    sv_column<ROWS>(es, lds, width, vband + d0, g.ldv, denom, out + d0,
+                    g.ldo);
+  }
+  return true;
+}
+
 #if defined(__F16C__)
 // Scalar widen for the <8-lane loop tails: one vcvtph2ps, same bits as
 // the batch converter (exact widening), no out-of-line call per element.
@@ -48,19 +240,15 @@ float f16_tail_to_f32(std::uint16_t bits) { return _cvtsh_ss(bits); }
 }  // namespace
 
 // Exactly Eq. 1's operation order per element — QK dot, exp with no max
-// subtraction, S'V accumulation, one deferred division — scheduled as one
-// pass per stage over the row's score band so each tight loop pipelines
-// (the exp pass vectorizes; the denominator then sums in its own ascending
-// pass). Element-wise the arithmetic and its order match
-// fused_window_attention (d and j ascending everywhere, products rounded
-// before the add by the TU's -ffp-contract=off, det_exp), so per-head
-// outputs are bit-identical to the per-head kernel on every tier.
+// subtraction, S'V accumulation, one deferred division — with d and c
+// ascending everywhere, products rounded before the add by the TU's
+// -ffp-contract=off, and det_exp, so per-head outputs are bit-identical to
+// fused_window_attention on every tier. Full kRowGroup-row groups, then
+// single rows at a sequence's end (same per-element arithmetic, so the
+// split does not affect results).
 bool fused_window_tasks(const FusedWindowArgs& g,
                         const FusedWindowScratch& scratch, std::int64_t t0,
                         std::int64_t t1) {
-  const std::int64_t h = g.head_dim;
-  float* const qs = scratch.qs;
-  float* const kt = scratch.kt;
   for (std::int64_t t = t0; t < t1; ++t) {
     const Task task = task_at(g, t);
     const std::int64_t n = task.n;
@@ -69,40 +257,15 @@ bool fused_window_tasks(const FusedWindowArgs& g,
       // K columns any row of this tile can attend: [tk0, tk1].
       const std::int64_t tk0 = max_i64(0, i0 - g.window_before);
       const std::int64_t tk1 = min_i64(n - 1, i1 - 1 + g.window_after);
-      const std::int64_t tk = tk1 - tk0 + 1;
-      // kt[d * tk + (j - tk0)] = K[row0 + j][base + d]: the transposed
-      // tile the score loops stream unit-stride.
-      for (std::int64_t j = tk0; j <= tk1; ++j) {
-        const float* krow = g.k + (task.row0 + j) * g.ldk + task.base;
-        for (std::int64_t d = 0; d < h; ++d) kt[d * tk + (j - tk0)] = krow[d];
+      const KTile tile = transpose_k(
+          g.k + (task.row0 + tk0) * g.ldk + task.base, g.ldk, tk1 - tk0 + 1,
+          g.head_dim, scratch.kt, tk0);
+      std::int64_t i = i0;
+      for (; i + kRowGroup <= i1; i += kRowGroup) {
+        if (!row_group<kRowGroup>(g, scratch, task, tile, i)) return false;
       }
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const float* qrow = g.q + (task.row0 + i) * g.ldq + task.base;
-        for (std::int64_t d = 0; d < h; ++d) qs[d] = qrow[d] * g.scale;
-        const std::int64_t lo = max_i64(0, i - g.window_before);
-        const std::int64_t hi = min_i64(n - 1, i + g.window_after);
-        const std::int64_t count = hi - lo + 1;
-        float* const __restrict sb = scratch.scores;
-        zero(sb, count);
-        for (std::int64_t d = 0; d < h; ++d) {
-          const float qd = qs[d];
-          const float* const __restrict ktd = kt + d * tk + (lo - tk0);
-          for (std::int64_t c = 0; c < count; ++c) sb[c] += qd * ktd[c];
-        }
-        for (std::int64_t c = 0; c < count; ++c) sb[c] = det_exp_inline(sb[c]);
-        float denom = 0.0f;
-        for (std::int64_t c = 0; c < count; ++c) denom += sb[c];
-        float* const __restrict za = scratch.zacc;
-        zero(za, h);
-        for (std::int64_t c = 0; c < count; ++c) {
-          const float* const __restrict vr =
-              g.v + (task.row0 + lo + c) * g.ldv + task.base;
-          const float e = sb[c];
-          for (std::int64_t d = 0; d < h; ++d) za[d] += e * vr[d];
-        }
-        if (!(denom > 0.0f)) return false;
-        float* const zrow = g.out + (task.row0 + i) * g.ldo + task.base;
-        for (std::int64_t d = 0; d < h; ++d) zrow[d] = za[d] / denom;
+      for (; i < i1; ++i) {
+        if (!row_group<1>(g, scratch, task, tile, i)) return false;
       }
     }
   }

@@ -67,8 +67,19 @@ using PackedRowsFn = void (*)(const PackedGemmArgs& args, float* widened,
 
 // --------------------------------------------------- fused attention ----
 
-/// Query rows per tile of the fused-attention workers.
+/// Query rows per tile of the fused-attention workers: each tile
+/// transposes the K columns its band reaches once.
 constexpr std::int64_t kFusedQueryTile = 64;
+
+/// Adjacent query rows per register tile of the fp32 worker; they share
+/// every K^T column and V row loaded, over the union of their bands.
+constexpr std::int64_t kFusedRowGroup = 4;
+static_assert(kFusedQueryTile % kFusedRowGroup == 0);
+
+/// Widest score-column register tile of any tier (the tier's own width is
+/// a constant in fused_tier.cpp); the fp32 worker's K tile and score rows
+/// are padded by this many columns so a tile never overruns.
+constexpr std::int64_t kFusedMaxColTile = 64;
 
 /// Packed Q/K/V (rows x num_heads * head_dim) and the concat output;
 /// sequence s occupies rows [offsets[s], offsets[s + 1]).
@@ -89,13 +100,18 @@ struct FusedWindowArgs {
   float scale;
 };
 
-/// Per-thread scratch, sized by the caller (tile = kFusedQueryTile +
-/// window_before + window_after columns):
-///   qs, zacc: head_dim floats; scores: window_before + window_after + 1.
-///   fp32 worker: kt (tile x head_dim floats).
-///   fp16 worker: row16 (head_dim), kt16 and vb16 (tile x head_dim
-///   halves); kt and vb32 (tile x head_dim floats) only when the tier has
-///   no F16C (KernelTable::f16_stream_needs_f32_tiles).
+/// Per-thread scratch, sized by the caller. With wb/wa the window and
+/// tile = kFusedQueryTile + wb + wa columns:
+///   fp32 worker: qs (kFusedRowGroup x head_dim floats: the group's scaled
+///   Q rows); scores (kFusedRowGroup x (wb + wa + kFusedRowGroup +
+///   kFusedMaxColTile) floats: the group's exp rows over the union band,
+///   padded to whole column tiles); kt ((tile + kFusedMaxColTile) x
+///   head_dim floats: the transposed K tile plus its zero padding).
+///   fp16 worker: prefixes of the above: qs (head_dim), scores (wb + wa +
+///   1) and, only when the tier has no F16C
+///   (KernelTable::f16_stream_needs_f32_tiles), kt (tile x head_dim);
+///   plus zacc (head_dim floats), row16 (head_dim), kt16 and vb16 (tile x
+///   head_dim halves), and vb32 (tile x head_dim floats) without F16C.
 struct FusedWindowScratch {
   float* qs;
   float* scores;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <latch>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -167,9 +168,23 @@ Server::Server(model::EncoderConfig cfg, ServerOptions opt)
     replicas_.push_back(std::move(replica));
   }
   live_replicas_ = opt_.num_replicas;
+  // Partitioned placement: each worker joins its replica's core group
+  // before the constructor returns, so pinned_threads counts it from the
+  // first stats() call on. The worker is the caller thread of every
+  // parallel_for the replica's engine issues, so leaving it roaming would
+  // leak one thread's worth of compute off the partition.
+  std::latch workers_placed(static_cast<std::ptrdiff_t>(opt_.num_replicas));
   for (std::size_t r = 0; r < opt_.num_replicas; ++r) {
-    replicas_[r]->worker = std::thread([this, r] { replica_loop(r); });
+    replicas_[r]->worker = std::thread([this, r, &workers_placed] {
+      Replica& self = *replicas_[r];
+      if (self.pool != nullptr && pin_current_thread(self.core_group)) {
+        self.pinned_threads.fetch_add(1, std::memory_order_relaxed);
+      }
+      workers_placed.count_down();
+      replica_loop(r);
+    });
   }
+  workers_placed.wait();
   if (opt_.watchdog_multiplier > 0.0) {
     watchdog_ = std::thread([this] { watchdog_loop(); });
   }
@@ -636,14 +651,6 @@ void Server::dispatch_batch(BatchPlanEntry entry,
 }
 
 void Server::replica_loop(std::size_t r) {
-  // Partitioned placement: the worker itself joins the replica's core
-  // group — it is the caller thread of every parallel_for the replica's
-  // engine issues, so leaving it roaming would leak one thread's worth
-  // of compute off the partition.
-  Replica& self = *replicas_[r];
-  if (self.pool != nullptr && pin_current_thread(self.core_group)) {
-    self.pinned_threads.fetch_add(1, std::memory_order_relaxed);
-  }
   for (;;) {
     std::optional<ReadyBatch> batch = next_batch(r);
     if (!batch) return;

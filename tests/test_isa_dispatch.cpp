@@ -393,26 +393,45 @@ const Band kBands[] = {{3, 7}, {9, 0}, {0, 4}, {200, 150}};
 constexpr std::int64_t kHeads = 3;
 constexpr std::int64_t kHeadDim = 20;  // not a multiple of 8 or 16
 
+// The fp32 byte-identity tests add the fp32 worker's register-tile edges:
+// a partial row group of every size (lengths 2, 3, kFusedRowGroup + 1), a
+// sequence past two query tiles that is not a multiple of the row group,
+// the serving head width (a full S'V tile) and the serving band.
+std::vector<std::int64_t> tile_edge_lengths() {
+  std::vector<std::int64_t> lengths = kLengths;
+  for (const std::int64_t len :
+       {std::int64_t{2}, std::int64_t{3}, isa::kFusedRowGroup + 1,
+        2 * isa::kFusedQueryTile + isa::kFusedRowGroup - 1}) {
+    lengths.push_back(len);
+  }
+  return lengths;
+}
+const Band kTileBands[] = {{3, 7}, {9, 0}, {0, 4}, {200, 150}, {256, 255}};
+constexpr std::int64_t kHeadDims[] = {kHeadDim, 64};
+
 TEST(IsaFusedAttention, Fp32ByteIdenticalAcrossTiersAndToTheOracle) {
-  const Packed p = make_packed(kLengths, kHeads * kHeadDim, 71);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(kHeadDim));
-  for (const Band band : kBands) {
-    const MatrixF oracle =
-        fused_oracle(p, kHeads, band.before, band.after, scale);
-    std::optional<MatrixF> base;
-    for (const IsaTier t : supported_tiers()) {
-      SCOPED_TRACE(tier_label(t) + " band " + std::to_string(band.before) +
-                   "/" + std::to_string(band.after));
-      const ScopedIsaTier scope(t);
-      for (const int threads : {1, 4}) {
-        const ThreadCountGuard guard(threads);
-        MatrixF got(p.q.rows(), p.q.cols());
-        attn::fused_window_attention_batch_into(p.q, p.k, p.v, p.offsets,
-                                                kHeads, band.before,
-                                                band.after, scale, got);
-        expect_matrix_equal(got, oracle, "fused vs Eq. 1 oracle");
-        if (!base) base = got;
-        expect_matrix_equal(got, *base, "fused vs baseline tier");
+  for (const std::int64_t head_dim : kHeadDims) {
+    const Packed p = make_packed(tile_edge_lengths(), kHeads * head_dim, 71);
+    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+    for (const Band band : kTileBands) {
+      const MatrixF oracle =
+          fused_oracle(p, kHeads, band.before, band.after, scale);
+      std::optional<MatrixF> base;
+      for (const IsaTier t : supported_tiers()) {
+        SCOPED_TRACE(tier_label(t) + " head_dim " + std::to_string(head_dim) +
+                     " band " + std::to_string(band.before) + "/" +
+                     std::to_string(band.after));
+        const ScopedIsaTier scope(t);
+        for (const int threads : {1, 4}) {
+          const ThreadCountGuard guard(threads);
+          MatrixF got(p.q.rows(), p.q.cols());
+          attn::fused_window_attention_batch_into(p.q, p.k, p.v, p.offsets,
+                                                  kHeads, band.before,
+                                                  band.after, scale, got);
+          expect_matrix_equal(got, oracle, "fused vs Eq. 1 oracle");
+          if (!base) base = got;
+          expect_matrix_equal(got, *base, "fused vs baseline tier");
+        }
       }
     }
   }
@@ -449,37 +468,74 @@ TEST(IsaFusedAttention, SubnormalExpScoresMatchTheScalarOracleBytes) {
   // term is a positive subnormal, the denominators stay positive, and the
   // outputs are ratios of subnormal sums. Q is all ones and K row j spreads
   // its target score over the head, so scores vary column by column.
-  const std::vector<std::int64_t> lengths = {70, 9};
-  Packed p = make_packed(lengths, kHeads * kHeadDim, 74);
-  for (std::int64_t i = 0; i < p.q.rows(); ++i) {
-    for (std::int64_t head = 0; head < kHeads; ++head) {
-      const double frac = std::fmod(0.618033988749 * static_cast<double>(
-                                                         i * kHeads + head),
-                                    1.0);
-      const auto per_dim =
-          static_cast<float>((-87.5 - 16.3 * frac) / kHeadDim);
-      for (std::int64_t d = 0; d < kHeadDim; ++d) {
-        p.q(i, head * kHeadDim + d) = 1.0f;
-        p.k(i, head * kHeadDim + d) = per_dim;
+  std::vector<std::int64_t> lengths = {70, 9};
+  for (const std::int64_t len : tile_edge_lengths()) lengths.push_back(len);
+  for (const std::int64_t head_dim : kHeadDims) {
+    Packed p = make_packed(lengths, kHeads * head_dim, 74);
+    for (std::int64_t i = 0; i < p.q.rows(); ++i) {
+      for (std::int64_t head = 0; head < kHeads; ++head) {
+        const double frac = std::fmod(
+            0.618033988749 * static_cast<double>(i * kHeads + head), 1.0);
+        const auto per_dim =
+            static_cast<float>((-87.5 - 16.3 * frac) / head_dim);
+        for (std::int64_t d = 0; d < head_dim; ++d) {
+          p.q(i, head * head_dim + d) = 1.0f;
+          p.k(i, head * head_dim + d) = per_dim;
+        }
+      }
+    }
+    for (const Band band : kTileBands) {
+      const MatrixF oracle =
+          fused_oracle(p, kHeads, band.before, band.after, 1.0f);
+      for (const IsaTier t : supported_tiers()) {
+        const ScopedIsaTier scope(t);
+        for (const int threads : {1, 4}) {
+          const ThreadCountGuard guard(threads);
+          MatrixF got(p.q.rows(), p.q.cols());
+          attn::fused_window_attention_batch_into(p.q, p.k, p.v, p.offsets,
+                                                  kHeads, band.before,
+                                                  band.after, 1.0f, got);
+          expect_bytes_equal(got, oracle,
+                             tier_label(t) + " head_dim " +
+                                 std::to_string(head_dim) + " band " +
+                                 std::to_string(band.before) + "/" +
+                                 std::to_string(band.after));
+        }
       }
     }
   }
-  for (const Band band : kBands) {
-    const MatrixF oracle =
-        fused_oracle(p, kHeads, band.before, band.after, 1.0f);
-    for (const IsaTier t : supported_tiers()) {
-      const ScopedIsaTier scope(t);
-      for (const int threads : {1, 4}) {
-        const ThreadCountGuard guard(threads);
-        MatrixF got(p.q.rows(), p.q.cols());
-        attn::fused_window_attention_batch_into(p.q, p.k, p.v, p.offsets,
-                                                kHeads, band.before,
-                                                band.after, 1.0f, got);
-        expect_bytes_equal(got, oracle,
-                           tier_label(t) + " band " +
-                               std::to_string(band.before) + "/" +
-                               std::to_string(band.after));
+}
+
+TEST(IsaFusedAttention, OutOfBandOverflowScoresAreMaskedNotMultiplied) {
+  // Band [i - 1, i + 1]: the first row group [0, 4) of each tile spans the
+  // union band [0, 4]. Row 0's out-of-band score against K row 4 and row
+  // 3's against K row 0 are 100, so exp gives +Inf there; every in-band
+  // score stays small. Masking by 0 * Inf would put NaN into those rows'
+  // sums (and trip the denominator check), so each row matches the oracle
+  // bytes only if out-of-band entries are overwritten with +0.
+  constexpr std::int64_t kHead = 64;
+  const std::vector<std::int64_t> lengths = {8, isa::kFusedQueryTile + 8};
+  Packed p = make_packed(lengths, kHead, 75);
+  for (std::size_t s = 0; s + 1 < p.offsets.size(); ++s) {
+    for (const std::int64_t tile0 : {std::int64_t{0}, isa::kFusedQueryTile}) {
+      const std::int64_t r0 = p.offsets[s] + tile0;
+      if (r0 + 5 > p.offsets[s + 1]) continue;
+      for (std::int64_t i = r0; i < r0 + 5; ++i) {
+        p.q(i, 0) = p.q(i, 1) = p.k(i, 0) = p.k(i, 1) = 0.0f;
       }
+      p.q(r0, 0) = p.k(r0 + 4, 0) = 10.0f;
+      p.q(r0 + 3, 1) = p.k(r0, 1) = 10.0f;
+    }
+  }
+  const MatrixF oracle = fused_oracle(p, 1, 1, 1, 1.0f);
+  for (const IsaTier t : supported_tiers()) {
+    const ScopedIsaTier scope(t);
+    for (const int threads : {1, 4}) {
+      const ThreadCountGuard guard(threads);
+      MatrixF got(p.q.rows(), p.q.cols());
+      attn::fused_window_attention_batch_into(p.q, p.k, p.v, p.offsets, 1, 1,
+                                              1, 1.0f, got);
+      expect_bytes_equal(got, oracle, tier_label(t));
     }
   }
 }

@@ -1,5 +1,4 @@
-// Open-loop serving benchmark: the asynchronous continuous-batching
-// swat::Server against the synchronous swat::Runtime gather-loop, under
+// Open-loop serving benchmark: the continuous-batching swat::Server under
 // Poisson request arrivals. Emits BENCH_server.json.
 //
 // Arrivals are OPEN-LOOP: request i is submitted at a pre-drawn absolute
@@ -9,26 +8,19 @@
 // machine replays the same schedule run to run. Arrival intensity is
 // calibrated against the measured sequential service rate: arms run at
 // 0.5x (underloaded — latency dominated by batch-formation waits) and 2.0x
-// (overloaded — latency dominated by queueing) of what one synchronous
-// stream can absorb.
-//
-//   * sync  — the pre-server serving loop: a dispatcher wakes when the
-//     next request arrives, gathers everything that has arrived so far,
-//     and blocks in Runtime::run until the batch is done. Requests that
-//     arrive mid-run wait for the whole run to finish.
-//   * async — swat::Server: submit() returns immediately, the scheduler
-//     thread cuts batches continuously (caps + predicted-latency budget
-//     from the paper's stage-latency model) and overlaps batch formation
-//     with request arrival.
+// (overloaded — latency dominated by queueing) of what one sequential
+// stream can absorb. submit() returns immediately, and the scheduler
+// thread cuts batches continuously (caps + predicted-latency budget from
+// the paper's stage-latency model), overlapping batch formation with
+// request arrival.
 //
 // Queue latency is the time a request spends admitted-but-unserved before
-// its batch starts executing (server-stamped for the async arm, measured
-// at the gather point for the sync arm); the table reports p50/p99 per
-// arm plus end-to-end tokens/s over the makespan. Async outputs are
+// its batch starts executing (server-stamped); the table reports p50/p99
+// per load plus end-to-end tokens/s over the makespan. Server outputs are
 // checked bit-identical to the sequential oracle before any timing is
 // believed.
 //
-// The OVERLOAD sweep then pushes the async server from 0.5x to 4x offered
+// The OVERLOAD sweep then pushes the server from 0.5x to 4x offered
 // load with a 50/50 interactive/bulk mix under the production overload
 // shape: kShedBulk admission (bulk shed at the queue watermark,
 // interactive reserved headroom) plus a deadline on every interactive
@@ -59,7 +51,6 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "runtime/runtime.hpp"
 #include "runtime/server.hpp"
 
 namespace {
@@ -67,7 +58,6 @@ namespace {
 using swat::InferenceRequest;
 using swat::MatrixF;
 using swat::RequestResult;
-using swat::Runtime;
 using swat::Server;
 
 using Clock = std::chrono::steady_clock;
@@ -83,7 +73,6 @@ double percentile(std::vector<double> values, double p) {
 }
 
 struct ArmResult {
-  std::string mode;
   double intensity_rel = 0.0;  ///< arrival rate / sequential service rate
   double intensity_rps = 0.0;
   double p50_queue_ms = 0.0;
@@ -175,8 +164,8 @@ int main(int argc, char** argv) {
     requests.push_back(std::move(req));
   }
 
-  // Correctness gate + service-rate calibration in one pass: the async
-  // server must reproduce the sequential oracle bit for bit, and the
+  // Correctness gate + service-rate calibration in one pass: the server
+  // must reproduce the sequential oracle bit for bit, and the
   // timed oracle loop measures the sequential service rate the arrival
   // intensities are expressed against.
   const swat::model::Encoder encoder(cfg);
@@ -198,7 +187,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < tickets.size(); ++i) {
       const RequestResult got = tickets[i].get();
       if (!(got.output == oracle[i])) {
-        std::cerr << "FATAL: async output diverges from sequential oracle "
+        std::cerr << "FATAL: server output diverges from sequential oracle "
                      "for request "
                   << i << "\n";
         return 1;
@@ -221,84 +210,37 @@ int main(int argc, char** argv) {
       a = t;
     }
 
-    // ---- sync arm: arrive, gather, block in Runtime::run.
-    {
-      Runtime runtime(cfg);
-      std::vector<double> queue_ms(requests.size(), 0.0);
-      const auto start = Clock::now();
-      std::size_t next = 0;
-      double last_done = 0.0;
-      while (next < requests.size()) {
-        const auto due = start + std::chrono::duration_cast<Clock::duration>(
-                                     std::chrono::duration<double>(
-                                         arrival[next]));
-        std::this_thread::sleep_until(due);
-        const double now =
-            std::chrono::duration<double>(Clock::now() - start).count();
-        std::vector<InferenceRequest> burst;
-        std::vector<std::size_t> burst_ids;
-        while (next < requests.size() && arrival[next] <= now) {
-          burst.push_back(requests[next]);
-          burst_ids.push_back(next);
-          ++next;
-        }
-        const double run_start =
-            std::chrono::duration<double>(Clock::now() - start).count();
-        for (const std::size_t i : burst_ids) {
-          queue_ms[i] = (run_start - arrival[i]) * 1e3;
-        }
-        (void)runtime.run(burst);
-        last_done =
-            std::chrono::duration<double>(Clock::now() - start).count();
-      }
-      ArmResult arm;
-      arm.mode = "sync";
-      arm.intensity_rel = rel;
-      arm.intensity_rps = rps;
-      arm.p50_queue_ms = percentile(queue_ms, 0.5);
-      arm.p99_queue_ms = percentile(queue_ms, 0.99);
-      arm.tokens_per_s = static_cast<double>(total_tokens) / last_done;
-      arm.batches = runtime.totals().batches;
-      arms.push_back(arm);
+    // Open-loop submit; the scheduler batches continuously.
+    swat::ServerOptions opt;
+    // Let the stage-latency model cap batches at ~4 mid-length requests
+    // of predicted work, so the budget (not just the caps) shapes cuts.
+    opt.batching.max_batch_latency = swat::Seconds{
+        swat::BatchCostModel(cfg).request_seconds(length_cycle[1]).value *
+        4.0};
+    Server server(cfg, opt);
+    std::vector<Server::Ticket> tickets(requests.size());
+    const auto start = Clock::now();
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const auto due = start + std::chrono::duration_cast<Clock::duration>(
+                                   std::chrono::duration<double>(arrival[i]));
+      std::this_thread::sleep_until(due);
+      tickets[i] = server.submit(requests[i]);
     }
-
-    // ---- async arm: open-loop submit, scheduler batches continuously.
-    {
-      swat::ServerOptions opt;
-      // Let the stage-latency model cap batches at ~4 mid-length requests
-      // of predicted work, so the budget (not just the caps) shapes cuts.
-      opt.batching.max_batch_latency = swat::Seconds{
-          swat::BatchCostModel(cfg)
-              .request_seconds(length_cycle[1])
-              .value *
-          4.0};
-      Server server(cfg, opt);
-      std::vector<Server::Ticket> tickets(requests.size());
-      const auto start = Clock::now();
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        const auto due = start + std::chrono::duration_cast<Clock::duration>(
-                                     std::chrono::duration<double>(
-                                         arrival[i]));
-        std::this_thread::sleep_until(due);
-        tickets[i] = server.submit(requests[i]);
-      }
-      std::vector<double> queue_ms;
-      queue_ms.reserve(requests.size());
-      for (Server::Ticket& ticket : tickets) {
-        queue_ms.push_back(ticket.get().counters.queue_delay.value * 1e3);
-      }
-      const double makespan =
-          std::chrono::duration<double>(Clock::now() - start).count();
-      ArmResult arm;
-      arm.mode = "async";
-      arm.intensity_rel = rel;
-      arm.intensity_rps = rps;
-      arm.p50_queue_ms = percentile(queue_ms, 0.5);
-      arm.p99_queue_ms = percentile(queue_ms, 0.99);
-      arm.tokens_per_s = static_cast<double>(total_tokens) / makespan;
-      arm.batches = server.totals().batches;
-      arms.push_back(arm);
+    std::vector<double> queue_ms;
+    queue_ms.reserve(requests.size());
+    for (Server::Ticket& ticket : tickets) {
+      queue_ms.push_back(ticket.get().counters.queue_delay.value * 1e3);
     }
+    const double makespan =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    ArmResult arm;
+    arm.intensity_rel = rel;
+    arm.intensity_rps = rps;
+    arm.p50_queue_ms = percentile(queue_ms, 0.5);
+    arm.p99_queue_ms = percentile(queue_ms, 0.99);
+    arm.tokens_per_s = static_cast<double>(total_tokens) / makespan;
+    arm.batches = server.totals().batches;
+    arms.push_back(arm);
   }
 
   // ---- overload sweep: 0.5x..4x offered load, 50/50 interactive/bulk,
@@ -592,8 +534,7 @@ int main(int argc, char** argv) {
       << "  \"arms\": [\n";
   for (std::size_t i = 0; i < arms.size(); ++i) {
     const ArmResult& a = arms[i];
-    out << "    {\"mode\": \"" << a.mode
-        << "\", \"intensity_rel\": " << a.intensity_rel
+    out << "    {\"intensity_rel\": " << a.intensity_rel
         << ", \"intensity_rps\": " << a.intensity_rps
         << ", \"p50_queue_ms\": " << a.p50_queue_ms
         << ", \"p99_queue_ms\": " << a.p99_queue_ms
@@ -655,12 +596,11 @@ int main(int argc, char** argv) {
       "req/s)\n",
       static_cast<long long>(num_requests),
       static_cast<long long>(total_tokens), service_rps);
-  std::printf("%-8s %10s %12s %14s %14s %14s %8s\n", "mode", "load",
-              "arrive r/s", "p50 queue ms", "p99 queue ms", "tokens/s",
-              "batches");
+  std::printf("%10s %12s %14s %14s %14s %8s\n", "load", "arrive r/s",
+              "p50 queue ms", "p99 queue ms", "tokens/s", "batches");
   for (const ArmResult& a : arms) {
-    std::printf("%-8s %9.1fx %12.1f %14.2f %14.2f %14.0f %8lld\n",
-                a.mode.c_str(), a.intensity_rel, a.intensity_rps,
+    std::printf("%9.1fx %12.1f %14.2f %14.2f %14.0f %8lld\n",
+                a.intensity_rel, a.intensity_rps,
                 a.p50_queue_ms, a.p99_queue_ms, a.tokens_per_s,
                 static_cast<long long>(a.batches));
   }

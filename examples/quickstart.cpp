@@ -1,7 +1,7 @@
 // Quickstart: compile an execution plan for a small encoder, serve a packed
 // batch through it, check bit-identity against each request run alone, then
 // drop one head into the SWAT functional simulator and print latency/energy
-// estimates.
+// estimates. Exits nonzero if the batch is not bit-identical.
 //
 //   $ ./quickstart
 //
@@ -64,8 +64,9 @@ int main() {
     const swat::MatrixF y = engine.encoder().forward(alone);
     std::copy_n(y.data(), y.size(), solo.row(offsets[s]).data());
   }
+  const float batch_diff = swat::max_abs_diff(out, solo);
   std::cout << "Compiled batch vs solo Encoder::forward: max |diff| = "
-            << swat::max_abs_diff(out, solo) << " (must be 0)\n\n";
+            << batch_diff << " (must be 0)\n\n";
 
   // 5. Under the attention layers sits the accelerator. Run one head
   //    through the functional simulator on the paper's standard design:
@@ -109,5 +110,5 @@ int main() {
             << "  board power     : " << swat::swat_power(acc).value << " W\n"
             << "  energy per head : "
             << swat::swat_head_energy(acc, seq_len).millijoules() << " mJ\n";
-  return 0;
+  return batch_diff == 0.0f ? 0 : 1;
 }

@@ -1,8 +1,7 @@
 // Asynchronous continuous-batching serving through swat::Server.
 //
-// Where examples/serving_batch.cpp hands the runtime a finished request
-// list, this example serves traffic the way it actually arrives: one
-// request at a time, from a caller that wants its ticket back immediately.
+// Serves traffic the way it actually arrives: one request at a time, from
+// a caller that wants its ticket back immediately.
 // A background scheduler thread forms batches continuously and cuts them
 // when the caps are hit, when the arrival queue goes empty — or when the
 // paper's stage-latency model (Table 1) predicts the batch is already

@@ -2,9 +2,9 @@
 """Merge BENCH_*.json artifacts into one markdown trajectory table.
 
 Every bench in this repository emits a machine-readable JSON file
-(BENCH_kernels.json, BENCH_runtime.json, BENCH_server.json, ...). Each file
-follows the same loose shape: top-level scalars describing the workload,
-plus one or more arrays of flat objects (the measurement arms). This tool
+(BENCH_kernels.json, BENCH_server.json, ...). Each file follows the same
+loose shape: top-level scalars describing the workload, plus one or more
+arrays of flat objects (the measurement arms). This tool
 renders them all into a single report so the CI "Show bench results" step
 (and anyone comparing artifacts across PRs) reads one table instead of raw
 JSON:
@@ -60,7 +60,7 @@ def table(headers, rows):
 
 
 def arm_label(arm):
-    """A human row label from an arm's non-numeric fields (mode, threads...)."""
+    """A human row label from an arm's non-numeric fields (name, class...)."""
     parts = []
     for key, value in arm.items():
         if not is_number(value):

@@ -1,6 +1,5 @@
 #include "runtime/batcher.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -107,46 +106,6 @@ BatchPlanEntry BatchFormer::pop_ready() {
   BatchPlanEntry entry = std::move(ready_.front());
   ready_.pop_front();
   return entry;
-}
-
-std::vector<BatchPlanEntry> plan_batches(std::span<const std::int64_t> lengths,
-                                         const BatchingOptions& opt) {
-  opt.validate();
-  for (const std::int64_t len : lengths) SWAT_EXPECTS(len >= 1);
-
-  // Length class k holds lengths in ((k-1) * bucket_width, k * bucket_width].
-  std::vector<std::int64_t> keys;
-  keys.reserve(lengths.size());
-  for (const std::int64_t len : lengths) {
-    keys.push_back((len + opt.bucket_width - 1) / opt.bucket_width);
-  }
-  // One stable sort by class visits requests in (ascending class,
-  // submission order) — O(N log N) for any length distribution.
-  std::vector<std::size_t> order(lengths.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return keys[a] < keys[b];
-                   });
-
-  // Feed the sorted order through the incremental former, flushing at each
-  // class boundary — at most one bucket is ever open, and the emitted
-  // batches match the historical greedy sweep batch for batch.
-  BatchFormer former(opt);
-  std::vector<BatchPlanEntry> plan;
-  const auto drain = [&] {
-    while (former.has_ready()) plan.push_back(former.pop_ready());
-  };
-  std::int64_t prev_key = 0;  // no real class is 0 (lengths are >= 1)
-  for (const std::size_t i : order) {
-    if (keys[i] != prev_key) former.flush();
-    prev_key = keys[i];
-    former.push(i, lengths[i]);
-    drain();
-  }
-  former.flush();
-  drain();
-  return plan;
 }
 
 }  // namespace swat

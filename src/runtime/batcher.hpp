@@ -1,4 +1,4 @@
-// Length-bucketed batch planning for the serving runtime.
+// Length-bucketed batch forming for the serving front-end.
 //
 // Variable-length requests are grouped into buckets of similar length
 // (bucket key = ceil(len / bucket_width)) before being packed, so the
@@ -10,24 +10,16 @@
 // predicted-latency budget, so the paper's hardware model decides when a
 // batch has grown expensive enough to stop waiting for more arrivals.
 //
-// Two forms of the same policy:
-//   * plan_batches — the offline planner: a pure function of the length
-//     vector and the options (no cost model, no clocks, no thread count),
-//     deterministic for any thread count, which is what lets the
-//     synchronous runtime guarantee bit-identical outputs regardless of
-//     SWAT_THREADS.
-//   * BatchFormer — the incremental form the continuous-batching server
-//     feeds one request at a time: per-bucket pending queues, batches cut
-//     the moment a cap or the latency budget is hit, a flush() to cut
-//     everything pending when the scheduler decides to stop waiting.
-//     plan_batches is implemented on top of BatchFormer, so both paths cut
-//     batches by exactly one rule set.
+// BatchFormer is the one implementation of this policy. The
+// continuous-batching server (runtime/server.hpp) feeds it one request at a
+// time: per-bucket pending queues, batches cut the moment a cap or the
+// latency budget is hit, a flush() to cut everything pending when the
+// scheduler decides to stop waiting.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -50,10 +42,10 @@ struct BatchingOptions {
   /// Predicted-latency budget per batch: a batch is cut as soon as its
   /// predicted service time (BatchCostModel over the paper's stage-latency
   /// pipeline) reaches this. Zero disables the budget. Only consulted where
-  /// a cost model is attached (BatchFormer in the async server) — the
-  /// offline plan_batches stays a pure function of the lengths. A budget
-  /// smaller than a single request's predicted cost still forms singleton
-  /// batches: the budget stops a batch from growing, never from existing.
+  /// a cost model is attached (the server's BatchFormer); a former built
+  /// without one cuts by the caps alone. A budget smaller than a single
+  /// request's predicted cost still forms singleton batches: the budget
+  /// stops a batch from growing, never from existing.
   Seconds max_batch_latency{0.0};
 
   /// Rejects inconsistent options with actionable messages
@@ -63,14 +55,14 @@ struct BatchingOptions {
 
 /// One planned packed batch.
 struct BatchPlanEntry {
-  /// Indices into the submitted request span, in submission order.
+  /// Caller-chosen request indices, in push order.
   std::vector<std::size_t> request_indices;
   /// Packed row offsets, one per request plus a trailing total:
   /// request_indices[i]'s rows occupy [offsets[i], offsets[i+1]).
   std::vector<std::int64_t> offsets;
   /// The SLO class every member was admitted under — batches are
   /// class-pure (a bulk request never widens an interactive batch's
-  /// straggler time). Always kInteractive from the offline planner.
+  /// straggler time).
   Priority priority = Priority::kInteractive;
 
   /// Number of requests in the entry; 0 for a default-constructed entry.
@@ -112,7 +104,7 @@ class BatchFormer {
  public:
   /// `cost_model`, when non-null, must outlive the former; it prices
   /// requests for the max_batch_latency budget. Null means the budget is
-  /// inert (the offline planner's configuration).
+  /// inert: batches are cut by the caps alone.
   explicit BatchFormer(BatchingOptions opt,
                        const BatchCostModel* cost_model = nullptr);
 
@@ -157,13 +149,5 @@ class BatchFormer {
   std::int64_t pending_requests_ = 0;
   std::int64_t pending_tokens_ = 0;
 };
-
-/// Plan the packed batches for a submission of per-request sequence
-/// lengths (all must be >= 1). Buckets are visited in ascending length
-/// class; within a bucket, requests keep submission order. A pure function
-/// of the length vector and the options (the latency budget is not
-/// consulted — no cost model is attached).
-std::vector<BatchPlanEntry> plan_batches(std::span<const std::int64_t> lengths,
-                                         const BatchingOptions& opt);
 
 }  // namespace swat

@@ -1,14 +1,11 @@
 // The shared serving core: request/result types, the mutex-guarded
-// ExecutionPlan cache, and BatchExecutor — the pack/run/unpack engine both
-// serving front-ends drive:
+// ExecutionPlan cache, and BatchExecutor — the pack/run/unpack engine
+// behind the serving front-end, swat::Server (server.hpp), whose scheduler
+// thread cuts batches continuously with BatchFormer and whose replicas
+// each execute them here.
 //
-//   * swat::Runtime (runtime.hpp)  — synchronous: plan all batches for one
-//     call, execute them inline, return everything at once;
-//   * swat::Server  (server.hpp)   — asynchronous: a scheduler thread cuts
-//     batches continuously with BatchFormer and executes them here.
-//
-// Both paths therefore share one definition of "execute a formed batch",
-// and the determinism guarantee lives exactly here: for ANY formed batch,
+// This is the one definition of "execute a formed batch", and the
+// determinism guarantee lives exactly here: for ANY formed batch,
 // each member request's output and counters are bit-identical to running
 // that request alone through Encoder::forward (the engine/encoder kernels
 // fix every reduction order and never cross an offsets boundary). Batch
@@ -37,17 +34,19 @@ namespace swat {
 /// Per-request accounting, separable from the batch it was served in.
 struct RequestCounters {
   std::int64_t tokens = 0;
-  /// Index of the packed batch that served this request — within the run()
-  /// call for the synchronous runtime, within the server's lifetime for the
-  /// async path. Introspection for tests and the serving examples.
+  /// Index of the packed batch that served this request, within the
+  /// server's lifetime. Stamped by the server; -1 straight out of
+  /// BatchExecutor::execute. Introspection for tests and the examples.
   std::int64_t batch_index = -1;
   /// Time the request spent admitted-but-unserved before its batch started
-  /// executing. Stamped by the async server; zero on the synchronous path.
+  /// executing. Stamped by the server; zero straight out of
+  /// BatchExecutor::execute.
   Seconds queue_delay;
   /// Admission-to-completion wall time (queueing + batch formation + batch
-  /// execution). Stamped by the async server; zero on the synchronous
-  /// path. Timing-dependent, like queue_delay — excluded from the
-  /// determinism contract. What the request's deadline is judged against.
+  /// execution). Stamped by the server; zero straight out of
+  /// BatchExecutor::execute. Timing-dependent, like queue_delay — excluded
+  /// from the determinism contract. What the request's deadline is judged
+  /// against.
   Seconds turnaround;
 
   // Attention counters measured by the model (SWAT backend only for the
@@ -82,7 +81,8 @@ struct RequestResult {
   RequestCounters counters;
 };
 
-/// Cumulative totals over everything a serving front-end has served.
+/// Cumulative totals over everything the server has served
+/// (Server::totals).
 struct RuntimeTotals {
   std::int64_t requests = 0;
   std::int64_t tokens = 0;
@@ -99,8 +99,8 @@ struct RuntimeTotals {
   double model_flops = 0.0;
 
   /// Fold one served request in — the single definition of the "totals
-  /// equal the field-wise sum of every RequestCounters" identity both
-  /// front-ends document (batches is counted per batch, not here).
+  /// equal the field-wise sum of every RequestCounters" identity the
+  /// server documents (batches is counted per batch, not here).
   void accumulate(const RequestCounters& counters) {
     ++requests;
     tokens += counters.tokens;

@@ -259,11 +259,11 @@ class Server {
   void shutdown();
 
   /// Snapshot of the cumulative totals over everything served so far.
-  /// Unlike the synchronous Runtime, batches complete in scheduler order,
-  /// so model_flops (a non-associative double sum) may differ from a
-  /// caller's own summation order by rounding; all integer fields are
-  /// exact. Only SERVED requests are accumulated — shed and failed
-  /// tickets are ledgered in stats() instead.
+  /// Batches complete in scheduler order, so model_flops (a
+  /// non-associative double sum) may differ from a caller's own summation
+  /// order by rounding; all integer fields are exact. Only SERVED requests
+  /// are accumulated — shed and failed tickets are ledgered in stats()
+  /// instead.
   RuntimeTotals totals() const;
 
   /// Snapshot of the serving ledger: per-class

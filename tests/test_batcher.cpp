@@ -266,17 +266,21 @@ TEST(BatchCostModel, BudgetBoundsBatchGrowth) {
   for (const BatchPlanEntry& b : batches) EXPECT_EQ(b.requests(), 3);
 }
 
-/// Without a cost model the budget is inert: plan_batches stays a pure
-/// function of the lengths and the caps.
-TEST(BatchCostModel, PlanBatchesIgnoresBudgetWithoutModel) {
+/// Without a cost model the budget is inert: a former built with a null
+/// model cuts by the caps alone, however small the budget.
+TEST(BatchCostModel, NullModelFormerIgnoresBudget) {
   BatchingOptions opt;
   opt.bucket_width = 64;
   opt.max_batch_requests = 8;
   opt.max_batch_latency = Seconds{1e-15};
-  const std::vector<std::int64_t> lengths = {10, 20, 30};
-  const auto plan = plan_batches(lengths, opt);
-  ASSERT_EQ(plan.size(), 1u);
-  EXPECT_EQ(plan[0].requests(), 3);
+  BatchFormer former(opt, nullptr);
+  EXPECT_EQ(former.push(0, 10), 0u);
+  EXPECT_EQ(former.push(1, 20), 0u);
+  EXPECT_EQ(former.push(2, 30), 0u);
+  EXPECT_EQ(former.flush(), 1u);
+  const BatchPlanEntry batch = former.pop_ready();
+  EXPECT_EQ(batch.requests(), 3);
+  EXPECT_FALSE(former.has_ready());
 }
 
 }  // namespace

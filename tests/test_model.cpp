@@ -53,7 +53,8 @@ TEST(Linear, XavierInitBounded) {
   // back out exactly (Y = I W^T + 0 = W^T).
   MatrixF eye(100, 100);
   for (std::int64_t i = 0; i < 100; ++i) eye(i, i) = 1.0f;
-  for (float w : lin.forward(eye).flat()) {
+  const MatrixF wt = lin.forward(eye);
+  for (float w : wt.flat()) {
     EXPECT_LE(std::abs(w), bound + 1e-6);
   }
   EXPECT_EQ(lin.parameters(), 100 * 100 + 100);

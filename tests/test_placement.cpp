@@ -42,7 +42,6 @@
 #include "common/thread_pool.hpp"
 #include "common/topology.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/runtime.hpp"
 #include "runtime/server.hpp"
 #include "tensor/kernels.hpp"
 #include "test_util.hpp"
@@ -574,10 +573,9 @@ TEST_F(PlacementTest, PartitionedBitIdentityAcrossReplicasOrdersAndThreads) {
       Engine::compile(cfg, 8).packed_weight_bytes();
   ASSERT_GT(single_pack_bytes, 0u);
 
-  Runtime sequential(cfg);
   std::vector<RequestResult> oracle;
   for (const InferenceRequest& req : reqs) {
-    oracle.push_back(sequential.run_one(req));
+    oracle.push_back(testing::solo_result(cfg, req));
   }
 
   std::vector<std::vector<std::size_t>> orders;

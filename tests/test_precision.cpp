@@ -24,7 +24,6 @@
 #include "eval/precision_fidelity.hpp"
 #include "runtime/cost_model.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/runtime.hpp"
 #include "tensor/kernels.hpp"
 #include "test_util.hpp"
 
@@ -278,28 +277,6 @@ TEST(PrecisionFootprint, CostModelSweepMatchesEngineResidentBytes) {
         << dtype_name(dtype);
     EXPECT_GT(model.weight_stream_seconds().value, 0.0);
   }
-}
-
-TEST(PrecisionFootprint, RuntimeChargesOneWeightSweepPerBatch) {
-  const EncoderConfig cfg = small_config(Dtype::kFp16);
-  BatchingOptions batching;
-  batching.max_batch_tokens = 64;
-  batching.bucket_width = 32;
-  Runtime runtime(cfg, batching);
-  std::vector<InferenceRequest> requests;
-  Rng rng(17);
-  for (int i = 0; i < 3; ++i) {
-    InferenceRequest req;
-    req.id = static_cast<std::uint64_t>(i);
-    req.input = random_normal(40, cfg.d_model, rng);
-    requests.push_back(std::move(req));
-  }
-  runtime.run(requests);
-  const RuntimeTotals totals = runtime.totals();
-  ASSERT_GT(totals.batches, 0);
-  EXPECT_EQ(totals.weight_stream_bytes.count,
-            static_cast<std::uint64_t>(totals.batches) *
-                BatchCostModel(cfg).weight_stream_bytes().count);
 }
 
 // ------------------------------------------------------ config guards ----

@@ -28,7 +28,6 @@
 
 #include "common/fault_injection.hpp"
 #include "runtime/cost_model.hpp"
-#include "runtime/runtime.hpp"
 #include "runtime/server.hpp"
 #include "test_util.hpp"
 
@@ -152,10 +151,9 @@ TEST_F(ReplicaPoolTest, BitIdentityAcrossReplicasOrdersAndThreads) {
 
   // Oracle results, one request at a time (thread-count invariant by the
   // repo-wide kernel contract, so one oracle serves every arm).
-  Runtime sequential(cfg);
   std::vector<RequestResult> oracle;
   for (const InferenceRequest& req : reqs) {
-    oracle.push_back(sequential.run_one(req));
+    oracle.push_back(testing::solo_result(cfg, req));
   }
 
   // Three arrival orders: submission, reversed, shuffled.
@@ -211,10 +209,9 @@ TEST_F(ReplicaPoolTest, SharedWeightPackBitIdenticalWithQuarterFootprint) {
   std::vector<InferenceRequest> reqs =
       make_requests(cfg, {31, 64, 17, 50, 64, 9, 100, 3});
 
-  Runtime sequential(cfg);
   std::vector<RequestResult> oracle;
   for (const InferenceRequest& req : reqs) {
-    oracle.push_back(sequential.run_one(req));
+    oracle.push_back(testing::solo_result(cfg, req));
   }
 
   std::size_t private_floats = 0;
@@ -569,23 +566,31 @@ TEST_F(ReplicaPoolTest, SharedFp16PackReportsHalvedByteFootprint) {
   }
 }
 
-/// The per-batch weight-stream accounting: after drain, the async server's
-/// totals charge exactly one cost-model weight sweep per executed batch —
-/// and the sweep is priced at the pack's dtype (fp16: half the fp32 bytes).
+/// The per-batch weight-stream accounting: after drain, the server's
+/// totals charge exactly one cost-model weight sweep per executed batch,
+/// and the sweep is priced at the pack's dtype (fp16: half the fp32
+/// bytes). The token cap splits the burst, so more than one batch runs.
 TEST_F(ReplicaPoolTest, TotalsChargeOneWeightSweepPerBatch) {
-  EncoderConfig cfg = small_config();
-  cfg.pack_dtype = Dtype::kFp16;
-  Server server(cfg);
-  std::vector<InferenceRequest> reqs = make_requests(cfg, {25, 25, 60});
-  std::vector<Server::Ticket> tickets = server.submit_many(reqs);
-  for (Server::Ticket& t : tickets) (void)t.get();
-  server.drain();
+  for (const Dtype dtype : {Dtype::kFp32, Dtype::kFp16}) {
+    SCOPED_TRACE(dtype_name(dtype));
+    EncoderConfig cfg = small_config();
+    cfg.pack_dtype = dtype;
+    ServerOptions opt;
+    opt.batching.max_batch_tokens = 64;
+    opt.batching.bucket_width = 32;
+    Server server(cfg, opt);
+    std::vector<InferenceRequest> reqs =
+        make_requests(cfg, {25, 25, 60, 40, 40, 40});
+    std::vector<Server::Ticket> tickets = server.submit_many(reqs);
+    for (Server::Ticket& t : tickets) (void)t.get();
+    server.drain();
 
-  const RuntimeTotals totals = server.totals();
-  ASSERT_GT(totals.batches, 0);
-  EXPECT_EQ(totals.weight_stream_bytes.count,
-            static_cast<std::uint64_t>(totals.batches) *
-                BatchCostModel(cfg).weight_stream_bytes().count);
+    const RuntimeTotals totals = server.totals();
+    ASSERT_GT(totals.batches, 1);
+    EXPECT_EQ(totals.weight_stream_bytes.count,
+              static_cast<std::uint64_t>(totals.batches) *
+                  BatchCostModel(cfg).weight_stream_bytes().count);
+  }
 }
 
 // -------------------------------------------------------------- chaos ----

@@ -1,8 +1,10 @@
-// Tests for the batched serving runtime (src/runtime/).
+// Tests for the serving core every request goes through: BatchExecutor
+// (src/runtime/executor.hpp) executing batches cut by BatchFormer
+// (src/runtime/batcher.hpp), over the compiled Engine plans.
 //
 // The load-bearing guarantee: for every request, the batched path produces
-// output and counters bit-identical to a sequential per-request run through
-// Encoder::forward, for any batch composition and any thread count.
+// output and counters bit-identical to the request served alone (and to
+// Encoder::forward), for any batch composition and any thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +16,7 @@
 
 #include "common/thread_pool.hpp"
 #include "runtime/batcher.hpp"
-#include "runtime/runtime.hpp"
+#include "runtime/executor.hpp"
 #include "test_util.hpp"
 
 // ------------------------------------------------ global alloc counter ----
@@ -121,190 +123,189 @@ std::vector<InferenceRequest> make_requests(
   return reqs;
 }
 
-// ------------------------------------------------------------ batcher ----
-
-TEST(Batcher, BucketsByLengthClassAndPreservesSubmissionOrder) {
-  BatchingOptions opt;
-  opt.bucket_width = 64;
-  opt.max_batch_requests = 8;
-  // Classes: 64->1, 65->2, 128->2, 1->1, 200->4.
-  const std::vector<std::int64_t> lengths = {64, 65, 128, 1, 200};
-  const auto plan = plan_batches(lengths, opt);
-  ASSERT_EQ(plan.size(), 3u);
-  EXPECT_EQ(plan[0].request_indices, (std::vector<std::size_t>{0, 3}));
-  EXPECT_EQ(plan[1].request_indices, (std::vector<std::size_t>{1, 2}));
-  EXPECT_EQ(plan[2].request_indices, (std::vector<std::size_t>{4}));
-  EXPECT_EQ(plan[0].offsets, (std::vector<std::int64_t>{0, 64, 65}));
-  EXPECT_EQ(plan[1].offsets, (std::vector<std::int64_t>{0, 65, 193}));
+/// Cut `reqs` into batches with a BatchFormer fed in submission order
+/// (then flushed) and execute each batch through `executor`. Results come
+/// back in submission order; the formed batches, in execution order, go
+/// to `batches` when it is non-null.
+std::vector<RequestResult> serve(BatchExecutor& executor,
+                                 std::span<const InferenceRequest> reqs,
+                                 std::vector<BatchPlanEntry>* batches =
+                                     nullptr) {
+  BatchFormer former(executor.batching());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    former.push(i, reqs[i].input.rows());
+  }
+  former.flush();
+  std::vector<RequestResult> results(reqs.size());
+  std::vector<const InferenceRequest*> inputs;
+  while (former.has_ready()) {
+    const BatchPlanEntry batch = former.pop_ready();
+    inputs.clear();
+    for (const std::size_t ri : batch.request_indices) {
+      inputs.push_back(&reqs[ri]);
+    }
+    std::vector<RequestResult> served = executor.execute(batch, inputs);
+    for (std::size_t k = 0; k < served.size(); ++k) {
+      results[batch.request_indices[k]] = std::move(served[k]);
+    }
+    if (batches) batches->push_back(batch);
+  }
+  return results;
 }
 
-TEST(Batcher, RespectsRequestAndTokenCaps) {
-  BatchingOptions opt;
-  opt.bucket_width = 64;
-  opt.max_batch_requests = 2;
-  opt.max_batch_tokens = 100;
-  const std::vector<std::int64_t> lengths = {60, 60, 60, 60, 60};
-  const auto plan = plan_batches(lengths, opt);
-  // Token cap (100) binds before the request cap: one request per batch.
-  ASSERT_EQ(plan.size(), 5u);
-  for (const auto& b : plan) EXPECT_EQ(b.requests(), 1);
+void expect_same_counters(const RequestCounters& got,
+                          const RequestCounters& want) {
+  EXPECT_EQ(got.tokens, want.tokens);
+  EXPECT_EQ(got.swat_offchip_traffic.count, want.swat_offchip_traffic.count);
+  EXPECT_EQ(got.swat_core_loads, want.swat_core_loads);
+  EXPECT_EQ(got.heads_run, want.heads_run);
+  EXPECT_EQ(got.model_flops, want.model_flops);
 }
 
-TEST(Batcher, OversizedRequestStillGetsABatch) {
-  BatchingOptions opt;
-  opt.max_batch_tokens = 8;
-  const std::vector<std::int64_t> lengths = {100};
-  const auto plan = plan_batches(lengths, opt);
-  ASSERT_EQ(plan.size(), 1u);
-  EXPECT_EQ(plan[0].rows(), 100);
-}
+// ------------------------------------------------------- batch executor ----
 
-TEST(Batcher, EmptySubmission) {
-  EXPECT_TRUE(plan_batches({}, BatchingOptions{}).empty());
-}
-
-// ------------------------------------------------------------ runtime ----
-
-/// Batched outputs and counters must be bit-identical to the per-request
-/// sequential oracle, for both a host backend and the SWAT simulator.
-void check_batched_vs_sequential(AttentionBackend backend) {
+/// Batched outputs and counters must be bit-identical to each request
+/// served alone, for both a host backend and the SWAT simulator.
+void check_batched_vs_solo(AttentionBackend backend) {
   const EncoderConfig cfg = small_config(backend);
   // Ragged lengths spanning bucket boundaries (bucket_width 64 below):
-  // 63/64 end class 1, 65 starts class 2, plus a singleton class and a
-  // length-1 request.
+  // 63/64 end class 1, 65 starts class 2, plus a length-1 request.
   const std::vector<std::int64_t> lengths = {5, 63, 64, 65, 1, 40, 128, 64};
   const std::vector<InferenceRequest> reqs = make_requests(cfg, lengths);
 
   BatchingOptions opt;
   opt.bucket_width = 64;
   opt.max_batch_requests = 8;
-  Runtime batched(cfg, opt);
-  const std::vector<RequestResult> got = batched.run(reqs);
-  ASSERT_EQ(got.size(), reqs.size());
+  BatchExecutor executor(cfg, opt);
+  std::vector<BatchPlanEntry> batches;
+  const std::vector<RequestResult> got = serve(executor, reqs, &batches);
+  // Class 1 packs six requests, class 2 the other two: real batching.
+  ASSERT_EQ(batches.size(), 2u);
+  EXPECT_EQ(batches[0].requests(), 6);
 
-  // Sequential oracle: a fresh runtime serving one request at a time, and
-  // the raw encoder as the ground truth underneath.
-  Runtime sequential(cfg, opt);
   const model::Encoder oracle(cfg);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_EQ(got[i].id, reqs[i].id);
-    const RequestResult one = sequential.run_one(reqs[i]);
+    const RequestResult one = testing::solo_result(cfg, reqs[i]);
     testing::expect_matrix_equal(got[i].output, one.output,
-                                 "batched vs run_one");
+                                 "batched vs solo");
     testing::expect_matrix_equal(got[i].output, oracle.forward(reqs[i].input),
                                  "batched vs Encoder::forward");
-    EXPECT_EQ(got[i].counters.tokens, one.counters.tokens);
-    EXPECT_EQ(got[i].counters.swat_offchip_traffic.count,
-              one.counters.swat_offchip_traffic.count);
-    EXPECT_EQ(got[i].counters.swat_core_loads, one.counters.swat_core_loads);
-    EXPECT_EQ(got[i].counters.heads_run, one.counters.heads_run);
-    EXPECT_EQ(got[i].counters.model_flops, one.counters.model_flops);
+    expect_same_counters(got[i].counters, one.counters);
   }
 }
 
-TEST(Runtime, BatchedMatchesSequentialOracleHostBackend) {
-  check_batched_vs_sequential(AttentionBackend::kWindowExact);
+TEST(BatchExecutor, BatchedMatchesSoloOracleHostBackend) {
+  check_batched_vs_solo(AttentionBackend::kWindowExact);
 }
 
-TEST(Runtime, BatchedMatchesSequentialOracleSwatSimulator) {
-  check_batched_vs_sequential(AttentionBackend::kSwatSimulator);
+TEST(BatchExecutor, BatchedMatchesSoloOracleSwatSimulator) {
+  check_batched_vs_solo(AttentionBackend::kSwatSimulator);
 }
 
-TEST(Runtime, EmptyBatch) {
-  Runtime rt(small_config(AttentionBackend::kWindowExact));
-  EXPECT_TRUE(rt.run({}).empty());
-  EXPECT_EQ(rt.totals().requests, 0);
-  EXPECT_EQ(rt.totals().batches, 0);
+/// Nothing pushed, nothing formed, nothing compiled: an idle former cuts
+/// no batch and a fresh executor holds no plan.
+TEST(BatchExecutor, NoRequestsCompileNoPlans) {
+  BatchExecutor executor(small_config(AttentionBackend::kWindowExact),
+                         BatchingOptions{});
+  EXPECT_TRUE(serve(executor, {}).empty());
+  EXPECT_EQ(executor.plan_count(), 0u);
+  EXPECT_EQ(executor.plan_arena_floats(), 0u);
 }
 
-TEST(Runtime, BatchOfOneEqualsEncoderForward) {
+TEST(BatchExecutor, BatchOfOneEqualsEncoderForward) {
   const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
   const auto reqs = make_requests(cfg, {37});
-  Runtime rt(cfg);
-  const auto results = rt.run(reqs);
-  ASSERT_EQ(results.size(), 1u);
+  const RequestResult one = testing::solo_result(cfg, reqs[0]);
   const model::Encoder oracle(cfg);
-  testing::expect_matrix_equal(results[0].output,
-                               oracle.forward(reqs[0].input));
-  EXPECT_EQ(rt.totals().batches, 1);
+  testing::expect_matrix_equal(one.output, oracle.forward(reqs[0].input));
+  EXPECT_EQ(one.id, reqs[0].id);
+  EXPECT_EQ(one.counters.tokens, 37);
+  // Stamped by the server, not by the executor.
+  EXPECT_EQ(one.counters.batch_index, -1);
+  EXPECT_EQ(one.counters.queue_delay.value, 0.0);
 }
 
 /// Outputs and counters must not depend on the thread count — the
-/// determinism guarantee inherited from PR 1, now across the whole serving
-/// path (SWAT_THREADS={1,4} mirrors the repo-wide convention).
-TEST(Runtime, ThreadCountInvariance) {
+/// repo-wide determinism guarantee across the whole serving core
+/// (SWAT_THREADS={1,4} mirrors the repo-wide convention).
+TEST(BatchExecutor, ThreadCountInvariance) {
   for (const AttentionBackend backend :
        {AttentionBackend::kWindowExact, AttentionBackend::kSwatSimulator}) {
     const EncoderConfig cfg = small_config(backend);
     const auto reqs = make_requests(cfg, {17, 64, 33, 65, 5, 48, 80, 64});
 
-    std::vector<RequestResult> at1, at4;
-    {
-      ThreadCountGuard guard(1);
-      at1 = Runtime(cfg).run(reqs);
-    }
-    {
-      ThreadCountGuard guard(4);
-      at4 = Runtime(cfg).run(reqs);
+    const auto serve_at = [&](int threads,
+                              std::vector<BatchPlanEntry>& batches) {
+      ThreadCountGuard guard(threads);
+      BatchExecutor executor(cfg, BatchingOptions{});
+      return serve(executor, reqs, &batches);
+    };
+    std::vector<BatchPlanEntry> batches1, batches4;
+    const std::vector<RequestResult> at1 = serve_at(1, batches1);
+    const std::vector<RequestResult> at4 = serve_at(4, batches4);
+    ASSERT_EQ(batches1.size(), batches4.size());
+    for (std::size_t b = 0; b < batches1.size(); ++b) {
+      EXPECT_EQ(batches4[b].request_indices, batches1[b].request_indices);
     }
     ASSERT_EQ(at1.size(), at4.size());
     for (std::size_t i = 0; i < at1.size(); ++i) {
       testing::expect_matrix_equal(at4[i].output, at1[i].output,
                                    "threads=4 vs threads=1");
-      EXPECT_EQ(at4[i].counters.swat_offchip_traffic.count,
-                at1[i].counters.swat_offchip_traffic.count);
-      EXPECT_EQ(at4[i].counters.swat_core_loads,
-                at1[i].counters.swat_core_loads);
-      EXPECT_EQ(at4[i].counters.batch_index, at1[i].counters.batch_index);
+      expect_same_counters(at4[i].counters, at1[i].counters);
     }
   }
 }
 
-/// Per-request counters must sum to the runtime totals (the eval tables
-/// reconcile whether accounted per request or per batch), and the SWAT
-/// traffic must equal what the encoder itself measured.
-TEST(Runtime, CountersReconcile) {
+/// Counters stay separable: a batch's per-request counters sum, field by
+/// field, to exactly what the same requests report served alone (the eval
+/// tables reconcile whether accounted per request or per batch), and every
+/// request ran every head of every layer. Server.DrainThenTotalsReconcile
+/// carries the same identity on to Server::totals().
+TEST(BatchExecutor, CountersReconcile) {
   const EncoderConfig cfg = small_config(AttentionBackend::kSwatSimulator);
   const auto reqs = make_requests(cfg, {9, 33, 64, 12});
-  Runtime rt(cfg);
-  const auto results = rt.run(reqs);
+  BatchExecutor executor(cfg, BatchingOptions{});
+  std::vector<BatchPlanEntry> batches;
+  const std::vector<RequestResult> results = serve(executor, reqs, &batches);
+  ASSERT_EQ(batches.size(), 1u);
 
-  RuntimeTotals sum;
-  for (const auto& r : results) {
-    ++sum.requests;
-    sum.tokens += r.counters.tokens;
-    sum.swat_offchip_traffic += r.counters.swat_offchip_traffic;
-    sum.swat_core_loads += r.counters.swat_core_loads;
-    sum.heads_run += r.counters.heads_run;
-    sum.model_flops += r.counters.model_flops;
+  RuntimeTotals batched, solo;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    batched.accumulate(results[i].counters);
+    solo.accumulate(testing::solo_result(cfg, reqs[i]).counters);
   }
-  EXPECT_EQ(sum.requests, rt.totals().requests);
-  EXPECT_EQ(sum.tokens, rt.totals().tokens);
-  EXPECT_EQ(sum.swat_offchip_traffic.count,
-            rt.totals().swat_offchip_traffic.count);
-  EXPECT_EQ(sum.swat_core_loads, rt.totals().swat_core_loads);
-  EXPECT_EQ(sum.heads_run, rt.totals().heads_run);
-  EXPECT_DOUBLE_EQ(sum.model_flops, rt.totals().model_flops);
-  EXPECT_EQ(rt.totals().heads_run,
+  EXPECT_EQ(batched.requests, solo.requests);
+  EXPECT_EQ(batched.tokens, solo.tokens);
+  EXPECT_EQ(batched.swat_offchip_traffic.count,
+            solo.swat_offchip_traffic.count);
+  EXPECT_GT(batched.swat_offchip_traffic.count, 0u);
+  EXPECT_EQ(batched.swat_core_loads, solo.swat_core_loads);
+  EXPECT_EQ(batched.heads_run, solo.heads_run);
+  EXPECT_EQ(batched.model_flops, solo.model_flops);
+  EXPECT_EQ(batched.heads_run,
             cfg.layers * cfg.num_heads * static_cast<std::int64_t>(
                                              reqs.size()));
 }
 
-/// After a warmup run at the high-water shape, serving the same workload
-/// again must not grow any per-worker kernel arena or the packed staging —
-/// the "no per-request allocation on the hot path" property.
-TEST(Runtime, SteadyStateServingDoesNotGrowArenas) {
+/// After a warmup pass at the high-water shape, serving the same workload
+/// again must not grow any per-worker kernel arena, the packed staging or
+/// the plan arenas — the "no per-request allocation on the hot path"
+/// property.
+TEST(BatchExecutor, SteadyStateServingDoesNotGrowArenas) {
   ThreadCountGuard guard(1);  // all kernel scratch lands in this thread's arena
   const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
   const auto reqs = make_requests(cfg, {31, 64, 17, 50});
-  Runtime rt(cfg);
-  rt.run(reqs);  // warmup: arenas and staging grow to high water
+  BatchExecutor executor(cfg, BatchingOptions{});
+  serve(executor, reqs);  // warmup: arenas and staging grow to high water
   const std::size_t warm_capacity = tls_workspace().capacity_floats();
   const std::size_t warm_slabs = tls_workspace().slab_count();
-  rt.run(reqs);
-  rt.run(reqs);
+  const std::size_t warm_arena = executor.plan_arena_floats();
+  serve(executor, reqs);
+  serve(executor, reqs);
   EXPECT_EQ(tls_workspace().capacity_floats(), warm_capacity);
   EXPECT_EQ(tls_workspace().slab_count(), warm_slabs);
+  EXPECT_EQ(executor.plan_arena_floats(), warm_arena);
 }
 
 // -------------------------------------------------- compiled plan path ----
@@ -371,60 +372,63 @@ TEST(RuntimePlanned, SteadyStateIsAllocationFreeWithFusedStreaming) {
 }
 
 /// Plans must be compiled once per bucket shape class and reused across
-/// run() calls — not recompiled per batch.
-TEST(RuntimePlanned, PlansAreReusedAcrossRunCalls) {
+/// batches — not recompiled per batch.
+TEST(RuntimePlanned, PlansAreReusedAcrossBatches) {
   const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
   BatchingOptions opt;
   opt.bucket_width = 64;
   opt.max_batch_requests = 8;
-  Runtime rt(cfg, opt);
-  // Classes: {5,63,64}->1, {65,128}->2 or 3, {40}->1 ... exact count below.
+  BatchExecutor executor(cfg, opt);
   const auto reqs = make_requests(cfg, {5, 63, 64, 65, 1, 40, 128, 64});
 
-  const std::vector<RequestResult> first = rt.run(reqs);
-  const std::size_t plans_after_first = rt.plan_count();
-  const std::size_t arena_after_first = rt.plan_arena_floats();
+  const std::vector<RequestResult> first = serve(executor, reqs);
+  const std::size_t plans_after_first = executor.plan_count();
+  const std::size_t arena_after_first = executor.plan_arena_floats();
   EXPECT_GT(plans_after_first, 0u);
 
   for (int rep = 0; rep < 3; ++rep) {
-    const std::vector<RequestResult> again = rt.run(reqs);
+    const std::vector<RequestResult> again = serve(executor, reqs);
     for (std::size_t i = 0; i < again.size(); ++i) {
       testing::expect_matrix_equal(again[i].output, first[i].output,
                                    "replayed planned serving");
     }
-    EXPECT_EQ(rt.plan_count(), plans_after_first)
+    EXPECT_EQ(executor.plan_count(), plans_after_first)
         << "a repeated workload must not mint new plans";
-    EXPECT_EQ(rt.plan_arena_floats(), arena_after_first)
+    EXPECT_EQ(executor.plan_arena_floats(), arena_after_first)
         << "a repeated workload must not grow the plan arenas";
   }
 
   // A genuinely new shape class (a much longer request) compiles one more
   // plan — lazily, exactly once.
   const auto longer = make_requests(cfg, {300});
-  rt.run(longer);
-  EXPECT_EQ(rt.plan_count(), plans_after_first + 1);
-  rt.run(longer);
-  EXPECT_EQ(rt.plan_count(), plans_after_first + 1);
+  serve(executor, longer);
+  EXPECT_EQ(executor.plan_count(), plans_after_first + 1);
+  serve(executor, longer);
+  EXPECT_EQ(executor.plan_count(), plans_after_first + 1);
 }
 
 /// A request longer than max_batch_tokens forms its own batch; it must be
 /// served through a throwaway plan, not pin a proportionally huge arena in
-/// the cache for the Runtime's lifetime.
+/// the cache for the executor's lifetime.
 TEST(RuntimePlanned, OversizedSingletonsDoNotPinCachedPlans) {
   const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
   BatchingOptions opt;
   opt.bucket_width = 64;
   opt.max_batch_tokens = 100;
-  Runtime rt(cfg, opt);
+  BatchExecutor executor(cfg, opt);
 
-  rt.run(make_requests(cfg, {40, 80}));  // two regular classes get cached
-  const std::size_t plans = rt.plan_count();
-  const std::size_t arena = rt.plan_arena_floats();
+  serve(executor, make_requests(cfg, {40, 80}));  // two classes get cached
+  const std::size_t plans = executor.plan_count();
+  const std::size_t arena = executor.plan_arena_floats();
+  EXPECT_EQ(plans, 2u);
 
   const auto huge = make_requests(cfg, {400});
-  const auto got = rt.run(huge);
-  EXPECT_EQ(rt.plan_count(), plans);
-  EXPECT_EQ(rt.plan_arena_floats(), arena);
+  std::vector<BatchPlanEntry> batches;
+  const auto got = serve(executor, huge, &batches);
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].rows(), 400);
+  EXPECT_EQ(executor.plan_count(), plans);
+  EXPECT_EQ(executor.plan_arena_floats(), arena);
 
   const model::Encoder oracle(cfg);
   testing::expect_matrix_equal(got[0].output, oracle.forward(huge[0].input),

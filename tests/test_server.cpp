@@ -22,7 +22,6 @@
 
 #include "common/concurrent_queue.hpp"
 #include "common/thread_pool.hpp"
-#include "runtime/runtime.hpp"
 #include "runtime/server.hpp"
 #include "test_util.hpp"
 
@@ -130,10 +129,9 @@ void check_async_vs_sequential(AttentionBackend backend) {
   std::vector<InferenceRequest> reqs = make_requests(cfg, lengths);
 
   // Oracle results, one request at a time.
-  Runtime sequential(cfg);
   std::vector<RequestResult> oracle;
   for (const InferenceRequest& req : reqs) {
-    oracle.push_back(sequential.run_one(req));
+    oracle.push_back(testing::solo_result(cfg, req));
   }
 
   // Three arrival orders: submission, reversed, shuffled.
@@ -320,8 +318,7 @@ TEST(Server, MalformedInputRejectsTicketOnly) {
 TEST(Server, NonFiniteInputShedsOnlyItsOwnTicket) {
   const EncoderConfig cfg = small_config(AttentionBackend::kFusedStreaming);
   const std::vector<InferenceRequest> clean = make_requests(cfg, {40, 40});
-  Runtime sequential(cfg);
-  const RequestResult oracle = sequential.run_one(clean[0]);
+  const RequestResult oracle = testing::solo_result(cfg, clean[0]);
 
   const float inf = std::numeric_limits<float>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -372,8 +369,7 @@ TEST(Server, NonFiniteOutputFailsOnlyItsOwnTicket) {
   cfg.swat.window_cores = 128;
   std::vector<InferenceRequest> burst = make_requests(cfg, {40, 40});
   for (float& x : burst[1].input.flat()) x *= 1e3f;
-  Runtime sequential(cfg);
-  const RequestResult oracle = sequential.run_one(burst[0]);
+  const RequestResult oracle = testing::solo_result(cfg, burst[0]);
 
   Server server(cfg);
   std::vector<Server::Ticket> tickets = server.submit_many(burst);

@@ -34,7 +34,6 @@
 #include "eval/calibration.hpp"
 #include "eval/stream_fidelity.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/runtime.hpp"
 #include "runtime/server.hpp"
 #include "tensor/kernels.hpp"
 #include "test_util.hpp"
@@ -275,10 +274,9 @@ TEST(StreamServing, Fp16BitIdenticalAcrossThreadsOrdersAndReplicas) {
   const std::vector<std::int64_t> lengths = {5, 63, 64, 65, 1, 40, 17, 33};
   std::vector<InferenceRequest> reqs = make_requests(cfg, lengths);
 
-  Runtime sequential(stream_config(Dtype::kFp16));
   std::vector<RequestResult> oracle;
   for (const InferenceRequest& req : reqs) {
-    oracle.push_back(sequential.run_one(req));
+    oracle.push_back(testing::solo_result(cfg, req));
   }
 
   std::vector<std::vector<std::size_t>> orders;

@@ -5,11 +5,13 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 
 #include "attention/reference.hpp"
 #include "common/thread_pool.hpp"
 #include "model/encoder.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/executor.hpp"
 #include "tensor/kernels.hpp"
 
 namespace swat::testing {
@@ -104,6 +106,20 @@ inline void expect_batch_matches_solo(
     EXPECT_EQ(stats[s].heads_run, alone[0].heads_run)
         << what << ": sequence " << s;
   }
+}
+
+/// The solo serving oracle: `request` executed alone, as a batch of one,
+/// through a fresh BatchExecutor. Its output is bit-identical to
+/// Encoder::forward(request.input), and its counters are what any batch
+/// that serves the request must report for it.
+inline RequestResult solo_result(const model::EncoderConfig& cfg,
+                                 const InferenceRequest& request) {
+  BatchExecutor executor(cfg, BatchingOptions{});
+  BatchPlanEntry entry;
+  entry.request_indices = {0};
+  entry.offsets = {0, request.input.rows()};
+  const InferenceRequest* const inputs[1] = {&request};
+  return std::move(executor.execute(entry, inputs).front());
 }
 
 }  // namespace swat::testing

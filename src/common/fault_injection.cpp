@@ -1,7 +1,6 @@
 #include "common/fault_injection.hpp"
 
 #include <chrono>
-#include <thread>
 
 namespace swat {
 
@@ -21,7 +20,10 @@ void FaultInjector::arm(const std::string& point, FaultAction action) {
 void FaultInjector::disarm(const std::string& point) {
   std::lock_guard lock(mutex_);
   const auto it = points_.find(point);
-  if (it == points_.end() || !it->second.armed) return;
+  if (it == points_.end()) return;
+  ++it->second.releases;
+  released_.notify_all();
+  if (!it->second.armed) return;
   it->second.armed = false;
   armed_points_.fetch_sub(1, std::memory_order_relaxed);
 }
@@ -30,6 +32,7 @@ void FaultInjector::reset() {
   std::lock_guard lock(mutex_);
   points_.clear();
   armed_points_.store(0, std::memory_order_relaxed);
+  released_.notify_all();
 }
 
 std::uint64_t FaultInjector::crossings(const std::string& point) const {
@@ -47,6 +50,7 @@ std::uint64_t FaultInjector::fires(const std::string& point) const {
 void FaultInjector::crossing_slow(const char* point, Waker waker, void* ctx) {
   FaultKind kind;
   Seconds delay;
+  std::uint64_t releases;
   {
     std::lock_guard lock(mutex_);
     const auto it = points_.find(point);
@@ -60,19 +64,27 @@ void FaultInjector::crossing_slow(const char* point, Waker waker, void* ctx) {
     ++p.fires;
     kind = p.action.kind;
     delay = p.action.delay;
+    releases = p.releases;
     if (p.action.count > 0 && --p.action.count == 0) {
       p.armed = false;
       armed_points_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
   // Act outside the lock: a sleeping or throwing crossing must never hold
-  // the registry hostage (other points keep working while this one fires).
+  // the registry hostage (other points keep working while this one fires;
+  // the delay's wait releases the mutex while it sleeps).
   switch (kind) {
     case FaultKind::kThrow:
       throw FaultInjectedError(point);
-    case FaultKind::kDelay:
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay.value));
+    case FaultKind::kDelay: {
+      std::unique_lock lock(mutex_);
+      released_.wait_for(
+          lock, std::chrono::duration<double>(delay.value), [&] {
+            const auto it = points_.find(point);
+            return it == points_.end() || it->second.releases != releases;
+          });
       break;
+    }
     case FaultKind::kWake:
       if (waker != nullptr) waker(ctx);
       break;

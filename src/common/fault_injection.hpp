@@ -19,8 +19,9 @@
 //   kThrow — throw FaultInjectedError naming the point; the component's
 //            normal exception path must turn it into clean per-ticket
 //            rejection, never a hang.
-//   kDelay — sleep for `delay`; models a wedged executor or a slow queue,
-//            what the server watchdog and the age cut are armored against.
+//   kDelay — sleep for `delay` (or until the point is disarmed); models a
+//            wedged executor or a slow queue, what the server watchdog and
+//            the claim-round cut are armored against.
 //   kWake  — invoke the crossing's registered waker (e.g. the admission
 //            queue notifies its condition variables without any state
 //            change): a genuine spurious wakeup, proving every wait loop
@@ -39,6 +40,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -83,9 +85,13 @@ class FaultInjector {
   /// Arm `point` with `action`. Re-arming replaces the previous action
   /// (counters persist). Thread-safe, like every method here.
   void arm(const std::string& point, FaultAction action);
-  /// Disarm one point; its counters remain readable until reset().
+  /// Disarm one point and end any of its kDelay sleeps still in flight
+  /// early, so a test can hold a wedge open with a long delay and release
+  /// it once the condition it waits for is seen. Its counters remain
+  /// readable until reset().
   void disarm(const std::string& point);
-  /// Disarm everything and zero all counters — the pristine no-op state.
+  /// Disarm everything, end every delay in flight, and zero all counters
+  /// — the pristine no-op state.
   void reset();
 
   /// Times the point was crossed while armed (skip included).
@@ -114,12 +120,14 @@ class FaultInjector {
     bool armed = false;
     std::uint64_t crossings = 0;
     std::uint64_t fires = 0;
+    std::uint64_t releases = 0;  ///< disarm() calls; ends in-flight delays
   };
 
   void crossing_slow(const char* point, Waker waker, void* ctx);
 
   std::atomic<int> armed_points_{0};
   mutable std::mutex mutex_;
+  std::condition_variable released_;  ///< kDelay sleeps wait on this
   std::map<std::string, Point> points_;
 };
 

@@ -64,12 +64,6 @@ void ServerOptions::validate() const {
         std::to_string(queue_capacity) +
         " — the admission queue must be able to hold at least one request");
   }
-  if (!(max_batch_wait.value >= 0.0)) {
-    throw std::invalid_argument(
-        "ServerOptions: max_batch_wait must be >= 0 seconds (0 disables "
-        "the age cut), got " +
-        std::to_string(max_batch_wait.value));
-  }
   if (!(shed_watermark > 0.0) || shed_watermark > 1.0) {
     throw std::invalid_argument(
         "ServerOptions: shed_watermark must be in (0, 1] — it is the "
@@ -495,6 +489,12 @@ void Server::scheduler_loop() {
   std::map<std::size_t, Pending> inflight;
   std::size_t next_index = 0;
 
+  // Claim round: the requests already admitted behind the one that opened
+  // the round. The scheduler takes at most that many more before it cuts,
+  // so a backlog forms full batches, yet a request in a sparse length
+  // class waits at most one round even when the queue never empties.
+  std::size_t round_left = 0;
+
   const auto dispatch_ready = [&] {
     while (former.has_ready()) dispatch_batch(former.pop_ready(), inflight);
   };
@@ -511,7 +511,9 @@ void Server::scheduler_loop() {
         wait_for_dispatch_room();
         claimed = queue_.pop();  // park until work arrives or close
         if (!claimed) break;     // closed and fully drained
-      } else {
+        round_left = queue_.size();
+      } else if (round_left > 0) {
+        --round_left;
         claimed = queue_.try_pop();
       }
       if (claimed) {
@@ -547,23 +549,11 @@ void Server::scheduler_loop() {
         const std::size_t index = next_index++;
         inflight.emplace(index, std::move(pending));
         former.push(index, length, priority);
-        // Age cut: under sustained load the queue never goes empty, so the
-        // flush below never fires — without a wait bound, a request in a
-        // sparse length class could pend forever for bucket-mates that
-        // never come. inflight is ordered by claim index, so begin() is
-        // the oldest request still waiting (pending or in a just-cut batch
-        // — a spurious flush of the latter is harmless).
-        if (opt_.max_batch_wait.value > 0.0 &&
-            former.pending_requests() > 0 && !inflight.empty()) {
-          const double waited =
-              seconds_between(inflight.begin()->second.admitted,
-                              std::chrono::steady_clock::now());
-          if (waited >= opt_.max_batch_wait.value) former.flush();
-        }
       } else {
-        // The arrival queue went momentarily empty while batches are open:
-        // stop waiting and cut now. Work conservation — a scheduler that
-        // idles on a partial batch only adds queue latency, never width.
+        // The claim round is spent, or the arrival queue went momentarily
+        // empty, while batches are open: cut now. Work conservation — a
+        // scheduler that idles on a partial batch only adds queue latency,
+        // never width.
         former.flush();
       }
       dispatch_ready();

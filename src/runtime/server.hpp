@@ -30,8 +30,13 @@
 // incremental BatchFormer. A batch is cut when max_batch_requests /
 // max_batch_tokens is hit or when the batch's predicted service time
 // (BatchCostModel over the paper's stage-latency pipeline model) reaches
-// the max_batch_latency budget. When the arrival queue goes momentarily
-// empty, pending partial batches are cut immediately (work conservation).
+// the max_batch_latency budget. Partial batches are cut at the end of a
+// claim round: when the scheduler claims with nothing pending, it notes
+// how many requests are already queued behind that claim, pops at most
+// that many more, then cuts every pending partial batch — at once if the
+// arrival queue goes momentarily empty first (work conservation). A
+// backlog therefore forms full batches, and no request, however sparse
+// its length class, pends longer than one round under sustained load.
 //
 // Replica pool (num_replicas > 1): each cut batch is placed on the live
 // replica with the smallest cost-model backlog (BatchCostModel::predict
@@ -155,12 +160,6 @@ struct ServerOptions {
   /// shed by class (kShedBulk: bulk rejected at shed_watermark,
   /// interactive only at full capacity, nothing ever blocks).
   OverflowPolicy admission = OverflowPolicy::kBlock;
-  /// Longest an admitted request may sit in a pending partial batch while
-  /// the arrival queue stays busy. The queue-empty flush already bounds the
-  /// wait in light traffic; under sustained load the queue never empties,
-  /// and without this cap a request in a sparse length class could wait
-  /// unboundedly for bucket-mates that never come. Zero disables.
-  Seconds max_batch_wait{0.010};
   /// kShedBulk only: the fraction of queue_capacity at which bulk is
   /// shed. The headroom above it is reserved for interactive admission.
   double shed_watermark = 0.75;

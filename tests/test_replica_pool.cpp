@@ -400,7 +400,10 @@ TEST_F(ReplicaPoolTest, AllReplicasDeadFailsCleanly) {
 
 /// One wedged replica with a hot queue: an idle replica must steal its
 /// backlog instead of letting it sit. Singleton batches + a tie-breaking
-/// dispatcher drive queued work onto the wedged replica.
+/// dispatcher drive queued work onto the wedged replica. The wedge holds
+/// until a steal is seen (bounded), so a slow host — the idle replica
+/// still busy with its own share when a fixed delay would end — cannot
+/// turn the wedged replica back into the one that serves its own queue.
 TEST_F(ReplicaPoolTest, IdleReplicaStealsFromWedgedReplicasQueue) {
   ServerOptions opt;
   opt.num_replicas = 2;
@@ -410,7 +413,7 @@ TEST_F(ReplicaPoolTest, IdleReplicaStealsFromWedgedReplicasQueue) {
 
   FaultAction wedge;
   wedge.kind = FaultKind::kDelay;
-  wedge.delay = Seconds{0.3};
+  wedge.delay = Seconds{10.0};  // the bound; released by disarm below
   wedge.count = 1;  // the first batch to execute wedges its replica
   FaultInjector::global().arm("executor.execute", wedge);
 
@@ -419,6 +422,13 @@ TEST_F(ReplicaPoolTest, IdleReplicaStealsFromWedgedReplicasQueue) {
     tickets.push_back(
         server.submit(make_request(static_cast<std::uint64_t>(k), 32)));
   }
+  const auto stolen = [&] {
+    return sum_replicas(server.stats(), [](const ReplicaStats& r) {
+      return r.batches_stolen;
+    });
+  };
+  for (int i = 0; i < 2000 && stolen() < 1; ++i) sleep_ms(5);
+  FaultInjector::global().disarm("executor.execute");
   for (Server::Ticket& ticket : tickets) {
     EXPECT_NO_THROW(ticket.get());
   }

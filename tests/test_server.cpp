@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/concurrent_queue.hpp"
+#include "common/fault_injection.hpp"
 #include "common/thread_pool.hpp"
 #include "runtime/server.hpp"
 #include "test_util.hpp"
@@ -495,15 +496,14 @@ TEST(Server, ConcurrentSubmittersShareOnePlanCache) {
 
 /// Under sustained load the arrival queue never goes empty, so the
 /// queue-empty flush alone would strand a request in a sparse length class
-/// behind bucket-mates that never arrive. The max_batch_wait age cut must
-/// bound that wait: a lone long request stays responsive while a filler
-/// stream keeps the scheduler saturated.
-TEST(Server, AgeCutBoundsSparseClassWaitUnderSustainedLoad) {
+/// behind bucket-mates that never arrive. The claim-round bound must limit
+/// that wait with no batching-wait option set: a lone long request stays
+/// responsive while a filler stream keeps the scheduler saturated.
+TEST(Server, ClaimRoundBoundsSparseClassWaitUnderSustainedLoad) {
   const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
   ServerOptions opt;
   opt.batching.max_batch_requests = 4;
   opt.batching.bucket_width = 64;
-  opt.max_batch_wait = Seconds::milli(20);
   Server server(cfg, opt);
   const model::Encoder oracle(cfg);
 
@@ -531,25 +531,71 @@ TEST(Server, AgeCutBoundsSparseClassWaitUnderSustainedLoad) {
 
   const RequestResult got = victim_ticket.get();
   testing::expect_matrix_equal(got.output, oracle.forward(victim.input),
-                               "age-cut victim vs Encoder::forward");
-  // Without the age cut the victim only serves once the filler stream
-  // stops (>= the 3 s deadline); with it, the wait is bounded by
-  // max_batch_wait plus one in-flight batch.
+                               "sparse-class victim vs Encoder::forward");
+  // Without a wait bound the victim only serves once the filler stream
+  // stops (>= the 3 s deadline); with the round bound, the wait is one
+  // claim round plus one in-flight batch.
   EXPECT_LT(got.counters.queue_delay.value, 1.5)
-      << "sparse-class request waited as if the age cut were missing";
+      << "sparse-class request waited as if the round bound were missing";
   for (Server::Ticket& t : fillers) (void)t.get();
 }
 
-TEST(ServerOptions, ValidateRejectsNegativeBatchWait) {
+/// A backlog that queued behind a busy engine must be served in full
+/// batches, not one request at a time. The first batch wedges the only
+/// replica; twelve same-bucket requests queue behind it. Once it returns,
+/// the scheduler must form them into ceil(12 / 4) = 3 batches. A cut on
+/// time since admission sees every one of them as overdue and serves 12
+/// singletons.
+TEST(Server, BacklogBehindWedgedBatchFormsFullBatches) {
+  FaultInjector::global().reset();
+  const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
   ServerOptions opt;
-  opt.max_batch_wait = Seconds{-0.001};
-  try {
-    opt.validate();
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("max_batch_wait"),
-              std::string::npos);
+  opt.batching.max_batch_requests = 4;
+  opt.batching.bucket_width = 64;
+  Server server(cfg, opt);
+
+  constexpr std::size_t kBacklog = 12;
+  const std::vector<InferenceRequest> reqs =
+      make_requests(cfg, std::vector<std::int64_t>(kBacklog + 1, 48));
+  std::vector<RequestResult> oracle;
+  for (const InferenceRequest& req : reqs) {
+    oracle.push_back(testing::solo_result(cfg, req));
   }
+
+  FaultAction wedge;
+  wedge.kind = FaultKind::kDelay;
+  wedge.delay = Seconds{10.0};  // the bound; released by disarm below
+  wedge.count = 1;
+  FaultInjector::global().arm("executor.execute", wedge);
+
+  std::vector<Server::Ticket> tickets;
+  tickets.push_back(server.submit(reqs[0]));
+  while (FaultInjector::global().fires("executor.execute") != 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (std::size_t i = 1; i <= kBacklog; ++i) {
+    tickets.push_back(server.submit(reqs[i]));
+  }
+  // The scheduler cannot claim while the only replica is busy, so the
+  // whole backlog sits in the admission queue. Let it age well past any
+  // fixed batching wait before the wedge releases.
+  ASSERT_EQ(server.stats().queue_depth, kBacklog);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  FaultInjector::global().disarm("executor.execute");
+
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    const RequestResult got = tickets[i].get();
+    EXPECT_EQ(got.id, reqs[i].id);
+    testing::expect_matrix_equal(got.output, oracle[i].output,
+                                 "backlog batch vs solo oracle");
+    EXPECT_EQ(got.counters.model_flops, oracle[i].counters.model_flops);
+  }
+  server.drain();
+  EXPECT_EQ(server.totals().requests,
+            static_cast<std::int64_t>(kBacklog + 1));
+  EXPECT_LE(server.totals().batches, 4)
+      << "the backlog was served one request at a time";
+  FaultInjector::global().reset();
 }
 
 TEST(ServerOptions, ValidateRejectsZeroCapacity) {

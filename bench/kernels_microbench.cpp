@@ -29,8 +29,9 @@
 // baselines that parallelize); scaling_mt is the kernel's own 1-thread /
 // N-thread ratio.
 //
-// The run exits nonzero when the fp32 fused-attention output differs in any
-// byte between ISA tiers (or the JSON cannot be written).
+// The run exits nonzero when an fp32 packed-GEMM output (plain, GELU or
+// residual epilogue) or the fp32 fused-attention output differs in any byte
+// between ISA tiers (or the JSON cannot be written).
 //
 // Usage: kernels_microbench [--smoke] [--out <path>]
 //   --smoke   small shapes / fewer reps (CI)
@@ -251,6 +252,24 @@ std::vector<swat::IsaTier> supported_tiers() {
   return tiers;
 }
 
+/// Compares `got`, tier `tier`'s fp32 output of kernel `what`, byte for
+/// byte with `first`, the first tier's output (recorded on the first call).
+/// Returns false, after saying so on stderr, on any difference.
+bool same_bytes_across_tiers(MatrixF& first, const MatrixF& got,
+                             const std::string& what, swat::IsaTier tier,
+                             swat::IsaTier first_tier) {
+  if (first.rows() == 0) {
+    first = got;
+    return true;
+  }
+  const auto bytes = sizeof(float) * static_cast<std::size_t>(got.size());
+  if (std::memcmp(first.data(), got.data(), bytes) == 0) return true;
+  std::cerr << "error: " << what << " on " << swat::isa_tier_name(tier)
+            << " differs in bytes from " << swat::isa_tier_name(first_tier)
+            << "\n";
+  return false;
+}
+
 /// One fused-attention workload: `lengths` ragged sequences packed back to
 /// back, `heads` x `head_dim` columns, band [i - before, i + after].
 struct FusedShape {
@@ -341,16 +360,8 @@ bool bench_fused(const FusedShape& s, const std::vector<swat::IsaTier>& tiers,
     // fused kernel is numerically close to, not bitwise equal to, the
     // stable-softmax baseline. Across tiers it must be bitwise equal.
     r.max_abs_diff = swat::max_abs_diff(concat_fused, concat_base);
-    if (first_tier.rows() == 0) {
-      first_tier = concat_fused;
-    } else if (std::memcmp(first_tier.data(), concat_fused.data(),
-                           sizeof(float) * static_cast<std::size_t>(
-                                               total * d_model)) != 0) {
-      std::cerr << "error: " << r.name << " on " << r.isa
-                << " differs in bytes from " << swat::isa_tier_name(tiers[0])
-                << "\n";
-      identical = false;
-    }
+    identical &= same_bytes_across_tiers(first_tier, concat_fused, r.name,
+                                         tier, tiers[0]);
     r.kv_bytes = kv_f32;
     r.kv_eff_bytes = kv_f32;
     rows.push_back(r);
@@ -468,7 +479,8 @@ int main(int argc, char** argv) {
   // region, exactly like the old cached-W^T path); the kernel under test
   // streams the pre-packed panels, once per ISA tier. Both are timed on
   // Longformer-base's projection (768 -> 768) and FFN-expand (768 -> 3072)
-  // shapes.
+  // shapes. Every fp32 epilogue must give the same bytes on every tier.
+  bool gemm_tiers_identical = true;
   {
     struct PackedShape {
       const char* tag;
@@ -494,7 +506,8 @@ int main(int argc, char** argv) {
       swat::pack_weight_nt(w, packed);  // packed once, as Engine::compile does
       swat::pack_weight_nt(w, packed_f16, swat::Dtype::kFp16);
       swat::MatrixF c_base(sh.m, sh.n), c_packed(sh.m, sh.n), c_f16(sh.m, sh.n),
-          c_gelu(sh.m, sh.n);
+          c_gelu(sh.m, sh.n), c_resid(sh.m, sh.n);
+      swat::MatrixF first_plain, first_gelu, first_resid;
       // The blocked GEMM has no ISA tiers: timed once for every tier's row.
       const ThreadTimings blocked = time_threads(reps, pool_threads, [&] {
         swat::detail::gemm(a.data(), sh.k, wt.data(), sh.n, c_base.data(),
@@ -516,6 +529,14 @@ int main(int argc, char** argv) {
         r.max_abs_diff = swat::max_abs_diff(c_packed, c_base);
         r.weight_bytes = static_cast<double>(packed.bytes());
         rows.push_back(r);
+        gemm_tiers_identical &= same_bytes_across_tiers(
+            first_plain, c_packed, r.name, tier, tiers[0]);
+        // The residual epilogue is not timed; any fixed matrix serves as
+        // the residual, here the blocked GEMM's output.
+        swat::gemm_packed_residual_into(a, packed, bias, c_base, c_resid);
+        gemm_tiers_identical &= same_bytes_across_tiers(
+            first_resid, c_resid, "gemm_packed_residual_" + shape, tier,
+            tiers[0]);
 
         if (std::strcmp(sh.tag, "ffn") == 0) {
           // The FFN-expand step as the encoder runs it: the same GEMM with
@@ -537,12 +558,13 @@ int main(int argc, char** argv) {
           e.max_abs_diff =
               swat::max_abs_diff(c_gelu, swat::gelu_naive(c_packed));
           rows.push_back(e);
+          gemm_tiers_identical &= same_bytes_across_tiers(
+              first_gelu, c_gelu, e.name, tier, tiers[0]);
         }
 
         // The half-precision pack on the same shape and tier, against the
-        // fp32 pack it replaces: half the streamed weight bytes, fp32
-        // accumulation throughout, fused multiply-adds in the widened tile
-        // where the tier has FMA.
+        // fp32 pack it replaces: half the streamed weight bytes, the same
+        // fp32 fused multiply-add tile on the widened panel.
         BenchRow h;
         h.name = "gemm_packed_f16_" + shape;
         h.isa = r.isa;
@@ -573,9 +595,9 @@ int main(int argc, char** argv) {
       {"short8_n16-128_w256_h64", {16, 128, 45, 97, 23, 120, 64, 80}, 4, 64,
        256, 255},
   };
-  bool tiers_identical = true;
+  bool fused_tiers_identical = true;
   for (const FusedShape& shape : fused_shapes) {
-    tiers_identical &=
+    fused_tiers_identical &=
         bench_fused(shape, tiers, reps, pool_threads, rng, rows);
   }
 
@@ -598,9 +620,13 @@ int main(int argc, char** argv) {
   std::printf("(%d threads for the mt columns, min of %d runs)\n",
               pool_threads, reps);
   if (json_ok) std::cout << "wrote " << out_path << "\n";
-  if (!tiers_identical) {
+  if (!gemm_tiers_identical) {
+    std::cerr << "error: fp32 packed GEMM differs in bytes between ISA "
+                 "tiers\n";
+  }
+  if (!fused_tiers_identical) {
     std::cerr << "error: fp32 fused attention differs in bytes between ISA "
                  "tiers\n";
   }
-  return json_ok && tiers_identical ? 0 : 1;
+  return json_ok && gemm_tiers_identical && fused_tiers_identical ? 0 : 1;
 }

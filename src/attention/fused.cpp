@@ -138,7 +138,10 @@ MatrixF fused_window_attention(const HeadInput& in,
       axpy(e, in.v.row(j), zrow);
     }
     SWAT_ENSURES(denom > 0.0f);
-    for (float& v : zrow) v /= denom;
+    // + 0.0f stores a zero output as +0 whatever the sign of its sum: the
+    // fused kernels' masked band tail can turn a -0 sum into +0 (see
+    // row_group in fused_tier.cpp). Every other value is unchanged.
+    for (float& v : zrow) v = v / denom + 0.0f;
   }
   return z;
 }

@@ -8,8 +8,10 @@
 // row sum is applied afterwards. Three host implementations are provided:
 //
 //  * fused_window_attention        — float32, exactly the paper's operation
-//                                    order (no max subtraction), exp is
-//                                    swat's det_exp (common/det_math.hpp);
+//                                    order (no max subtraction), one fused
+//                                    multiply-add per QK and S'V term (dot
+//                                    and axpy), exp is swat's det_exp
+//                                    (common/det_math.hpp);
 //  * fused_window_attention_online — float32, FlashAttention-style running
 //                                    max (the numerically-safe extension;
 //                                    used by the ablation bench);
@@ -61,7 +63,8 @@ MatrixF fused_window_attention(const HeadInput& in,
 ///
 /// `stream_dtype` selects the streamed-tile precision (the paper's
 /// datapath is natively fp16, §4 / Table 2):
-///   * Dtype::kFp32 (default) — byte-identical to the historical path;
+///   * Dtype::kFp32 (default) — byte-identical to fused_window_attention
+///     on every ISA tier;
 ///   * Dtype::kFp16 — the per-thread transposed K tile and V band are
 ///     narrowed to binary16 once per (sequence, head, tile) via the SIMD
 ///     RNE converters, halving the K/V bytes the score and S'V stages

@@ -12,12 +12,15 @@
 // The fp32 worker is register-tiled, the host form of SWAT's row-wise
 // input-stationary dataflow: kFusedRowGroup adjacent query rows share every
 // K^T column and every V band row they load, against the union of their
-// bands. The fp16 worker still runs one query row at a time.
+// bands. Every multiply-add in its score and S'V tiles is one fused
+// multiply-add (a single rounding), the arithmetic of dot() and axpy(); the
+// TU's -ffp-contract=off keeps every other product and sum separately
+// rounded. The fp16 worker still runs one query row at a time.
 #include "common/det_math.hpp"
 #include "common/fp16.hpp"
 #include "common/isa_kernels.hpp"
 
-#if defined(__F16C__)
+#if defined(__AVX2__) || defined(__F16C__)
 #include <immintrin.h>
 #endif
 
@@ -107,10 +110,25 @@ Vec load(const float* p) {
 
 void store(float* p, Vec v) { __builtin_memcpy(p, &v, sizeof(v)); }
 
+/// acc + a * b per lane with one rounding. The x86 tiers spell the vector
+/// FMA: GCC does not vectorize a per-lane __builtin_fmaf over a vector type.
+Vec fmadd(float a, Vec b, Vec acc) {
+#if defined(__AVX512F__)
+  return _mm512_fmadd_ps(_mm512_set1_ps(a), b, acc);
+#elif defined(__AVX2__)
+  return _mm256_fmadd_ps(_mm256_set1_ps(a), b, acc);
+#else
+  for (std::int64_t l = 0; l < kLanes; ++l) {
+    acc[l] = __builtin_fmaf(a, b[l], acc[l]);
+  }
+  return acc;
+#endif
+}
+
 /// Scores of ROWS query rows (scaled Q in qs, ROWS x h) against kColTile
 /// K columns, every accumulator held in registers for the whole ascending-d
-/// loop: acc = 0, then acc += q * k per d with the product rounded first,
-/// exactly dot()'s arithmetic.
+/// loop: acc = 0, then acc = fma(q, k, acc) per d, exactly dot()'s
+/// arithmetic.
 template <int ROWS>
 void score_tile(const float* qs, std::int64_t h, const float* ktc,
                 std::int64_t ldk, float* sc, std::int64_t lds) {
@@ -123,7 +141,9 @@ void score_tile(const float* qs, std::int64_t h, const float* ktc,
     }
     for (int r = 0; r < ROWS; ++r) {
       const float qd = qs[r * h + d];
-      for (std::int64_t l = 0; l < kVecs; ++l) acc[r][l] += qd * kd[l];
+      for (std::int64_t l = 0; l < kVecs; ++l) {
+        acc[r][l] = fmadd(qd, kd[l], acc[r][l]);
+      }
     }
   }
   for (int r = 0; r < ROWS; ++r) {
@@ -134,8 +154,9 @@ void score_tile(const float* qs, std::int64_t h, const float* ktc,
 }
 
 /// Z columns [0, kHeadTile) of ROWS rows over the union band's `width` V
-/// rows, ascending c, every accumulator in registers, then one division
-/// each.
+/// rows, ascending c, one fma per term (axpy()'s arithmetic), every
+/// accumulator in registers, then one division each, stored + 0.0f (see
+/// row_group).
 template <int ROWS>
 void sv_tile(const float* es, std::int64_t lds, std::int64_t width,
              const float* vband, std::int64_t ldv, const float* denom,
@@ -149,12 +170,14 @@ void sv_tile(const float* es, std::int64_t lds, std::int64_t width,
     }
     for (int r = 0; r < ROWS; ++r) {
       const float e = es[r * lds + c];
-      for (std::int64_t l = 0; l < kVecs; ++l) acc[r][l] += e * vr[l];
+      for (std::int64_t l = 0; l < kVecs; ++l) {
+        acc[r][l] = fmadd(e, vr[l], acc[r][l]);
+      }
     }
   }
   for (int r = 0; r < ROWS; ++r) {
     for (std::int64_t l = 0; l < kVecs; ++l) {
-      store(out + r * ldo + l * kLanes, acc[r][l] / denom[r]);
+      store(out + r * ldo + l * kLanes, acc[r][l] / denom[r] + 0.0f);
     }
   }
 }
@@ -167,18 +190,23 @@ void sv_column(const float* es, std::int64_t lds, std::int64_t width,
                float* out, std::int64_t ldo) {
   float acc[ROWS] = {};
   for (std::int64_t c = 0; c < width; ++c) {
-    for (int r = 0; r < ROWS; ++r) acc[r] += es[r * lds + c] * vband[c * ldv];
+    for (int r = 0; r < ROWS; ++r) {
+      acc[r] = __builtin_fmaf(es[r * lds + c], vband[c * ldv], acc[r]);
+    }
   }
-  for (int r = 0; r < ROWS; ++r) out[r * ldo] = acc[r] / denom[r];
+  for (int r = 0; r < ROWS; ++r) out[r * ldo] = acc[r] / denom[r] + 0.0f;
 }
 
 /// Query rows [i, i + ROWS) of one task against their union band
 /// [ulo, uhi]. Each row's out-of-band exp entries are overwritten with
 /// exact +0 (never multiplied: an out-of-band score may overflow exp to
-/// +Inf), so the padded sums below add only +0 or 0 * v outside a row's
-/// band. A sum that starts at +0 never becomes -0, so those adds are
-/// bit-neutral for finite V and every row gets exactly its own Eq. 1
-/// bytes. Returns false on a non-positive denominator.
+/// +Inf), so the padded sums below add only fma(+0, v, acc) outside a
+/// row's band. For finite V that leaves a nonzero sum unchanged and keeps a
+/// leading +0 at +0, but it can turn a -0 sum (an underflowed fused
+/// product) into +0 after the band. Both this kernel and the Eq. 1 oracle
+/// therefore store z / denom + 0.0f, which maps -0 to +0 and changes no
+/// other value, so every row gets exactly its own Eq. 1 bytes. Returns
+/// false on a non-positive denominator.
 template <int ROWS>
 bool row_group(const FusedWindowArgs& g, const FusedWindowScratch& s,
                const Task& task, const KTile& kt, std::int64_t i) {
@@ -241,11 +269,11 @@ float f16_tail_to_f32(std::uint16_t bits) { return _cvtsh_ss(bits); }
 
 // Exactly Eq. 1's operation order per element — QK dot, exp with no max
 // subtraction, S'V accumulation, one deferred division — with d and c
-// ascending everywhere, products rounded before the add by the TU's
-// -ffp-contract=off, and det_exp, so per-head outputs are bit-identical to
-// fused_window_attention on every tier. Full kRowGroup-row groups, then
-// single rows at a sequence's end (same per-element arithmetic, so the
-// split does not affect results).
+// ascending everywhere, one fused multiply-add per QK and S'V term, and
+// det_exp, so per-head outputs are bit-identical to fused_window_attention
+// on every tier. Full kRowGroup-row groups, then single rows at a
+// sequence's end (same per-element arithmetic, so the split does not affect
+// results).
 bool fused_window_tasks(const FusedWindowArgs& g,
                         const FusedWindowScratch& scratch, std::int64_t t0,
                         std::int64_t t1) {

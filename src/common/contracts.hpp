@@ -28,13 +28,16 @@
 // of the target ISA. Compilers with -ffp-contract=fast (GCC's default)
 // otherwise fuse a*b+c into an FMA wherever the target ISA has one, which
 // changes the low bits between builds for different ISAs. Functions that
-// promise bit-identical results against a scalar oracle (`dot`, `axpy`,
-// `gelu`) carry these markers so their outputs are identical on every ISA,
-// thread count, and tile partition; the per-ISA-tier kernel translation
-// units get the same guarantee from -ffp-contract=off on the whole file
-// (see common/isa_kernels.hpp). Apply SWAT_NO_FP_CONTRACT to the function
-// declaration (GCC honors the attribute) and SWAT_NO_FP_CONTRACT_BODY as
-// the first statement of the body (Clang honors the pragma).
+// promise bit-identical results against a scalar oracle (`gelu`, `det_exp`)
+// carry these markers so their outputs are identical on every ISA, thread
+// count, and tile partition; the per-ISA-tier kernel translation units get
+// the same guarantee from -ffp-contract=off on the whole file (see
+// common/isa_kernels.hpp). Where the contract is a fused multiply-add
+// (`dot`, `axpy`, the GEMM and attention tiles) the code spells std::fma
+// or __builtin_fmaf, which no setting splits. Apply SWAT_NO_FP_CONTRACT to
+// the function declaration (GCC honors the attribute) and
+// SWAT_NO_FP_CONTRACT_BODY as the first statement of the body (Clang
+// honors the pragma).
 #if defined(__clang__)
 #define SWAT_NO_FP_CONTRACT
 #define SWAT_NO_FP_CONTRACT_BODY _Pragma("clang fp contract(off)")

@@ -3,16 +3,24 @@
 // Three kernel families are compiled once per tier from one shared source
 // body each, every copy in its own namespace swat::isa::<tier>:
 //
-//   src/tensor/gemm_packed_tier.cpp  — the packed-GEMM row worker (fp32
-//                                      tile, fp16 tile, all epilogues)
+//   src/tensor/gemm_packed_tier.cpp  — the packed-GEMM row worker (one
+//                                      tile for fp32 and widened fp16
+//                                      panels, all epilogues)
 //   src/attention/fused_tier.cpp     — the fp32 and fp16 fused-attention
 //                                      workers
 //   src/common/fp16_tier.cpp         — the binary16 batch converters
 //
 // The build compiles each body with the tier's -m flags and
-// -ffp-contract=off (so fp32 arithmetic rounds every multiply and add on
-// every tier and the fp32 kernels are byte-identical across tiers; the
-// fp16 tiles fuse their multiply-adds explicitly where the tier has FMA).
+// -ffp-contract=off, so the compiler fuses nothing on its own. The fp32
+// contract is spelled in the source: every multiply-add of the GEMM tile
+// and the fused-attention score and S'V tiles is one fused multiply-add
+// (__builtin_fmaf, or the tier's vector FMA), in the ascending order of the
+// scalar oracles dot() and axpy(), so the fp32 kernels are byte-identical
+// to those oracles and across tiers. Every other product and sum rounds on
+// its own. On x86 the baseline tier has no FMA instruction and calls libm's
+// fmaf per element (correct, but the packed GEMM then runs at ~0.5 GFLOP/s
+// on one thread, against ~70 on AVX-512); the avx2 tier requires FMA, and
+// AArch64 has it in the baseline.
 //
 // Linkage rule: a tier TU takes raw pointers and strides only, defines its
 // helpers with internal linkage, and calls no inline function with external

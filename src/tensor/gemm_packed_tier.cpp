@@ -1,17 +1,15 @@
 // Packed-GEMM row worker, compiled once per ISA tier (see
 // common/isa_kernels.hpp for the build and linkage rules).
 //
-// One register-tile template serves both pack dtypes:
-//  * fp32 packs run it with separate multiply and add. The TU is built with
-//    -ffp-contract=off, so every accumulator is bias + sum_k a*w in
-//    ascending k with the product rounded before the add — the exact
-//    arithmetic of matmul_nt_naive's dot(), on every tier.
-//  * fp16 packs widen each panel into the caller's scratch with this
-//    tier's converter and run the same tile with fused multiply-adds when
-//    the tier has FMA (the pack already rounded the weights, so oracle
-//    parity is gone and fewer roundings are strictly more accurate). Same
-//    ascending-k order, so results depend only on the pack, never on the
-//    thread count or tile partition.
+// One register tile serves both pack dtypes. Every accumulator is
+// bias + sum_k a*w in ascending k with one fused multiply-add per term
+// (__builtin_fmaf, a single rounding) — the exact arithmetic of
+// matmul_nt_naive's dot(). fp32 packs are therefore byte-identical to the
+// scalar oracle on every tier; fp16 packs widen each panel into the
+// caller's scratch with this tier's converter and run the same tile. The
+// order never changes, so results depend only on the pack, never on the
+// thread count or tile partition. The TU keeps -ffp-contract=off: the
+// only contractions are the ones spelled here.
 #include "common/det_math.hpp"
 #include "common/isa_kernels.hpp"
 
@@ -25,19 +23,13 @@ constexpr std::int64_t kPanel = kPackedPanel;
 // arithmetic latency without exhausting the architectural registers.
 constexpr std::int64_t kRowTile = 6;
 
-#if defined(__FMA__)
-constexpr bool kTierHasFma = true;
-#else
-constexpr bool kTierHasFma = false;
-#endif
-
 std::int64_t min_i64(std::int64_t a, std::int64_t b) { return a < b ? a : b; }
 
 /// ROWS query rows against one panel. Each of the ROWS x kPanel
 /// accumulators is a single float walked in ascending k; the k loop is
 /// unrolled by 4 as separate accumulate statements (never pairwise sums),
 /// which trims loop overhead without touching the reduction order.
-template <int ROWS, bool kFused>
+template <int ROWS>
 void tile(const PackedGemmArgs& g, const float* panel, const float* seed,
           std::int64_t i, std::int64_t j0, std::int64_t width) {
   float acc[ROWS][kPanel];
@@ -50,11 +42,7 @@ void tile(const PackedGemmArgs& g, const float* panel, const float* seed,
     for (int r = 0; r < ROWS; ++r) {
       const float av = ar[r][kk];
       for (std::int64_t l = 0; l < kPanel; ++l) {
-        if constexpr (kFused) {
-          acc[r][l] = __builtin_fmaf(av, bp[l], acc[r][l]);
-        } else {
-          acc[r][l] += av * bp[l];
-        }
+        acc[r][l] = __builtin_fmaf(av, bp[l], acc[r][l]);
       }
     }
   };
@@ -91,15 +79,14 @@ void tile(const PackedGemmArgs& g, const float* panel, const float* seed,
 
 /// Full kRowTile-row tiles, then single-row tiles for the remainder (same
 /// per-element arithmetic, so the split point does not affect results).
-template <bool kFused>
 void tiles(const PackedGemmArgs& g, const float* panel, const float* seed,
            std::int64_t i0, std::int64_t i1, std::int64_t j0,
            std::int64_t width) {
   std::int64_t i = i0;
   for (; i + kRowTile <= i1; i += kRowTile) {
-    tile<kRowTile, kFused>(g, panel, seed, i, j0, width);
+    tile<kRowTile>(g, panel, seed, i, j0, width);
   }
-  for (; i < i1; ++i) tile<1, kFused>(g, panel, seed, i, j0, width);
+  for (; i < i1; ++i) tile<1>(g, panel, seed, i, j0, width);
 }
 
 }  // namespace
@@ -126,11 +113,7 @@ void gemm_packed_rows(const PackedGemmArgs& g, float* widened,
     for (std::int64_t l = 0; l < kPanel; ++l) {
       seed[l] = (g.bias != nullptr && l < width) ? g.bias[j0 + l] : 0.0f;
     }
-    if (half) {
-      tiles<kTierHasFma>(g, panel, seed, i0, i1, j0, width);
-    } else {
-      tiles<false>(g, panel, seed, i0, i1, j0, width);
-    }
+    tiles(g, panel, seed, i0, i1, j0, width);
   }
 }
 

@@ -611,20 +611,33 @@ void row_softmax_naive(MatrixF& m) {
   }
 }
 
-SWAT_NO_FP_CONTRACT
+// dot and axpy spell the fp32 contract (one fma per multiply-add) for
+// scalar code. This TU targets the baseline ISA, where x86 has no FMA
+// instruction and std::fma is a libm call, so on x86 Linux each function is
+// also cloned for FMA hosts and the loader picks the clone (an ifunc). Both
+// clones compute the same correctly rounded fma, so the bits never depend
+// on the clone; only the speed does (the exact-window and sliding-chunks
+// attention run 7-9x slower through the libm call).
+#if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__)
+#define SWAT_FMA_CLONES __attribute__((target_clones("fma", "default")))
+#else
+#define SWAT_FMA_CLONES
+#endif
+
+SWAT_FMA_CLONES
 float dot(std::span<const float> a, std::span<const float> b) {
-  SWAT_NO_FP_CONTRACT_BODY
   SWAT_EXPECTS(a.size() == b.size());
   float s = 0.0f;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
+  for (std::size_t i = 0; i < a.size(); ++i) s = std::fma(a[i], b[i], s);
   return s;
 }
 
-SWAT_NO_FP_CONTRACT
+SWAT_FMA_CLONES
 void axpy(float alpha, std::span<const float> x, std::span<float> y) {
-  SWAT_NO_FP_CONTRACT_BODY
   SWAT_EXPECTS(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    y[i] = std::fma(alpha, x[i], y[i]);
+  }
 }
 
 float max_abs_diff(const MatrixF& a, const MatrixF& b) {

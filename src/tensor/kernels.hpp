@@ -141,9 +141,8 @@ MatrixF matmul_nt_naive(const MatrixF& a, const MatrixF& b);
 // Panels store either binary32 (the default) or binary16 elements:
 //
 //  * Dtype::kFp32 — the microkernel accumulates every output element with
-//    a single float accumulator in ascending-k order with the multiply
-//    rounded before the add (its per-ISA-tier translation units are built
-//    with -ffp-contract=off, see common/isa_kernels.hpp) — the exact
+//    a single float accumulator in ascending-k order with one fused
+//    multiply-add per term (see common/isa_kernels.hpp) — the exact
 //    arithmetic of matmul_nt_naive's dot() — so gemm_packed output is
 //    bit-identical to the scalar oracle for every shape, thread count,
 //    tile partition, AND ISA tier the kernels dispatch to.
@@ -153,12 +152,10 @@ MatrixF matmul_nt_naive(const MatrixF& a, const MatrixF& b);
 //    loop and keeps every accumulator fp32 in the same ascending-k order.
 //    Outputs are deterministic — bit-identical across SWAT_THREADS,
 //    arrival orders and runs (the tile grid is static, see parallel_for_2d)
-//    — but NOT bit-equal to the fp32 oracle (the weights were rounded) and
-//    not pinned across ISA tiers: having given up oracle parity, the fp16
-//    tile fuses its multiply-adds on tiers with FMA (fewer roundings,
-//    strictly tighter error). Accuracy is gated by the
-//    precision-fidelity test against the calibration budget, not by
-//    bit-equality.
+//    — but NOT bit-equal to the fp32 oracle (the weights were rounded).
+//    The widened panel runs the fp32 tile, fused multiply-adds and all.
+//    Accuracy is gated by the precision-fidelity test against the
+//    calibration budget, not by bit-equality.
 //
 // Fused epilogues (bias seed, GELU, residual add) touch each output
 // element once while it is still in a register instead of re-streaming the
@@ -307,10 +304,12 @@ void row_softmax_stable(MatrixF& m);
 /// ~709) don't overflow the accumulator and trip the sum > 0 invariant.
 void row_softmax_naive(MatrixF& m);
 
-/// Dot product of two equal-length spans in float.
+/// Dot product of two equal-length spans in float: s = fma(a[i], b[i], s)
+/// for ascending i from s = +0, one rounding per term — the fp32 contract
+/// every packed-GEMM and fused-attention tier reproduces byte for byte.
 float dot(std::span<const float> a, std::span<const float> b);
 
-/// y += alpha * x.
+/// y[i] = fma(alpha, x[i], y[i]), one rounding per element.
 void axpy(float alpha, std::span<const float> x, std::span<float> y);
 
 /// Max absolute difference between two same-shaped matrices.

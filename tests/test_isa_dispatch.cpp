@@ -8,6 +8,8 @@
 //     ragged shapes that exercise every tile remainder, and byte for byte
 //     on edge inputs (GELU's deep negative tail, x^3 overflow, +-0;
 //     attention scores in exp's subnormal range);
+//   * every multiply-add in those kernels is one fused multiply-add, pinned
+//     by inputs whose fused and separately rounded results differ;
 //   * the fp16 converters match the scalar routines on every pattern,
 //     NaN payloads included;
 //   * the fp16 pack and fp16 stream are bit-identical across thread
@@ -169,18 +171,15 @@ TEST(IsaEnv, TierAboveTheHostThrowsNamingIt) {
 // ------------------------------------------------------- packed GEMM ----
 
 /// The packed kernel's fp32 semantics in scalar form: the accumulator is
-/// seeded with the bias, then walks k ascending with the product rounded
-/// before the add.
-SWAT_NO_FP_CONTRACT
+/// seeded with the bias, then walks k ascending with one fma per term.
 MatrixF packed_oracle(const MatrixF& a, const MatrixF& w,
                       std::span<const float> bias) {
-  SWAT_NO_FP_CONTRACT_BODY
   MatrixF c(a.rows(), w.rows());
   for (std::int64_t i = 0; i < a.rows(); ++i) {
     for (std::int64_t j = 0; j < w.rows(); ++j) {
       float acc = bias[static_cast<std::size_t>(j)];
       for (std::int64_t kk = 0; kk < a.cols(); ++kk) {
-        acc += a(i, kk) * w(j, kk);
+        acc = std::fma(a(i, kk), w(j, kk), acc);
       }
       c(i, j) = acc;
     }
@@ -291,6 +290,44 @@ TEST(IsaGemmPacked, GeluEpilogueEdgeCasesMatchTheScalarOracleBytes) {
   }
 }
 
+// x * x = 1 + 2^-11 + 2^-24 exactly. Rounded on its own the product ties
+// to even at 1 + 2^-11, so x * x + kMinusRoundedSquare is 0 when the
+// product is rounded before the add and 2^-24 under one fused rounding.
+constexpr float kX = 1.0f + 0x1p-12f;
+constexpr float kMinusRoundedSquare = -(1.0f + 0x1p-11f);
+
+TEST(IsaFmaContract, PackedGemmFusesEveryMultiplyAdd) {
+  // Row i carries x only at k = i % k: across the rows the fused term
+  // takes every position of the k unroll and its remainder, in both the
+  // 6-row tile and the single-row tail, against a full and a padded panel.
+  // The zero terms around it leave the accumulator as it is.
+  const std::int64_t m = 7, k = 5, n = 33;
+  MatrixF a(m, k, 0.0f);
+  for (std::int64_t i = 0; i < m; ++i) a(i, i % k) = kX;
+  const MatrixF w(n, k, kX);
+  const std::vector<float> bias(static_cast<std::size_t>(n),
+                                kMinusRoundedSquare);
+  const MatrixF resid(m, n, 0x1p-24f);
+  PackedWeight packed;
+  pack_weight_nt(w, packed);
+  const GemmOutputs want{MatrixF(m, n, 0x1p-24f),
+                         MatrixF(m, n, gelu(0x1p-24f)),
+                         MatrixF(m, n, 0x1p-23f)};
+  for (const IsaTier t : supported_tiers()) {
+    const ScopedIsaTier scope(t);
+    for (const int threads : {1, 4}) {
+      const ThreadCountGuard guard(threads);
+      const GemmOutputs got = run_packed(a, packed, bias, resid);
+      const std::string label =
+          tier_label(t) + " threads " + std::to_string(threads);
+      expect_bytes_equal(got.plain, want.plain, label + " bias epilogue");
+      expect_bytes_equal(got.gelu, want.gelu, label + " gelu epilogue");
+      expect_bytes_equal(got.residual, want.residual,
+                         label + " residual epilogue");
+    }
+  }
+}
+
 TEST(IsaGemmPacked, Fp16PackDeterministicAndInBudgetPerTier) {
   Rng rng(61);
   const std::int64_t m = 130, k = 75, n = 70;
@@ -344,7 +381,8 @@ Packed make_packed(const std::vector<std::int64_t>& lengths,
 
 /// Eq. 1 over the band [i - before, i + after] clipped to each sequence,
 /// with the scale folded into Q: the fused kernel's exact arithmetic
-/// (dot/axpy ascending with rounded products, det_exp, one division).
+/// (dot/axpy ascending with one fma per term, det_exp, one division whose
+/// zero quotient is stored as +0).
 MatrixF fused_oracle(const Packed& p, std::int64_t heads, std::int64_t before,
                      std::int64_t after, float scale) {
   const std::int64_t d_model = p.q.cols();
@@ -374,7 +412,8 @@ MatrixF fused_oracle(const Packed& p, std::int64_t heads, std::int64_t before,
           axpy(e, slice(p.v, j), z);
         }
         for (std::int64_t d = 0; d < h; ++d) {
-          out(row0 + i, base + d) = z[static_cast<std::size_t>(d)] / denom;
+          out(row0 + i, base + d) =
+              z[static_cast<std::size_t>(d)] / denom + 0.0f;
         }
       }
     }
@@ -536,6 +575,59 @@ TEST(IsaFusedAttention, OutOfBandOverflowScoresAreMaskedNotMultiplied) {
       attn::fused_window_attention_batch_into(p.q, p.k, p.v, p.offsets, 1, 1,
                                               1, 1.0f, got);
       expect_bytes_equal(got, oracle, tier_label(t));
+    }
+  }
+}
+
+TEST(IsaFmaContract, FusedAttentionFusesScoreAndSvMultiplyAdds) {
+  // Five rows (a full row group and a single row), each attending all five
+  // keys with the same Q row (2^20, 2^20 x, 0, ...). Keys 0-3 are zero, so
+  // their scores are 0 and their exp terms 1. Key 4 is (-(1 + 2^-11), x,
+  // 0, ...): its score is 2^20 * (x * x - 1 - 2^-11), which is 2^-4 under
+  // one fused rounding per term and 0 when each product is rounded first.
+  // V column 1 of key 0 is -round(E * E) and of key 4 is E, with
+  // E = det_exp(2^-4), so the S'V sum in that column is the rounding error
+  // of E * E, which only a fused multiply-add keeps. V column 0 is 1 on
+  // key 4 only. head_dim 2 runs the single-column S'V path and head_dim 64
+  // the register-tiled one.
+  constexpr std::int64_t kRows = isa::kFusedRowGroup + 1;
+  const float e = det_exp(0x1p-4f);
+  const float e_sq_error = std::fma(e, e, -(e * e));
+  ASSERT_EQ(det_exp(0.0f), 1.0f);
+  ASSERT_NE(e_sq_error, 0.0f);
+  float denom = 0.0f;
+  for (std::int64_t j = 0; j + 1 < kRows; ++j) denom += 1.0f;
+  denom += e;
+  for (const std::int64_t head_dim : {std::int64_t{2}, std::int64_t{64}}) {
+    Packed p;
+    p.offsets = {0, kRows};
+    p.q = MatrixF(kRows, head_dim, 0.0f);
+    p.k = MatrixF(kRows, head_dim, 0.0f);
+    p.v = MatrixF(kRows, head_dim, 0.0f);
+    MatrixF want(kRows, head_dim, 0.0f);
+    for (std::int64_t i = 0; i < kRows; ++i) {
+      p.q(i, 0) = 0x1p20f;
+      p.q(i, 1) = 0x1p20f * kX;
+      want(i, 0) = e / denom;
+      want(i, 1) = e_sq_error / denom;
+    }
+    p.k(kRows - 1, 0) = kMinusRoundedSquare;
+    p.k(kRows - 1, 1) = kX;
+    p.v(0, 1) = -(e * e);
+    p.v(kRows - 1, 0) = 1.0f;
+    p.v(kRows - 1, 1) = e;
+    for (const IsaTier t : supported_tiers()) {
+      const ScopedIsaTier scope(t);
+      for (const int threads : {1, 4}) {
+        const ThreadCountGuard guard(threads);
+        MatrixF got(kRows, head_dim);
+        attn::fused_window_attention_batch_into(p.q, p.k, p.v, p.offsets, 1,
+                                                kRows, kRows, 1.0f, got);
+        expect_bytes_equal(got, want,
+                           tier_label(t) + " threads " +
+                               std::to_string(threads) + " head_dim " +
+                               std::to_string(head_dim));
+      }
     }
   }
 }

@@ -200,19 +200,16 @@ TEST(GemmPacked, DegenerateShapesInitializeFromBias) {
 
 /// Scalar mirror of the packed kernel's bias semantics: the accumulator is
 /// *seeded* with the bias (exactly like the fused-bias GEMM the Linear
-/// layer has always run), then walks k ascending. Pinned to the kernel's
-/// round-multiply-then-add semantics so the comparison is exact on
-/// FMA-capable builds too.
-SWAT_NO_FP_CONTRACT
+/// layer has always run), then walks k ascending with one fma per term,
+/// the kernel's single-rounding multiply-add.
 MatrixF packed_reference(const MatrixF& a, const MatrixF& w,
                          std::span<const float> bias) {
-  SWAT_NO_FP_CONTRACT_BODY
   MatrixF c(a.rows(), w.rows());
   for (std::int64_t i = 0; i < a.rows(); ++i) {
     for (std::int64_t j = 0; j < w.rows(); ++j) {
       float acc = bias.empty() ? 0.0f : bias[static_cast<std::size_t>(j)];
       for (std::int64_t kk = 0; kk < a.cols(); ++kk) {
-        acc += a(i, kk) * w(j, kk);
+        acc = std::fma(a(i, kk), w(j, kk), acc);
       }
       c(i, j) = acc;
     }

@@ -48,20 +48,28 @@ void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
       window_after,   scale};
   // Per-thread scratch, carved from one lease of the thread's Workspace
   // arena (steady state is allocation-free): O(window x head_dim), never
-  // (rows x window). Every piece is padded to whole 64-byte lines; the
-  // layouts are in isa::FusedWindowScratch.
-  const auto floats = [](std::int64_t n) {
-    return static_cast<std::size_t>((n + 15) / 16 * 16);
+  // (rows x window). The lease starts on a cache line and every piece is
+  // padded to whole lines, so every piece starts on one too; the layouts
+  // are in isa::FusedWindowScratch.
+  constexpr std::int64_t kLine = isa::kFusedLineFloats;
+  const auto whole_lines = [](std::int64_t n) {
+    return (n + kLine - 1) / kLine * kLine;
+  };
+  const auto floats = [&](std::int64_t n) {
+    return static_cast<std::size_t>(whole_lines(n));
   };
   const auto halves = [&](std::int64_t n) { return floats((n + 1) / 2); };
-  const std::int64_t tile =
-      (isa::kFusedQueryTile + window_before + window_after) * h;
+  const std::int64_t tile_cols =
+      isa::kFusedQueryTile + window_before + window_after;
+  const std::int64_t tile = tile_cols * h;
   // Sized for the fp32 worker; the fp16 worker uses a prefix of each.
   const std::int64_t qs_floats = isa::kFusedRowGroup * h;
   const std::int64_t score_floats =
-      isa::kFusedRowGroup * (window_before + window_after +
-                             isa::kFusedRowGroup + isa::kFusedMaxColTile);
-  const std::int64_t kt_floats = tile + isa::kFusedMaxColTile * h;
+      isa::kFusedRowGroup *
+      (window_before + window_after + isa::kFusedRowGroup + kLine - 1 +
+       isa::kFusedMaxColTile);
+  const std::int64_t kt_floats =
+      whole_lines(tile_cols + isa::kFusedMaxColTile) * h;
   const bool f32_tiles = !half || kern.f16_stream_needs_f32_tiles;
   const std::size_t scratch_floats =
       floats(qs_floats) + floats(score_floats) + (half ? floats(h) : 0) +

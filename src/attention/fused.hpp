@@ -44,10 +44,14 @@ MatrixF fused_window_attention(const HeadInput& in,
 /// query row as it is staged.
 ///
 /// No (rows x window) score matrix is ever materialized: the per-thread
-/// scratch is one scaled query row plus one row's O(window) score tile
-/// (both from the thread's Workspace arena), so the path performs zero
-/// heap allocations after warmup. Per-head outputs are bit-identical to
-/// fused_window_attention on the sliced head (when window_before ==
+/// scratch (isa::FusedWindowScratch, one lease of the thread's Workspace
+/// arena) holds a row group's scaled Q rows and O(window) score rows plus
+/// one query tile's transposed K (isa::kFusedQueryTile rows' reach), so
+/// the path performs zero heap allocations after warmup. Every scratch
+/// piece and every K-tile row starts on a 64-byte cache line, and each
+/// row group's score stage starts on a line of the K tile; Q/K/V/out need
+/// no alignment (any stride, any base). Per-head outputs are bit-identical
+/// to fused_window_attention on the sliced head (when window_before ==
 /// window_after), for any thread count and batch composition.
 ///
 /// Numeric envelope: this is the paper's form — exp WITHOUT max

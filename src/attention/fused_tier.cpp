@@ -7,7 +7,10 @@
 // transposed once into per-thread scratch, so score columns stream K^T
 // unit-stride while each score element keeps dot()'s exact ascending-d
 // reduction order. The transpose is O(h) per tile row and amortizes over
-// the whole tile.
+// the whole tile: with a 256-row tile and the serving band (511 columns)
+// each K column is transposed about 3 times. The fp32 worker's K tile has
+// line-rounded rows and its score stage starts on a line (row_group), so
+// the hot loops load whole cache lines.
 //
 // The fp32 worker is register-tiled, the host form of SWAT's row-wise
 // input-stationary dataflow: kFusedRowGroup adjacent query rows share every
@@ -72,6 +75,10 @@ Task task_at(const FusedWindowArgs& g, std::int64_t t) {
           (t % g.num_heads) * g.head_dim};
 }
 
+std::int64_t round_up(std::int64_t x, std::int64_t m) {
+  return (x + m - 1) / m * m;
+}
+
 /// The transposed K tile of one query tile: kt[d * ld + c] holds K column
 /// `first + c` of the head slice; columns [width, ld) are zero padding.
 struct KTile {
@@ -81,12 +88,13 @@ struct KTile {
 };
 
 /// kt[d * ld + c] = K row c's column d for the tk rows at `k` (stride ldk),
-/// ld = tk + kColTile, with the kColTile padding columns zeroed. Eight K
-/// rows at a time, so each d step writes eight contiguous floats.
+/// ld = tk + kColTile rounded up to whole cache lines, so every kt row
+/// starts on a line when kt does; the padding columns [tk, ld) are zeroed.
+/// Eight K rows at a time, so each d step writes eight contiguous floats.
 KTile transpose_k(const float* k, std::int64_t ldk, std::int64_t tk,
                   std::int64_t h, float* kt, std::int64_t first) {
   constexpr std::int64_t kBlock = 8;
-  const std::int64_t ld = tk + kColTile;
+  const std::int64_t ld = round_up(tk + kColTile, kFusedLineFloats);
   std::int64_t j = 0;
   for (; j + kBlock <= tk; j += kBlock) {
     for (std::int64_t d = 0; d < h; ++d) {
@@ -98,7 +106,7 @@ KTile transpose_k(const float* k, std::int64_t ldk, std::int64_t tk,
   for (; j < tk; ++j) {
     for (std::int64_t d = 0; d < h; ++d) kt[d * ld + j] = k[j * ldk + d];
   }
-  for (std::int64_t d = 0; d < h; ++d) zero(kt + d * ld + tk, kColTile);
+  for (std::int64_t d = 0; d < h; ++d) zero(kt + d * ld + tk, ld - tk);
   return {kt, ld, first};
 }
 
@@ -207,6 +215,12 @@ void sv_column(const float* es, std::int64_t lds, std::int64_t width,
 /// therefore store z / denom + 0.0f, which maps -0 to +0 and changes no
 /// other value, so every row gets exactly its own Eq. 1 bytes. Returns
 /// false on a non-positive denominator.
+///
+/// The score stage starts `lead` columns before ulo, at the cache line of
+/// the K tile that holds ulo, so every K^T load is line-aligned. Those
+/// lead columns lie outside every row's band; the exp, denominator and
+/// S'V stages start at the true union start and never read them, so the
+/// fma(+0, v) terms above still cover only V rows inside the union band.
 template <int ROWS>
 bool row_group(const FusedWindowArgs& g, const FusedWindowScratch& s,
                const Task& task, const KTile& kt, std::int64_t i) {
@@ -214,19 +228,21 @@ bool row_group(const FusedWindowArgs& g, const FusedWindowScratch& s,
   const std::int64_t ulo = max_i64(0, i - g.window_before);
   const std::int64_t uhi = min_i64(task.n - 1, i + ROWS - 1 + g.window_after);
   const std::int64_t width = uhi - ulo + 1;
-  const std::int64_t lds = (width + kColTile - 1) / kColTile * kColTile;
+  const std::int64_t lead = (ulo - kt.first) % kFusedLineFloats;
+  const std::int64_t lds = round_up(lead + width, kColTile);
   float* const qs = s.qs;
-  float* const es = s.scores;
   for (int r = 0; r < ROWS; ++r) {
     const float* qrow = g.q + (task.row0 + i + r) * g.ldq + task.base;
     for (std::int64_t d = 0; d < h; ++d) qs[r * h + d] = qrow[d] * g.scale;
   }
-  // 1. Scores over the union band, kColTile columns per register tile; the
-  // last tile runs into the K tile's zero padding.
-  const float* const ktu = kt.kt + (ulo - kt.first);
-  for (std::int64_t c0 = 0; c0 < width; c0 += kColTile) {
-    score_tile<ROWS>(qs, h, ktu + c0, kt.ld, es + c0, lds);
+  // 1. Scores over the lead columns and the union band, kColTile columns
+  // per register tile; the last tile runs into the K tile's zero padding.
+  const float* const kts = kt.kt + (ulo - kt.first - lead);
+  for (std::int64_t c0 = 0; c0 < lead + width; c0 += kColTile) {
+    score_tile<ROWS>(qs, h, kts + c0, kt.ld, s.scores + c0, lds);
   }
+  // From here on column c is K column ulo + c.
+  float* const es = s.scores + lead;
   // 2. exp over each row's own band, exact zeros elsewhere.
   for (int r = 0; r < ROWS; ++r) {
     float* const er = es + r * lds;

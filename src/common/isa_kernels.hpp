@@ -76,8 +76,10 @@ using PackedRowsFn = void (*)(const PackedGemmArgs& args, float* widened,
 // --------------------------------------------------- fused attention ----
 
 /// Query rows per tile of the fused-attention workers: each tile
-/// transposes the K columns its band reaches once.
-constexpr std::int64_t kFusedQueryTile = 64;
+/// transposes the K columns its band reaches once. 256 rows against the
+/// serving band (511 columns) transpose each K column about 3 times, where
+/// 64 rows did about 9 times.
+constexpr std::int64_t kFusedQueryTile = 256;
 
 /// Adjacent query rows per register tile of the fp32 worker; they share
 /// every K^T column and V row loaded, over the union of their bands.
@@ -88,6 +90,12 @@ static_assert(kFusedQueryTile % kFusedRowGroup == 0);
 /// a constant in fused_tier.cpp); the fp32 worker's K tile and score rows
 /// are padded by this many columns so a tile never overruns.
 constexpr std::int64_t kFusedMaxColTile = 64;
+
+/// Floats per 64-byte cache line. The fp32 worker rounds its K tile's
+/// leading dimension up to whole lines and starts each row group's score
+/// stage on a line of that tile; the caller carves every scratch piece in
+/// whole lines from a line-aligned Workspace slab.
+constexpr std::int64_t kFusedLineFloats = 16;
 
 /// Packed Q/K/V (rows x num_heads * head_dim) and the concat output;
 /// sequence s occupies rows [offsets[s], offsets[s + 1]).
@@ -108,13 +116,16 @@ struct FusedWindowArgs {
   float scale;
 };
 
-/// Per-thread scratch, sized by the caller. With wb/wa the window and
-/// tile = kFusedQueryTile + wb + wa columns:
+/// Per-thread scratch, sized by the caller. Every piece starts on a cache
+/// line. With wb/wa the window and tile = kFusedQueryTile + wb + wa
+/// columns, and L = kFusedLineFloats:
 ///   fp32 worker: qs (kFusedRowGroup x head_dim floats: the group's scaled
-///   Q rows); scores (kFusedRowGroup x (wb + wa + kFusedRowGroup +
-///   kFusedMaxColTile) floats: the group's exp rows over the union band,
-///   padded to whole column tiles); kt ((tile + kFusedMaxColTile) x
-///   head_dim floats: the transposed K tile plus its zero padding).
+///   Q rows); scores (kFusedRowGroup x (wb + wa + kFusedRowGroup + L - 1 +
+///   kFusedMaxColTile) floats: the group's score/exp rows over up to L - 1
+///   lead columns and the union band, padded to whole column tiles); kt
+///   (round_up(tile + kFusedMaxColTile, L) x head_dim floats: the
+///   transposed K tile, its rows rounded up to whole lines, plus its zero
+///   padding).
 ///   fp16 worker: prefixes of the above: qs (head_dim), scores (wb + wa +
 ///   1) and, only when the tier has no F16C
 ///   (KernelTable::f16_stream_needs_f32_tiles), kt (tile x head_dim);

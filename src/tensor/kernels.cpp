@@ -16,9 +16,9 @@ namespace swat {
 
 std::span<float> Workspace::take(std::size_t n) {
   for (Slab& s : slabs_) {
-    if (!s.in_use && s.capacity >= n) {
+    if (!s.in_use && s.data.size() >= n) {
       s.in_use = true;
-      return {s.data.get(), n};
+      return {s.data.data(), n};
     }
   }
   // Miss: every free slab is too small. Drop them before allocating so a
@@ -26,16 +26,15 @@ std::span<float> Workspace::take(std::size_t n) {
   // flight, not one slab per historical size.
   std::erase_if(slabs_, [](const Slab& s) { return !s.in_use; });
   Slab slab;
-  slab.capacity = std::max<std::size_t>(n, 1);
-  slab.data = std::make_unique<float[]>(slab.capacity);
+  slab.data.resize(std::max<std::size_t>(n, 1));
   slab.in_use = true;
   slabs_.push_back(std::move(slab));
-  return {slabs_.back().data.get(), n};
+  return {slabs_.back().data.data(), n};
 }
 
 void Workspace::release(std::span<float> s) {
   for (Slab& slab : slabs_) {
-    if (slab.data.get() == s.data()) {
+    if (slab.data.data() == s.data()) {
       SWAT_EXPECTS(slab.in_use);
       slab.in_use = false;
       return;
@@ -46,7 +45,7 @@ void Workspace::release(std::span<float> s) {
 
 std::size_t Workspace::capacity_floats() const {
   std::size_t total = 0;
-  for (const Slab& s : slabs_) total += s.capacity;
+  for (const Slab& s : slabs_) total += s.data.size();
   return total;
 }
 

@@ -15,11 +15,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/dtype.hpp"
+#include "common/line_allocator.hpp"
 #include "common/uninit_allocator.hpp"
 #include "tensor/matrix.hpp"
 
@@ -28,8 +28,11 @@ namespace swat {
 /// A reusable scratch-memory arena. `take(n)` hands out a float span of
 /// length n, reusing a previously released slab when one is large enough;
 /// `release` returns a span to the arena. Slabs are stable: taking a new
-/// span never invalidates live ones. Intended use is the thread-local
-/// instance below, which makes the hot paths allocation-free after warmup.
+/// span never invalidates live ones. Every span starts on a 64-byte cache
+/// line (the slabs are line-aligned, common/line_allocator.hpp), so a
+/// kernel that carves its scratch in whole lines gets line-aligned pieces.
+/// Intended use is the thread-local instance below, which makes the hot
+/// paths allocation-free after warmup.
 class Workspace {
  public:
   std::span<float> take(std::size_t n);
@@ -45,8 +48,7 @@ class Workspace {
 
  private:
   struct Slab {
-    std::unique_ptr<float[]> data;
-    std::size_t capacity = 0;
+    std::vector<float, LineAlignedAllocator<float>> data;
     bool in_use = false;
   };
   std::vector<Slab> slabs_;
@@ -166,15 +168,19 @@ struct PackedWeight {
   /// 512-bit SIMD, enough to hide the FMA latency).
   static constexpr std::int64_t kPanel = 32;
 
-  // Panel storage skips value-initialization (DefaultInitAllocator) so
-  // resize() leaves pages untouched and the parallel pack fill performs
-  // the first write of every element — on Linux that first touch binds
-  // each page to the writing thread's NUMA node, which is what makes a
-  // per-replica pack land on the replica's node under partitioned
-  // placement. pack_weight_nt writes every element (values and padding)
-  // exactly once, so nothing is ever read uninitialized.
+  // Panel storage starts on a 64-byte cache line (LineAlignedAllocator),
+  // so every panel row — kPanel fp32 lanes = one line, or half a line of
+  // fp16 — is line-aligned. It also skips value-initialization
+  // (DefaultInitAllocator) so resize() leaves pages untouched and the
+  // parallel pack fill performs the first write of every element — on
+  // Linux that first touch binds each page to the writing thread's NUMA
+  // node, which is what makes a per-replica pack land on the replica's
+  // node under partitioned placement. pack_weight_nt writes every element
+  // (values and padding) exactly once, so nothing is ever read
+  // uninitialized.
   template <typename T>
-  using Buffer = std::vector<T, DefaultInitAllocator<T>>;
+  using Buffer =
+      std::vector<T, DefaultInitAllocator<T, LineAlignedAllocator<T>>>;
 
   std::int64_t in_features = 0;   ///< k (depth of the reduction)
   std::int64_t out_features = 0;  ///< n (logical output columns)

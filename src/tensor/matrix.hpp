@@ -6,6 +6,9 @@
 //    is index-heavy and an out-of-window index is the most likely bug class.
 //  - Rows are exposed as std::span (I.13 "do not pass an array as a single
 //    pointer"), which is what the attention kernels iterate over.
+//  - Storage starts on a 64-byte cache line (common/line_allocator.hpp)
+//    after construction, reshape growth, copy and move alike, so every row
+//    of a matrix whose column count is a multiple of 16 floats does too.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +17,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/line_allocator.hpp"
 #include "common/rng.hpp"
 
 namespace swat {
@@ -81,7 +85,7 @@ class Matrix {
  private:
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;
-  std::vector<T> data_;
+  std::vector<T, LineAlignedAllocator<T>> data_;
 };
 
 using MatrixF = Matrix<float>;

@@ -476,6 +476,64 @@ TEST(IsaFusedAttention, Fp32ByteIdenticalAcrossTiersAndToTheOracle) {
   }
 }
 
+TEST(IsaFusedAttention, TileEdgesAndUnalignedViewsMatchTheOracleBytes) {
+  // Query-tile edges (one row short of a tile, one past it, two tiles plus
+  // a partial row group) under a band and head width that are not whole
+  // cache lines, so union-band starts land at every offset inside a K-tile
+  // line. Q, K, V and the output are row-offset views of larger matrices
+  // whose base is not line-aligned: alignment is a performance property,
+  // never a precondition.
+  constexpr std::int64_t kEdgeHeadDim = 24;
+  const std::vector<std::int64_t> lengths = {
+      isa::kFusedQueryTile - 1, isa::kFusedQueryTile + 1,
+      2 * isa::kFusedQueryTile + isa::kFusedRowGroup - 1};
+  const Packed p = make_packed(lengths, kHeads * kEdgeHeadDim, 76);
+  const std::int64_t rows = p.q.rows();
+  const std::int64_t cols = p.q.cols();
+  const auto offset_copy = [&](const MatrixF& m) {
+    MatrixF backing(rows + 1, cols, 0.0f);
+    for (std::int64_t i = 0; i < rows; ++i) {
+      std::copy(m.row(i).begin(), m.row(i).end(), backing.row(i + 1).begin());
+    }
+    return backing;
+  };
+  const MatrixF q = offset_copy(p.q), k = offset_copy(p.k),
+                v = offset_copy(p.v);
+  const auto view = [&](const MatrixF& m) {
+    return ConstMatrixView(m.row(1).data(), rows, cols, cols);
+  };
+  for (const ConstMatrixView m : {view(q), view(k), view(v)}) {
+    ASSERT_NE(reinterpret_cast<std::uintptr_t>(m.data()) % 64, 0u);
+  }
+  const float scale = 1.0f / std::sqrt(static_cast<float>(kEdgeHeadDim));
+  for (const Band band : {Band{37, 5}, Band{5, 37}}) {
+    const MatrixF oracle =
+        fused_oracle(p, kHeads, band.before, band.after, scale);
+    for (const IsaTier t : supported_tiers()) {
+      const ScopedIsaTier scope(t);
+      for (const int threads : {1, 4}) {
+        const ThreadCountGuard guard(threads);
+        MatrixF backing(rows + 1, cols, -1.0f);
+        const MatrixView out(backing.row(1).data(), rows, cols, cols);
+        attn::fused_window_attention_batch_into(view(q), view(k), view(v),
+                                                p.offsets, kHeads,
+                                                band.before, band.after,
+                                                scale, out);
+        MatrixF got(rows, cols);
+        for (std::int64_t i = 0; i < rows; ++i) {
+          std::copy(out.row(i).begin(), out.row(i).end(),
+                    got.row(i).begin());
+        }
+        expect_bytes_equal(got, oracle,
+                           tier_label(t) + " threads " +
+                               std::to_string(threads) + " band " +
+                               std::to_string(band.before) + "/" +
+                               std::to_string(band.after));
+      }
+    }
+  }
+}
+
 TEST(IsaFusedAttention, Fp16StreamDeterministicAndInBudgetPerTier) {
   const Packed p = make_packed(kLengths, kHeads * kHeadDim, 72);
   const float scale = 1.0f / std::sqrt(static_cast<float>(kHeadDim));

@@ -16,10 +16,9 @@
 //                                       the epilogue's cost)
 //   * fused-attention                  (the per-head slice/band/scatter
 //                                       serving path vs the fused streaming
-//                                       batch kernel, fp32 and fp16 K/V
-//                                       tiles: one long sequence, the
-//                                       perfbench long_doc shape, and 8
-//                                       ragged 16-128-token sequences)
+//                                       batch kernel: one long sequence,
+//                                       the perfbench long_doc shape, and
+//                                       8 ragged 16-128-token sequences)
 //
 // The packed-GEMM and fused-attention arms run once per ISA tier the host
 // supports (the row's "isa" field; see common/cpu_dispatch.hpp), so the
@@ -193,16 +192,9 @@ struct BenchRow {
   /// GB/s — the bandwidth the pack dtype halves.
   double weight_bytes = 0;
   /// K/V band-tile bytes streamed per invocation (0 for non-attention
-  /// kernels): fused_window_kv_stream_bytes at the arm's stream dtype, so
-  /// the fp16 arm reports half the fp32 arm's bytes for the same shape.
+  /// kernels): fused_window_kv_stream_bytes. kv_gbps_1t divides it by the
+  /// one-thread time.
   double kv_bytes = 0;
-  /// The same band priced at fp32 width regardless of stream dtype — the
-  /// logical K/V elements the kernel delivers. kv_gbps_1t divides THIS by
-  /// time (the standard effective-bandwidth convention: compressing the
-  /// stream shows up as a higher effective rate only when it buys time),
-  /// so fp16/fp32 kv_gbps_1t is exactly the wall-time ratio the acceptance
-  /// gate reads.
-  double kv_eff_bytes = 0;
 
   double gflops(const Timing& t) const { return flops / t.min_s / 1e9; }
   double speedup_1t() const { return base.t1.min_s / kernel.t1.min_s; }
@@ -237,7 +229,7 @@ bool emit_json(const std::vector<BenchRow>& rows, const std::string& path,
         << "\"weight_bytes\": " << r.weight_bytes << ", "
         << "\"weight_gbps_1t\": " << r.weight_bytes / k1 / 1e9 << ", "
         << "\"kv_bytes\": " << r.kv_bytes << ", "
-        << "\"kv_gbps_1t\": " << r.kv_eff_bytes / k1 / 1e9 << ", "
+        << "\"kv_gbps_1t\": " << r.kv_bytes / k1 / 1e9 << ", "
         << "\"max_abs_diff\": " << r.max_abs_diff << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -285,8 +277,8 @@ struct FusedShape {
 /// replaced: slice the head's Q/K/V (folding in the logit scale), run the
 /// banded stable-softmax attention into a staging matrix, scatter back into
 /// the packed concat buffer. The fused kernel streams Eq. 1 in place, once
-/// per ISA tier, in fp32 and with fp16 K/V tiles. Returns false when the
-/// fp32 output differs in any byte between tiers.
+/// per ISA tier. Returns false when its output differs in any byte between
+/// tiers.
 bool bench_fused(const FusedShape& s, const std::vector<swat::IsaTier>& tiers,
                  int reps, int pool_threads, swat::Rng& rng,
                  std::vector<BenchRow>& rows) {
@@ -302,22 +294,20 @@ bool bench_fused(const FusedShape& s, const std::vector<swat::IsaTier>& tiers,
   const MatrixF v = swat::random_normal(total, d_model, rng);
   // QK + SV multiply-accumulates over each clipped band, all heads.
   double band_rows = 0;
-  double kv_f32 = 0, kv_f16 = 0;
+  double kv_bytes = 0;
   for (const std::int64_t n : s.lengths) {
     for (std::int64_t i = 0; i < n; ++i) {
       band_rows += static_cast<double>(
           std::min<std::int64_t>(n - 1, i + s.after) -
           std::max<std::int64_t>(0, i - s.before) + 1);
     }
-    kv_f32 += static_cast<double>(swat::attn::fused_window_kv_stream_bytes(
+    kv_bytes += static_cast<double>(swat::attn::fused_window_kv_stream_bytes(
         n, s.heads, s.head_dim, s.before, s.after, swat::Dtype::kFp32));
-    kv_f16 += static_cast<double>(swat::attn::fused_window_kv_stream_bytes(
-        n, s.heads, s.head_dim, s.before, s.after, swat::Dtype::kFp16));
   }
   const double flops = 2.0 * 2.0 * s.heads * band_rows * s.head_dim;
 
   MatrixF concat_base(total, d_model), concat_fused(total, d_model),
-      concat_f16(total, d_model), first_tier;
+      first_tier;
   const ThreadTimings slice_scatter = time_serial(reps, pool_threads, [&] {
     swat::attn::HeadInput in;
     MatrixF z;
@@ -364,34 +354,8 @@ bool bench_fused(const FusedShape& s, const std::vector<swat::IsaTier>& tiers,
     r.max_abs_diff = swat::max_abs_diff(concat_fused, concat_base);
     identical &= same_bytes_across_tiers(first_tier, concat_fused, r.name,
                                          tier, tiers[0]);
-    r.kv_bytes = kv_f32;
-    r.kv_eff_bytes = kv_f32;
+    r.kv_bytes = kv_bytes;
     rows.push_back(r);
-
-    // The half-precision streamed tiles on the same shape and tier,
-    // against the fp32 stream they replace: half the K/V tile bytes,
-    // fp32 scores/accumulation throughout. Both arms' kv_gbps_1t price
-    // the band at fp32 width, so their ratio is exactly speedup_1t (the
-    // fp32/fp16 wall-time ratio).
-    BenchRow h;
-    h.name = "fused_attention_f16stream_" + s.tag;
-    h.isa = r.isa;
-    h.baseline = "fused_attention_f32stream";
-    h.flops = flops;
-    h.base = r.kernel;
-    h.base_parallel = true;
-    h.kernel = time_threads(reps, pool_threads, [&] {
-      swat::attn::fused_window_attention_batch_into(
-          q, k, v, offsets, s.heads, s.before, s.after, scale, concat_f16,
-          swat::Dtype::kFp16);
-    });
-    // fp16 rounds each K/V tile element once; the diff against the fp32
-    // stream is the fidelity-budgeted rounding, not an implementation
-    // bug.
-    h.max_abs_diff = swat::max_abs_diff(concat_f16, concat_fused);
-    h.kv_bytes = kv_f16;
-    h.kv_eff_bytes = kv_f32;
-    rows.push_back(h);
   }
   return identical;
 }

@@ -96,12 +96,10 @@ struct ReplicaSweepResult {
   double bulk_p99_ms = 0.0;
 };
 
-/// One stream_dtype cell of the shared-pack sweep: partitioned replicas
-/// sharing one pack (first-touched on replica 0's group), so the far
-/// replica's remote-read cost shows up directly in goodput, with the pack
-/// footprint alongside.
+/// The shared-pack cell: partitioned replicas sharing one pack
+/// (first-touched on replica 0's group), so the far replica's remote-read
+/// cost shows up directly in goodput, with the pack footprint alongside.
 struct PackSplitResult {
-  std::string stream_dtype;  ///< "fp32" or "fp16"
   std::int64_t served = 0;
   double goodput_per_s = 0.0;
   double packed_mib = 0.0;  ///< Server::packed_weight_bytes
@@ -444,78 +442,70 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- shared-pack sweep: 2 partitioned replicas sharing one pack at
-  // saturating load, per stream dtype. On a multi-node host the far
-  // replica pays remote reads for every panel; fp16 streaming halves the
-  // K/V bytes on top.
-  std::vector<PackSplitResult> pack_split;
+  // ---- shared-pack cell: 2 partitioned replicas sharing one pack at
+  // saturating load. On a multi-node host the far replica pays remote reads
+  // for every panel.
+  PackSplitResult pack_split;
   {
     const double rel = overload_intensities.back();
-    for (const swat::Dtype stream : {swat::Dtype::kFp32, swat::Dtype::kFp16}) {
-      swat::Rng arrival_rng(5151);
-      std::vector<double> arrival(sweep_requests.size());
-      double t = 0.0;
-      for (double& a : arrival) {
-        t += -std::log(1.0 - arrival_rng.uniform(0.0, 1.0)) /
-             (rel * sweep_service_rps);
-        a = t;
-      }
-
-      swat::model::EncoderConfig stream_cfg = cfg;
-      stream_cfg.stream_dtype = stream;
-      swat::ServerOptions opt;
-      opt.batching.max_batch_requests = 1;
-      opt.admission = swat::OverflowPolicy::kShedBulk;
-      opt.queue_capacity = 16;
-      opt.shed_watermark = 0.75;
-      opt.num_replicas = 2;
-      opt.share_weight_pack = true;
-      opt.replica_queue_depth = 2;
-      opt.placement = swat::PlacementPolicy::kPartitioned;
-      Server server(stream_cfg, opt);
-
-      std::vector<Server::Ticket> tickets(sweep_requests.size());
-      const auto start = Clock::now();
-      for (std::size_t i = 0; i < sweep_requests.size(); ++i) {
-        const auto due =
-            start + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(arrival[i]));
-        std::this_thread::sleep_until(due);
-        InferenceRequest req = sweep_requests[i];
-        req.priority = (i % 2 == 0) ? swat::Priority::kInteractive
-                                    : swat::Priority::kBulk;
-        if (req.priority == swat::Priority::kInteractive) {
-          req.deadline = swat::Seconds{sweep_deadline_s};
-        }
-        tickets[i] = server.submit(std::move(req));
-      }
-      std::vector<double> interactive_ms;
-      std::int64_t served = 0;
-      for (std::size_t i = 0; i < tickets.size(); ++i) {
-        try {
-          const RequestResult res = tickets[i].get();
-          if (i % 2 == 0) {
-            interactive_ms.push_back(res.counters.turnaround.value * 1e3);
-          }
-          ++served;
-        } catch (const std::exception&) {
-          // shed at admission or by deadline — ledgered in server.stats()
-        }
-      }
-      const double makespan =
-          std::chrono::duration<double>(Clock::now() - start).count();
-      const double packed_mib =
-          static_cast<double>(server.packed_weight_bytes()) / (1024.0 * 1024.0);
-      server.drain();
-
-      PackSplitResult row;
-      row.stream_dtype = stream == swat::Dtype::kFp16 ? "fp16" : "fp32";
-      row.served = served;
-      row.goodput_per_s = static_cast<double>(served) / makespan;
-      row.packed_mib = packed_mib;
-      row.interactive_p99_ms = percentile(interactive_ms, 0.99);
-      pack_split.push_back(row);
+    swat::Rng arrival_rng(5151);
+    std::vector<double> arrival(sweep_requests.size());
+    double t = 0.0;
+    for (double& a : arrival) {
+      t += -std::log(1.0 - arrival_rng.uniform(0.0, 1.0)) /
+           (rel * sweep_service_rps);
+      a = t;
     }
+
+    swat::ServerOptions opt;
+    opt.batching.max_batch_requests = 1;
+    opt.admission = swat::OverflowPolicy::kShedBulk;
+    opt.queue_capacity = 16;
+    opt.shed_watermark = 0.75;
+    opt.num_replicas = 2;
+    opt.share_weight_pack = true;
+    opt.replica_queue_depth = 2;
+    opt.placement = swat::PlacementPolicy::kPartitioned;
+    Server server(cfg, opt);
+
+    std::vector<Server::Ticket> tickets(sweep_requests.size());
+    const auto start = Clock::now();
+    for (std::size_t i = 0; i < sweep_requests.size(); ++i) {
+      const auto due =
+          start + std::chrono::duration_cast<Clock::duration>(
+                      std::chrono::duration<double>(arrival[i]));
+      std::this_thread::sleep_until(due);
+      InferenceRequest req = sweep_requests[i];
+      req.priority = (i % 2 == 0) ? swat::Priority::kInteractive
+                                  : swat::Priority::kBulk;
+      if (req.priority == swat::Priority::kInteractive) {
+        req.deadline = swat::Seconds{sweep_deadline_s};
+      }
+      tickets[i] = server.submit(std::move(req));
+    }
+    std::vector<double> interactive_ms;
+    std::int64_t served = 0;
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+      try {
+        const RequestResult res = tickets[i].get();
+        if (i % 2 == 0) {
+          interactive_ms.push_back(res.counters.turnaround.value * 1e3);
+        }
+        ++served;
+      } catch (const std::exception&) {
+        // shed at admission or by deadline — ledgered in server.stats()
+      }
+    }
+    const double makespan =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    const double packed_mib =
+        static_cast<double>(server.packed_weight_bytes()) / (1024.0 * 1024.0);
+    server.drain();
+
+    pack_split.served = served;
+    pack_split.goodput_per_s = static_cast<double>(served) / makespan;
+    pack_split.packed_mib = packed_mib;
+    pack_split.interactive_p99_ms = percentile(interactive_ms, 0.99);
   }
 
   std::ofstream out(out_path);
@@ -579,17 +569,12 @@ int main(int argc, char** argv) {
         << (i + 1 < replica_sweep.size() ? "," : "") << "\n";
   }
   out << "  ],\n"
-      << "  \"pack_split\": [\n";
-  for (std::size_t i = 0; i < pack_split.size(); ++i) {
-    const PackSplitResult& p = pack_split[i];
-    out << "    {\"stream_dtype\": \"" << p.stream_dtype
-        << "\", \"served\": " << p.served
-        << ", \"goodput_per_s\": " << p.goodput_per_s
-        << ", \"packed_mib\": " << p.packed_mib
-        << ", \"interactive_p99_ms\": " << p.interactive_p99_ms << "}"
-        << (i + 1 < pack_split.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+      << "  \"pack_split\": [\n"
+      << "    {\"served\": " << pack_split.served
+      << ", \"goodput_per_s\": " << pack_split.goodput_per_s
+      << ", \"packed_mib\": " << pack_split.packed_mib
+      << ", \"interactive_p99_ms\": " << pack_split.interactive_p99_ms
+      << "}\n  ]\n}\n";
 
   std::printf(
       "server throughput (%lld requests, %lld tokens, seq service %.1f "
@@ -637,16 +622,14 @@ int main(int argc, char** argv) {
         r.bulk_p99_ms);
   }
   std::printf(
-      "\nshared-pack sweep (2 partitioned replicas, shared pack, %.1fx "
-      "load; stream dtype)\n",
+      "\nshared pack (2 partitioned replicas, shared pack, %.1fx load)\n",
       overload_intensities.back());
-  std::printf("%6s %6s %10s %10s %9s\n", "dtype", "served", "goodput/s",
-              "pack MiB", "int p99");
-  for (const PackSplitResult& p : pack_split) {
-    std::printf("%6s %6lld %10.1f %10.2f %9.2f\n", p.stream_dtype.c_str(),
-                static_cast<long long>(p.served), p.goodput_per_s,
-                p.packed_mib, p.interactive_p99_ms);
-  }
+  std::printf("%6s %10s %10s %9s\n", "served", "goodput/s", "pack MiB",
+              "int p99");
+  std::printf("%6lld %10.1f %10.2f %9.2f\n",
+              static_cast<long long>(pack_split.served),
+              pack_split.goodput_per_s, pack_split.packed_mib,
+              pack_split.interactive_p99_ms);
   std::cout << "wrote " << out_path << "\n";
   return out ? 0 : 1;
 }

@@ -28,14 +28,15 @@
    surface) are documented contracts too.
 7. The placement/topology surface (src/common/topology.hpp: top-level
    types, free functions, CpuSet's public methods; plus the server's
-   placement knob, the stream_dtype config field, and the per-replica
-   core_group/pinned_threads stats fields) must be mentioned in
-   docs/ARCHITECTURE.md — replica placement is a behavioral contract
-   (kShared stays bit-identical, kPartitioned matches solo oracles) and
-   its docs may not drift.
+   placement knob and the per-replica core_group/pinned_threads stats
+   fields) must be mentioned in docs/ARCHITECTURE.md — replica placement
+   is a behavioral contract (kShared stays bit-identical, kPartitioned
+   matches solo oracles) and its docs may not drift. The fp32-only
+   stream_dtype config field is pinned here too, so its one valid value
+   and the removed fp16 stream stay documented.
 8. The fused attention surface (src/attention/fused.hpp: every top-level
    type and every free function declared at namespace scope) must be
-   mentioned in docs/ARCHITECTURE.md — the streamed-tile kernel and its
+   mentioned in docs/ARCHITECTURE.md — the fused kernel and its
    kv-stream pricing helper are the serving hot path's attention
    contract.
 9. The runtime ISA dispatch surface (src/common/cpu_dispatch.hpp: every
@@ -261,8 +262,10 @@ def check_topology_api_mentions(errors):
     # pin_current_thread, ...), same shape as kernels.hpp.
     names = set(kernels_public_api(header))
     names |= class_public_methods(header_text, "CpuSet")
-    # Placement knobs live in server.hpp/stats.hpp/encoder.hpp as plain
-    # fields, which the type/method scrapers don't see — pin them by name.
+    # Placement knobs live in server.hpp/stats.hpp as plain fields, which
+    # the type/method scrapers don't see — pin them by name. stream_dtype
+    # (encoder.hpp) is not a placement knob: it rides along so the field's
+    # fp32-only contract stays documented until the field is removed.
     names |= {"placement", "core_group", "pinned_threads", "stream_dtype"}
     for name in sorted(names):
         if not re.search(rf"\b{re.escape(name)}\b", text):

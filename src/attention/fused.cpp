@@ -19,7 +19,7 @@ void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
                                        std::int64_t window_before,
                                        std::int64_t window_after, float scale,
                                        MatrixView out, Dtype stream_dtype) {
-  SWAT_EXPECTS(stream_dtype == Dtype::kFp32 || stream_dtype == Dtype::kFp16);
+  SWAT_EXPECTS(stream_dtype == Dtype::kFp32);
   SWAT_EXPECTS(num_heads >= 1);
   SWAT_EXPECTS(window_before >= 0 && window_after >= 0);
   const std::int64_t rows = q.rows();
@@ -36,10 +36,7 @@ void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
                  offsets[static_cast<std::size_t>(s + 1)]);
   }
 
-  const isa::KernelTable& kern = isa::active_kernels();
-  const bool half = stream_dtype == Dtype::kFp16;
-  const isa::FusedWindowFn worker =
-      half ? kern.fused_window_tasks_f16 : kern.fused_window_tasks;
+  const isa::FusedWindowFn worker = isa::active_kernels().fused_window_tasks;
   const std::int64_t h = d_model / num_heads;
   const isa::FusedWindowArgs args{
       q.data(),       q.stride(),  k.data(),      k.stride(),
@@ -58,11 +55,8 @@ void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
   const auto floats = [&](std::int64_t n) {
     return static_cast<std::size_t>(whole_lines(n));
   };
-  const auto halves = [&](std::int64_t n) { return floats((n + 1) / 2); };
   const std::int64_t tile_cols =
       isa::kFusedQueryTile + window_before + window_after;
-  const std::int64_t tile = tile_cols * h;
-  // Sized for the fp32 worker; the fp16 worker uses a prefix of each.
   const std::int64_t qs_floats = isa::kFusedRowGroup * h;
   const std::int64_t score_floats =
       isa::kFusedRowGroup *
@@ -70,12 +64,8 @@ void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
        isa::kFusedMaxColTile);
   const std::int64_t kt_floats =
       whole_lines(tile_cols + isa::kFusedMaxColTile) * h;
-  const bool f32_tiles = !half || kern.f16_stream_needs_f32_tiles;
   const std::size_t scratch_floats =
-      floats(qs_floats) + floats(score_floats) + (half ? floats(h) : 0) +
-      (f32_tiles ? floats(kt_floats) : 0) +
-      (half ? halves(h) + 2 * halves(tile) : 0) +
-      (half && f32_tiles ? floats(tile) : 0);
+      floats(qs_floats) + floats(score_floats) + floats(kt_floats);
 
   // (sequence, head) tasks fan out over the pool; rows within a task run
   // serially in index order, so every output element's reduction order is
@@ -91,14 +81,7 @@ void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
     isa::FusedWindowScratch scratch{};
     scratch.qs = carve(floats(qs_floats));
     scratch.scores = carve(floats(score_floats));
-    if (f32_tiles) scratch.kt = carve(floats(kt_floats));
-    if (half) {
-      scratch.zacc = carve(floats(h));
-      scratch.row16 = reinterpret_cast<std::uint16_t*>(carve(halves(h)));
-      scratch.kt16 = reinterpret_cast<std::uint16_t*>(carve(halves(tile)));
-      scratch.vb16 = reinterpret_cast<std::uint16_t*>(carve(halves(tile)));
-      if (f32_tiles) scratch.vb32 = carve(floats(tile));
-    }
+    scratch.kt = carve(floats(kt_floats));
     const bool denominators_positive = worker(args, scratch, t0, t1);
     SWAT_ENSURES(denominators_positive);
   });

@@ -65,18 +65,10 @@ MatrixF fused_window_attention(const HeadInput& in,
 /// kWindowExact backend (stable softmax) or fused_window_attention_online
 /// (running max) instead.
 ///
-/// `stream_dtype` selects the streamed-tile precision (the paper's
-/// datapath is natively fp16, §4 / Table 2):
-///   * Dtype::kFp32 (default) — byte-identical to fused_window_attention
-///     on every ISA tier;
-///   * Dtype::kFp16 — the per-thread transposed K tile and V band are
-///     narrowed to binary16 once per (sequence, head, tile) via the SIMD
-///     RNE converters, halving the K/V bytes the score and S'V stages
-///     stream; scores, exp/denominator and the Z accumulator stay fp32 in
-///     ascending index order, so outputs remain bit-identical across
-///     thread counts, arrival orders and replica counts — but differ from
-///     the fp32 oracle by the tile rounding, which eval/stream_fidelity
-///     budgets and tests/test_stream_precision gates.
+/// `stream_dtype` must be Dtype::kFp32 (std::invalid_argument otherwise):
+/// the K/V tiles stream in fp32, byte-identical to fused_window_attention
+/// on every ISA tier. The parameter stays only until its last caller, the
+/// serving benchmark (perfbench/), stops passing it.
 void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
                                        ConstMatrixView v,
                                        std::span<const std::int64_t> offsets,
@@ -90,9 +82,10 @@ void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
 /// one sequence of `seq_len` rows: every row reads its clipped band
 /// ([i - window_before, i + window_after] ∩ [0, n)) from both the K tile
 /// and the V band, head_dim elements each, per head, at
-/// dtype_bytes(stream_dtype) per element. Closed form (no O(n) loop), used
-/// by BatchCostModel to price the activation stream next to the weight
-/// stream and by the microbench to report effective K/V bandwidth.
+/// dtype_bytes(stream_dtype) per element (the kernel streams fp32). Closed
+/// form (no O(n) loop), used by BatchCostModel to price the activation
+/// stream next to the weight stream and by the microbench to report
+/// effective K/V bandwidth.
 std::int64_t fused_window_kv_stream_bytes(std::int64_t seq_len,
                                           std::int64_t num_heads,
                                           std::int64_t head_dim,

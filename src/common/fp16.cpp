@@ -107,11 +107,6 @@ void f16_bits_to_f32_batch(const std::uint16_t* src, float* dst,
   isa::active_kernels().f16_bits_to_f32_batch(src, dst, n);
 }
 
-void f32_to_f16_bits_batch(const float* src, std::uint16_t* dst,
-                           std::size_t n) {
-  isa::active_kernels().f32_to_f16_bits_batch(src, dst, n);
-}
-
 Half half_exp(Half x) { return Half(std::exp(x.to_float())); }
 
 Half half_exp_lut(Half x, int segments, float max_mag) {

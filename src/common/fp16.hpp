@@ -36,13 +36,6 @@ float f16_bits_to_f32(std::uint16_t h);
 void f16_bits_to_f32_batch(const std::uint16_t* src, float* dst,
                            std::size_t n);
 
-/// Narrow `n` binary32 values to binary16 bit patterns, element-identical to
-/// the scalar `f32_to_f16_bits` (RNE everywhere; NaN lanes are patched so the
-/// canonical scalar payload is produced rather than the hardware one). Used
-/// once per weight matrix at pack time.
-void f32_to_f16_bits_batch(const float* src, std::uint16_t* dst,
-                           std::size_t n);
-
 /// Value type wrapping one binary16 number.
 ///
 /// All arithmetic operators round the binary32 intermediate back to binary16,

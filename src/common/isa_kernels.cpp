@@ -4,23 +4,21 @@ namespace swat::isa {
 
 namespace {
 
-#define SWAT_ISA_TABLE(tier_enum, tier, needs_f32_tiles)                 \
-  KernelTable{tier_enum,                   tier::gemm_packed_rows,       \
-              tier::fused_window_tasks,    tier::fused_window_tasks_f16, \
-              tier::f16_bits_to_f32_batch, tier::f32_to_f16_bits_batch,  \
-              needs_f32_tiles}
+#define SWAT_ISA_TABLE(tier_enum, tier)                                    \
+  KernelTable{tier_enum, tier::gemm_packed_rows, tier::fused_window_tasks, \
+              tier::f16_bits_to_f32_batch}
 
 // Indexed by IsaTier. Without the AVX tiers compiled, host_isa_tier() is
 // always kBaseline, so the baseline table stands in for the slots no CPU
 // check can select.
 const KernelTable kTables[] = {
-    SWAT_ISA_TABLE(IsaTier::kBaseline, baseline, true),
+    SWAT_ISA_TABLE(IsaTier::kBaseline, baseline),
 #if defined(SWAT_ISA_X86_TIERS)
-    SWAT_ISA_TABLE(IsaTier::kAvx2, avx2, false),
-    SWAT_ISA_TABLE(IsaTier::kAvx512, avx512, false),
+    SWAT_ISA_TABLE(IsaTier::kAvx2, avx2),
+    SWAT_ISA_TABLE(IsaTier::kAvx512, avx512),
 #else
-    SWAT_ISA_TABLE(IsaTier::kBaseline, baseline, true),
-    SWAT_ISA_TABLE(IsaTier::kBaseline, baseline, true),
+    SWAT_ISA_TABLE(IsaTier::kBaseline, baseline),
+    SWAT_ISA_TABLE(IsaTier::kBaseline, baseline),
 #endif
 };
 

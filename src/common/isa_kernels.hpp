@@ -6,9 +6,10 @@
 //   src/tensor/gemm_packed_tier.cpp  — the packed-GEMM row worker (one
 //                                      tile for fp32 and widened fp16
 //                                      panels, all epilogues)
-//   src/attention/fused_tier.cpp     — the fp32 and fp16 fused-attention
-//                                      workers
-//   src/common/fp16_tier.cpp         — the binary16 batch converters
+//   src/attention/fused_tier.cpp     — the fused-attention worker
+//                                      (stream_dtype is fp32-only)
+//   src/common/fp16_tier.cpp         — the binary16 -> binary32 batch
+//                                      widening (fp16-pack panel decode)
 //
 // The build compiles each body with the tier's -m flags and
 // -ffp-contract=off, so the compiler fuses nothing on its own. The fp32
@@ -75,23 +76,23 @@ using PackedRowsFn = void (*)(const PackedGemmArgs& args, float* widened,
 
 // --------------------------------------------------- fused attention ----
 
-/// Query rows per tile of the fused-attention workers: each tile
+/// Query rows per tile of the fused-attention worker: each tile
 /// transposes the K columns its band reaches once. 256 rows against the
 /// serving band (511 columns) transpose each K column about 3 times, where
 /// 64 rows did about 9 times.
 constexpr std::int64_t kFusedQueryTile = 256;
 
-/// Adjacent query rows per register tile of the fp32 worker; they share
+/// Adjacent query rows per register tile of the worker; they share
 /// every K^T column and V row loaded, over the union of their bands.
 constexpr std::int64_t kFusedRowGroup = 4;
 static_assert(kFusedQueryTile % kFusedRowGroup == 0);
 
 /// Widest score-column register tile of any tier (the tier's own width is
-/// a constant in fused_tier.cpp); the fp32 worker's K tile and score rows
+/// a constant in fused_tier.cpp); the worker's K tile and score rows
 /// are padded by this many columns so a tile never overruns.
 constexpr std::int64_t kFusedMaxColTile = 64;
 
-/// Floats per 64-byte cache line. The fp32 worker rounds its K tile's
+/// Floats per 64-byte cache line. The worker rounds its K tile's
 /// leading dimension up to whole lines and starts each row group's score
 /// stage on a line of that tile; the caller carves every scratch piece in
 /// whole lines from a line-aligned Workspace slab.
@@ -117,29 +118,18 @@ struct FusedWindowArgs {
 };
 
 /// Per-thread scratch, sized by the caller. Every piece starts on a cache
-/// line. With wb/wa the window and tile = kFusedQueryTile + wb + wa
-/// columns, and L = kFusedLineFloats:
-///   fp32 worker: qs (kFusedRowGroup x head_dim floats: the group's scaled
-///   Q rows); scores (kFusedRowGroup x (wb + wa + kFusedRowGroup + L - 1 +
-///   kFusedMaxColTile) floats: the group's score/exp rows over up to L - 1
-///   lead columns and the union band, padded to whole column tiles); kt
-///   (round_up(tile + kFusedMaxColTile, L) x head_dim floats: the
-///   transposed K tile, its rows rounded up to whole lines, plus its zero
-///   padding).
-///   fp16 worker: prefixes of the above: qs (head_dim), scores (wb + wa +
-///   1) and, only when the tier has no F16C
-///   (KernelTable::f16_stream_needs_f32_tiles), kt (tile x head_dim);
-///   plus zacc (head_dim floats), row16 (head_dim), kt16 and vb16 (tile x
-///   head_dim halves), and vb32 (tile x head_dim floats) without F16C.
+/// line. With wb/wa the window, tile = kFusedQueryTile + wb + wa columns
+/// and L = kFusedLineFloats: qs (kFusedRowGroup x head_dim floats: the
+/// group's scaled Q rows); scores (kFusedRowGroup x (wb + wa +
+/// kFusedRowGroup + L - 1 + kFusedMaxColTile) floats: the group's
+/// score/exp rows over up to L - 1 lead columns and the union band, padded
+/// to whole column tiles); kt (round_up(tile + kFusedMaxColTile, L) x
+/// head_dim floats: the transposed K tile, its rows rounded up to whole
+/// lines, plus its zero padding).
 struct FusedWindowScratch {
   float* qs;
   float* scores;
-  float* zacc;
   float* kt;
-  float* vb32;
-  std::uint16_t* row16;
-  std::uint16_t* kt16;
-  std::uint16_t* vb16;
 };
 
 /// (sequence, head) tasks [t0, t1). Returns false as soon as a row's
@@ -149,11 +139,9 @@ using FusedWindowFn = bool (*)(const FusedWindowArgs& args,
                                const FusedWindowScratch& scratch,
                                std::int64_t t0, std::int64_t t1);
 
-// -------------------------------------------------- fp16 converters ----
+// -------------------------------------------------- fp16 converter ----
 
 using F16ToF32Fn = void (*)(const std::uint16_t* src, float* dst,
-                            std::size_t n);
-using F32ToF16Fn = void (*)(const float* src, std::uint16_t* dst,
                             std::size_t n);
 
 // ------------------------------------------------------- tier tables ----
@@ -162,10 +150,7 @@ struct KernelTable {
   IsaTier tier;
   PackedRowsFn gemm_packed_rows;
   FusedWindowFn fused_window_tasks;
-  FusedWindowFn fused_window_tasks_f16;
   F16ToF32Fn f16_bits_to_f32_batch;
-  F32ToF16Fn f32_to_f16_bits_batch;
-  bool f16_stream_needs_f32_tiles;
 };
 
 // Each tier namespace defines the same entry points.
@@ -177,12 +162,7 @@ struct KernelTable {
   bool fused_window_tasks(const FusedWindowArgs& args,                     \
                           const FusedWindowScratch& scratch,               \
                           std::int64_t t0, std::int64_t t1);               \
-  bool fused_window_tasks_f16(const FusedWindowArgs& args,                 \
-                              const FusedWindowScratch& scratch,           \
-                              std::int64_t t0, std::int64_t t1);           \
   void f16_bits_to_f32_batch(const std::uint16_t* src, float* dst,         \
-                             std::size_t n);                               \
-  void f32_to_f16_bits_batch(const float* src, std::uint16_t* dst,         \
                              std::size_t n);                               \
   }
 SWAT_ISA_DECLARE_TIER(baseline)

@@ -178,37 +178,4 @@ constexpr double fp16_cosine_floor(double rel_err_budget) {
   return 1.0 - 0.5 * rel_err_budget * rel_err_budget;
 }
 
-// ---------------------------------------------------------------------------
-// Streamed-tile precision: the fp16 K/V tile fidelity budget
-// ---------------------------------------------------------------------------
-
-/// Worst-case amplification of the binary16 tile roundoff through one
-/// fused-attention row (stream_dtype = kFp16; scores and Z stay fp32, so
-/// the only roundings are the once-per-tile K and V narrowing). Three
-/// factors compound: the QK reduction over head_dim = 64 once-rounded K
-/// elements (u * sqrt(64) = 8u with signed cancellation), the exp stage
-/// turning that absolute score error into a relative weight error
-/// (d(exp s)/exp s = ds — at most a few u for unit-normal operands with
-/// the 1/sqrt(h) scaling folded into Q), and the S'V convex combination
-/// over once-rounded V rows (one more u; convexity does not amplify).
-/// 64 rounds the product up to a clean power of two, mirroring
-/// kFp16GemmAmplification; measured per-head errors sit well under it,
-/// which is what makes it a budget rather than a fit.
-inline constexpr double kFp16StreamAmplification = 64.0;
-
-/// Per-head relative-error budget for the fp16 streamed-tile kernel vs the
-/// fp32 fused oracle on identical inputs: u * amplification = 2^-11 * 64
-/// = 1/32.
-inline constexpr double kFp16StreamHeadRelErrBudget =
-    kFp16UnitRoundoff * kFp16StreamAmplification;
-
-/// End-to-end (free-running) relative-error budget per layer of depth for
-/// an fp16-streaming encoder vs the fp32-streaming oracle: post-norm
-/// LayerNorm re-normalizes every block output, so divergence compounds
-/// roughly additively — same argument as kFp16EndToEndRelErrPerLayer. The
-/// stream-fidelity gate multiplies by the layer count of the model under
-/// test.
-inline constexpr double kFp16StreamEndToEndRelErrPerLayer =
-    kFp16StreamHeadRelErrBudget;
-
 }  // namespace swat::calib

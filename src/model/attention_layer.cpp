@@ -34,9 +34,9 @@ MultiHeadAttention::MultiHeadAttention(std::int64_t d_model,
                                        std::int64_t num_heads,
                                        AttentionBackend backend,
                                        SwatConfig swat_cfg, Rng& rng,
-                                       Dtype pack_dtype, Dtype stream_dtype)
+                                       Dtype pack_dtype)
     : d_model_(d_model), num_heads_(num_heads), backend_(backend),
-      stream_dtype_(stream_dtype), swat_cfg_(std::move(swat_cfg)),
+      swat_cfg_(std::move(swat_cfg)),
       wq_(d_model, d_model, rng, pack_dtype),
       wk_(d_model, d_model, rng, pack_dtype),
       wv_(d_model, d_model, rng, pack_dtype),
@@ -50,10 +50,6 @@ MultiHeadAttention::MultiHeadAttention(std::int64_t d_model,
   SWAT_EXPECTS(backend_ != AttentionBackend::kFusedStreaming ||
                (swat_cfg_.global_cores == 0 && swat_cfg_.random_cores == 0 &&
                 swat_cfg_.window_dilation == 1));
-  // Only the fused streaming kernel has a streamed-tile dtype knob; the
-  // other backends compute in fp32 and must say so.
-  SWAT_EXPECTS(stream_dtype_ == Dtype::kFp32 ||
-               backend_ == AttentionBackend::kFusedStreaming);
   if (backend_ == AttentionBackend::kSwatSimulator) {
     sim_.emplace(swat_cfg_);
   }
@@ -226,7 +222,7 @@ void MultiHeadAttention::forward_batch_into(
       // scratch is O(window x head_dim).
       attn::fused_window_attention_batch_into(
           q, k, v, offsets, num_heads_, swat_cfg_.window_before(),
-          swat_cfg_.window_after(), scale, concat, stream_dtype_);
+          swat_cfg_.window_after(), scale, concat);
     } else {
       // Host backends: each (sequence, head) task slices into the
       // worker's thread-local staging, attends into the worker's

@@ -90,13 +90,9 @@ class MultiHeadAttention {
   /// swat_cfg's window parameters so all three backends agree on the
   /// pattern. `pack_dtype` is forwarded to all four projection Linears
   /// (the packed-panel storage type).
-  /// `stream_dtype` selects the fused kernel's streamed K/V tile precision
-  /// (kFusedStreaming only — the other backends require kFp32); see
-  /// attention/fused.hpp for the fp16 tile contract.
   MultiHeadAttention(std::int64_t d_model, std::int64_t num_heads,
                      AttentionBackend backend, SwatConfig swat_cfg, Rng& rng,
-                     Dtype pack_dtype = Dtype::kFp32,
-                     Dtype stream_dtype = Dtype::kFp32);
+                     Dtype pack_dtype = Dtype::kFp32);
 
   /// Y = W_o . concat_heads(attend(W_q X, W_k X, W_v X)) for one
   /// sequence: forward_batch_into on a one-sequence batch with a throwaway
@@ -137,7 +133,6 @@ class MultiHeadAttention {
   std::size_t packed_floats() const;
 
   AttentionBackend backend() const { return backend_; }
-  Dtype stream_dtype() const { return stream_dtype_; }
   std::int64_t num_heads() const { return num_heads_; }
   std::int64_t head_dim() const { return d_model_ / num_heads_; }
   std::int64_t parameters() const;
@@ -152,7 +147,6 @@ class MultiHeadAttention {
   std::int64_t d_model_;
   std::int64_t num_heads_;
   AttentionBackend backend_;
-  Dtype stream_dtype_;
   SwatConfig swat_cfg_;
   std::optional<FunctionalSimulator> sim_;
   Linear wq_;

@@ -44,17 +44,12 @@ void EncoderConfig::validate() const {
          std::to_string(static_cast<int>(pack_dtype)) +
          " — the packed GEMM streams fp32 or fp16 panels only");
   }
-  if (stream_dtype != Dtype::kFp32 && stream_dtype != Dtype::kFp16) {
-    fail("stream_dtype must be Dtype::kFp32 or Dtype::kFp16, got enum "
-         "value " + std::to_string(static_cast<int>(stream_dtype)) +
-         " — the fused attention kernel streams fp32 or fp16 K/V tiles "
-         "only");
-  }
-  if (stream_dtype == Dtype::kFp16 &&
-      backend != AttentionBackend::kFusedStreaming) {
-    fail("stream_dtype = Dtype::kFp16 requires backend = kFusedStreaming — "
-         "only the fused streaming kernel has a half-precision tile path; "
-         "pick that backend or keep stream_dtype = Dtype::kFp32");
+  if (stream_dtype != Dtype::kFp32) {
+    fail("stream_dtype must be Dtype::kFp32, got enum value " +
+         std::to_string(static_cast<int>(stream_dtype)) +
+         " — the fused attention kernel streams fp32 K/V tiles only (the "
+         "fp16 streamed-tile worker was removed; restore it from commit "
+         "35b2b9f)");
   }
   if (swat.head_dim != d_model / num_heads) {
     fail("swat.head_dim (" + std::to_string(swat.head_dim) +
@@ -105,7 +100,7 @@ std::size_t EncoderArena::capacity_floats() const {
 
 EncoderLayer::EncoderLayer(const EncoderConfig& cfg, Rng& rng)
     : mha_(cfg.d_model, cfg.num_heads, cfg.backend, cfg.swat, rng,
-           cfg.pack_dtype, cfg.stream_dtype),
+           cfg.pack_dtype),
       norm1_(cfg.d_model),
       ffn1_(cfg.d_model, cfg.d_model * cfg.ffn_mult, rng, cfg.pack_dtype),
       ffn2_(cfg.d_model * cfg.ffn_mult, cfg.d_model, rng, cfg.pack_dtype),

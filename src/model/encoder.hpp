@@ -24,13 +24,10 @@ struct EncoderConfig {
   /// kFp32 (the default) keeps full oracle bit-parity; kFp16 halves the
   /// streamed weight bytes and is gated by the precision-fidelity budget.
   Dtype pack_dtype = Dtype::kFp32;
-  /// Element type of the K/V tiles the fused attention kernel streams
-  /// (kFusedStreaming only). kFp32 (the default) keeps full oracle
-  /// bit-parity; kFp16 narrows the per-thread transposed K tile and V band
-  /// to binary16 once per tile — halving the attention activation bytes —
-  /// while scores and Z accumulate in fp32 ascending order, so outputs
-  /// stay bit-deterministic and are gated by the stream-fidelity budget
-  /// (eval/stream_fidelity) instead of bit-parity.
+  /// Element type of the K/V tiles the fused attention kernel streams:
+  /// fp32-only (validate() rejects anything else). The field stays only
+  /// until its last reader, the serving benchmark (perfbench/), stops
+  /// setting it.
   Dtype stream_dtype = Dtype::kFp32;
 
   /// Longformer-base geometry on the paper's standard SWAT build.
@@ -39,9 +36,8 @@ struct EncoderConfig {
   /// Reject inconsistent geometries with actionable messages
   /// (std::invalid_argument): positive d_model/num_heads with
   /// d_model % num_heads == 0, ffn_mult >= 1, layers >= 1, known
-  /// pack_dtype/stream_dtype (fp16 streaming requires the fused backend),
-  /// and swat.head_dim == d_model / num_heads (plus
-  /// SwatConfig::validate()), so a bad config fails at
+  /// pack_dtype, stream_dtype == kFp32, and swat.head_dim == d_model /
+  /// num_heads (plus SwatConfig::validate()), so a bad config fails at
   /// construction/compile time, not rows deep into a forward pass. Called
   /// by Encoder and Engine::compile.
   void validate() const;

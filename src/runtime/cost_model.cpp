@@ -31,7 +31,6 @@ BatchCostModel::BatchCostModel(const model::EncoderConfig& cfg)
       head_dim_(cfg.d_model / cfg.num_heads),
       window_before_(cfg.swat.window_before()),
       window_after_(cfg.swat.window_after()),
-      stream_dtype_(cfg.stream_dtype),
       weight_stream_bytes_(packed_sweep_bytes(cfg)),
       weight_stream_seconds_(static_cast<double>(weight_stream_bytes_.count) /
                              calib::kHostWeightStreamBytesPerSec) {}
@@ -41,7 +40,7 @@ Bytes BatchCostModel::kv_stream_bytes(const BatchPlanEntry& entry) const {
   for (std::size_t i = 0; i + 1 < entry.offsets.size(); ++i) {
     per_layer += attn::fused_window_kv_stream_bytes(
         entry.offsets[i + 1] - entry.offsets[i], num_heads_, head_dim_,
-        window_before_, window_after_, stream_dtype_);
+        window_before_, window_after_, Dtype::kFp32);
   }
   return Bytes{static_cast<std::uint64_t>(per_layer) *
                static_cast<std::uint64_t>(layers_)};

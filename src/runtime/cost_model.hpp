@@ -43,10 +43,10 @@ class BatchCostModel {
   /// weight sweep (weight_stream_seconds) plus the batch's attention
   /// activation sweep (kv_stream_seconds) — every executed batch streams
   /// the whole packed weight set once and each sequence's K/V band tiles
-  /// once per layer, so both the pack_dtype and stream_dtype knobs change
-  /// what dispatch charges per batch. Named separately so "predict the
-  /// cost of placing this batch" has one spelling at the dispatch call
-  /// sites (Server's replica pool, work stealing, watchdog thresholds).
+  /// once per layer, so the pack_dtype knob changes what dispatch charges
+  /// per batch. Named separately so "predict the cost of placing this
+  /// batch" has one spelling at the dispatch call sites (Server's replica
+  /// pool, work stealing, watchdog thresholds).
   Seconds predict(const BatchPlanEntry& entry) const {
     return batch_seconds(entry) + weight_stream_seconds() +
            kv_stream_seconds(entry);
@@ -66,9 +66,8 @@ class BatchCostModel {
   /// Bytes of K/V band tiles the fused attention path streams for one
   /// executed batch: per sequence, attn::fused_window_kv_stream_bytes
   /// (every row's clipped band read from both K and V, per head) times the
-  /// layer count, at dtype_bytes(stream_dtype) per element — the
-  /// activation-side twin of weight_stream_bytes, so stream_dtype = kFp16
-  /// halves what dispatch charges for the attention sweep.
+  /// layer count, at fp32 (stream_dtype is fp32-only) — the
+  /// activation-side twin of weight_stream_bytes.
   Bytes kv_stream_bytes(const BatchPlanEntry& entry) const;
 
   /// The batch's K/V sweep converted to time against the same calibrated
@@ -92,7 +91,6 @@ class BatchCostModel {
   std::int64_t head_dim_;
   std::int64_t window_before_;
   std::int64_t window_after_;
-  Dtype stream_dtype_;
   Bytes weight_stream_bytes_;
   Seconds weight_stream_seconds_;
 };

@@ -2,7 +2,7 @@
 // hardware cost model that drives its latency budget
 // (src/runtime/cost_model.hpp): option validation messages, the
 // empty-plan-entry regression, the incremental BatchFormer's cut rules,
-// and the budget's never-starve guarantee.
+// the budget's never-starve guarantee, and the K/V-stream pricing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "attention/fused.hpp"
+#include "eval/calibration.hpp"
 #include "runtime/batcher.hpp"
 #include "runtime/cost_model.hpp"
 
@@ -281,6 +283,37 @@ TEST(BatchCostModel, NullModelFormerIgnoresBudget) {
   const BatchPlanEntry batch = former.pop_ready();
   EXPECT_EQ(batch.requests(), 3);
   EXPECT_FALSE(former.has_ready());
+}
+
+/// BatchCostModel's activation-stream pricing: the kv sweep is the kernel
+/// closed form summed per sequence, times the layer count, converted at
+/// the calibrated host stream bandwidth — and predict() is exactly the
+/// three-term sum the dispatch sites charge.
+TEST(CostModel, KvStreamPricingFollowsTheKernelClosedForm) {
+  model::EncoderConfig cfg = small_config();
+  cfg.backend = model::AttentionBackend::kFusedStreaming;
+  const BatchCostModel fp32_model(cfg);
+
+  BatchPlanEntry entry;
+  entry.request_indices = {0, 1};
+  entry.offsets = {0, 5, 68};  // lengths 5 and 63
+
+  std::uint64_t expected = 0;
+  for (const std::int64_t len : {5, 63}) {
+    expected += static_cast<std::uint64_t>(attn::fused_window_kv_stream_bytes(
+        len, cfg.num_heads, cfg.swat.head_dim, cfg.swat.window_before(),
+        cfg.swat.window_after(), Dtype::kFp32));
+  }
+  expected *= static_cast<std::uint64_t>(cfg.layers);
+
+  EXPECT_EQ(fp32_model.kv_stream_bytes(entry).count, expected);
+  EXPECT_DOUBLE_EQ(fp32_model.kv_stream_seconds(entry).value,
+                   static_cast<double>(expected) /
+                       calib::kHostWeightStreamBytesPerSec);
+  EXPECT_DOUBLE_EQ(fp32_model.predict(entry).value,
+                   fp32_model.batch_seconds(entry).value +
+                       fp32_model.weight_stream_seconds().value +
+                       fp32_model.kv_stream_seconds(entry).value);
 }
 
 }  // namespace

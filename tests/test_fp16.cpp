@@ -296,24 +296,6 @@ TEST(Fp16Batch, DecodeHandlesEveryTailLength) {
   }
 }
 
-TEST(Fp16Batch, EncodeMatchesScalarOnRandomFloats) {
-  // Random 32-bit patterns hit normals, subnormals, infinities, and NaNs
-  // (both quiet and signaling payloads) — the encode must patch NaN lanes
-  // to match the scalar's payload handling exactly.
-  std::mt19937 gen(0xf16f16u);
-  std::uniform_int_distribution<std::uint32_t> dist;
-  std::vector<float> src(4096 + 7);  // odd length: SIMD body + tail
-  for (float& v : src) {
-    const std::uint32_t bits = dist(gen);
-    std::memcpy(&v, &bits, sizeof(v));
-  }
-  std::vector<std::uint16_t> batch(src.size());
-  f32_to_f16_bits_batch(src.data(), batch.data(), src.size());
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    ASSERT_EQ(batch[i], f32_to_f16_bits(src[i])) << "i=" << i;
-  }
-}
-
 TEST(Fp16Batch, EncodeDecodeRoundTripsHalfSpace) {
   // encode(decode(h)) == h for every non-NaN half — the identity that
   // makes pack-time rounding a one-time cost (repacking cannot drift).
@@ -322,12 +304,11 @@ TEST(Fp16Batch, EncodeDecodeRoundTripsHalfSpace) {
     src[bits] = static_cast<std::uint16_t>(bits);
   }
   std::vector<float> wide(src.size());
-  std::vector<std::uint16_t> back(src.size());
   f16_bits_to_f32_batch(src.data(), wide.data(), wide.size());
-  f32_to_f16_bits_batch(wide.data(), back.data(), back.size());
   for (std::uint32_t bits = 0; bits < 65536; ++bits) {
     if ((bits & 0x7fffu) > 0x7c00u) continue;  // NaN payloads may quiet
-    ASSERT_EQ(back[bits], src[bits]) << "half bits 0x" << std::hex << bits;
+    ASSERT_EQ(f32_to_f16_bits(wide[bits]), src[bits])
+        << "half bits 0x" << std::hex << bits;
   }
 }
 

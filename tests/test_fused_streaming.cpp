@@ -8,11 +8,14 @@
 //   * numerical parity with the masked_attention_into oracle across window
 //     radii {0, 1, 7, >= seq_len} and ragged batches including edge rows;
 //   * thread-count invariance;
+//   * fused_window_kv_stream_bytes' closed form against the brute-force
+//     band sum;
 //   * the serving backend (MultiHeadAttention / Encoder / Engine) is
 //     bit-identical between its planned and allocating paths and rejects
 //     pattern-augmented configs it cannot honor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -211,6 +214,52 @@ TEST(FusedStreamingBatch, RejectsMalformedInputs) {
   EXPECT_THROW(attn::fused_window_attention_batch_into(
                    p.q, p.k, p.v, p.offsets, 2, 2, 2, 1.0f, small),
                std::invalid_argument);
+  // The K/V tiles stream in fp32 only.
+  EXPECT_THROW(attn::fused_window_attention_batch_into(
+                   p.q, p.k, p.v, p.offsets, 2, 2, 2, 1.0f, out,
+                   Dtype::kFp16),
+               std::invalid_argument);
+}
+
+// ---------------------------------------------------- kv-stream bytes ----
+
+TEST(FusedKvStreamBytes, ClosedFormMatchesBruteForceBandSum) {
+  const auto brute_band_sum = [](std::int64_t n, std::int64_t wb,
+                                 std::int64_t wa) {
+    std::int64_t sum = 0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::int64_t lo = std::max<std::int64_t>(0, i - wb);
+      const std::int64_t hi = std::min<std::int64_t>(n - 1, i + wa);
+      sum += hi - lo + 1;
+    }
+    return sum;
+  };
+
+  // Hand-checked anchors first: a single row with no reach streams exactly
+  // its own K and V row; n=3 with radius 1 attends 2+3+2 = 7 positions.
+  EXPECT_EQ(attn::fused_window_kv_stream_bytes(1, 1, 1, 0, 0, Dtype::kFp32),
+            2 * 1 * 1 * 1 * 4);
+  EXPECT_EQ(attn::fused_window_kv_stream_bytes(3, 1, 1, 1, 1, Dtype::kFp32),
+            2 * 1 * 1 * 7 * 4);
+
+  const struct { std::int64_t n, wb, wa; } shapes[] = {
+      {1, 0, 0}, {3, 1, 1}, {8, 2, 1}, {64, 16, 15},
+      {128, 16, 15}, {5, 100, 100}, {40, 0, 7}, {17, 31, 0},
+  };
+  for (const auto& s : shapes) {
+    const std::int64_t band = brute_band_sum(s.n, s.wb, s.wa);
+    for (const std::int64_t heads : {1, 2, 12}) {
+      for (const std::int64_t h : {1, 32, 64}) {
+        const std::int64_t fp32 = attn::fused_window_kv_stream_bytes(
+            s.n, heads, h, s.wb, s.wa, Dtype::kFp32);
+        const std::int64_t fp16 = attn::fused_window_kv_stream_bytes(
+            s.n, heads, h, s.wb, s.wa, Dtype::kFp16);
+        EXPECT_EQ(fp32, 2 * heads * h * band * 4)
+            << "n=" << s.n << " wb=" << s.wb << " wa=" << s.wa;
+        EXPECT_EQ(fp16 * 2, fp32) << "fp16 must stream exactly half";
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ serving backend ----

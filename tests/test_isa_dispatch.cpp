@@ -10,10 +10,10 @@
 //     attention scores in exp's subnormal range);
 //   * every multiply-add in those kernels is one fused multiply-add, pinned
 //     by inputs whose fused and separately rounded results differ;
-//   * the fp16 converters match the scalar routines on every pattern,
-//     NaN payloads included;
-//   * the fp16 pack and fp16 stream are bit-identical across thread
-//     counts and inside the calibrated fidelity budgets;
+//   * the fp16 decode converter matches the scalar routine on every
+//     pattern, NaN payloads included;
+//   * the fp16 pack is bit-identical across thread counts and inside the
+//     calibrated fidelity budget;
 //   * SWAT_ISA rejects unknown names and tiers above the host's.
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -426,16 +425,16 @@ struct Band {
 };
 
 // Multi-sequence offsets (one sequence shorter than the band, one longer
-// than a query tile), bands clipped at both ends, before != after.
+// than a query tile).
 const std::vector<std::int64_t> kLengths = {5, 70, 1, 131};
-const Band kBands[] = {{3, 7}, {9, 0}, {0, 4}, {200, 150}};
 constexpr std::int64_t kHeads = 3;
 constexpr std::int64_t kHeadDim = 20;  // not a multiple of 8 or 16
 
-// The fp32 byte-identity tests add the fp32 worker's register-tile edges:
-// a partial row group of every size (lengths 2, 3, kFusedRowGroup + 1), a
+// The fp32 byte-identity tests add the worker's register-tile edges: a
+// partial row group of every size (lengths 2, 3, kFusedRowGroup + 1), a
 // sequence past two query tiles that is not a multiple of the row group,
-// the serving head width (a full S'V tile) and the serving band.
+// the serving head width (a full S'V tile) and, after bands clipped at
+// both ends with before != after, the serving band.
 std::vector<std::int64_t> tile_edge_lengths() {
   std::vector<std::int64_t> lengths = kLengths;
   for (const std::int64_t len :
@@ -530,32 +529,6 @@ TEST(IsaFusedAttention, TileEdgesAndUnalignedViewsMatchTheOracleBytes) {
                                std::to_string(band.before) + "/" +
                                std::to_string(band.after));
       }
-    }
-  }
-}
-
-TEST(IsaFusedAttention, Fp16StreamDeterministicAndInBudgetPerTier) {
-  const Packed p = make_packed(kLengths, kHeads * kHeadDim, 72);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(kHeadDim));
-  for (const Band band : kBands) {
-    MatrixF f32(p.q.rows(), p.q.cols());
-    attn::fused_window_attention_batch_into(p.q, p.k, p.v, p.offsets, kHeads,
-                                            band.before, band.after, scale,
-                                            f32);
-    for (const IsaTier t : supported_tiers()) {
-      SCOPED_TRACE(tier_label(t));
-      const ScopedIsaTier scope(t);
-      MatrixF solo(p.q.rows(), p.q.cols()), wide(p.q.rows(), p.q.cols());
-      for (const int threads : {1, 4}) {
-        const ThreadCountGuard guard(threads);
-        attn::fused_window_attention_batch_into(
-            p.q, p.k, p.v, p.offsets, kHeads, band.before, band.after, scale,
-            threads == 1 ? solo : wide, Dtype::kFp16);
-      }
-      expect_matrix_equal(wide, solo, "fp16 stream across thread counts");
-      const double err = relative_error(solo, f32);
-      EXPECT_GT(err, 0.0);
-      EXPECT_LT(err, calib::kFp16StreamHeadRelErrBudget);
     }
   }
 }
@@ -700,17 +673,15 @@ TEST(IsaFusedAttention, DenominatorUnderflowIsAnInvariantViolationOnEveryTier) {
   }
   for (const IsaTier t : supported_tiers()) {
     const ScopedIsaTier scope(t);
-    for (const Dtype dt : {Dtype::kFp32, Dtype::kFp16}) {
-      MatrixF out(8, 8);
-      EXPECT_THROW(attn::fused_window_attention_batch_into(
-                       p.q, p.k, p.v, p.offsets, 1, 2, 2, 1.0f, out, dt),
-                   std::logic_error)
-          << tier_label(t);
-    }
+    MatrixF out(8, 8);
+    EXPECT_THROW(attn::fused_window_attention_batch_into(
+                     p.q, p.k, p.v, p.offsets, 1, 2, 2, 1.0f, out),
+                 std::logic_error)
+        << tier_label(t);
   }
 }
 
-// ---------------------------------------------------- fp16 converters ----
+// ----------------------------------------------------- fp16 converter ----
 
 TEST(IsaFp16Convert, DecodeMatchesScalarOnEveryPatternPerTier) {
   std::vector<std::uint16_t> src(65536 + 5);  // odd tail
@@ -724,41 +695,6 @@ TEST(IsaFp16Convert, DecodeMatchesScalarOnEveryPatternPerTier) {
     for (std::size_t i = 0; i < src.size(); ++i) {
       ASSERT_EQ(float_bits(got[i]), float_bits(f16_bits_to_f32(src[i])))
           << tier_label(t) << " half bits 0x" << std::hex << src[i];
-    }
-  }
-}
-
-TEST(IsaFp16Convert, EncodeMatchesScalarIncludingNanPayloadsPerTier) {
-  std::vector<float> src;
-  const auto push_bits = [&](std::uint32_t bits) {
-    float f = 0.0f;
-    std::memcpy(&f, &bits, sizeof(f));
-    src.push_back(f);
-  };
-  // Quiet and signalling NaNs with assorted payloads and both signs,
-  // infinities, the overflow and subnormal boundaries, RNE ties.
-  for (const std::uint32_t bits :
-       {0x7fc00000u, 0xffc00000u, 0x7f800001u, 0xff800001u, 0x7fa5a5a5u,
-        0x7fbfffffu, 0x7fffffffu, 0xffffe000u, 0x7f802000u, 0x7f800000u,
-        0xff800000u, 0x477fe000u, 0x477ff000u, 0x47800000u, 0x33800000u,
-        0x33000000u, 0x33000001u, 0x38800000u, 0x387fe000u, 0x3f801000u,
-        0x3f803000u, 0x00000001u, 0x80000000u}) {
-    push_bits(bits);
-  }
-  std::mt19937 gen(0x15a15au);
-  std::uniform_int_distribution<std::uint32_t> dist;
-  for (int i = 0; i < 4096 + 3; ++i) push_bits(dist(gen));
-  for (const IsaTier t : supported_tiers()) {
-    const ScopedIsaTier scope(t);
-    // Offsets 0..8 move every special value through each SIMD lane
-    // position and across the body/tail split.
-    for (std::size_t off = 0; off < 9; ++off) {
-      std::vector<std::uint16_t> got(src.size() - off);
-      f32_to_f16_bits_batch(src.data() + off, got.data(), got.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i], f32_to_f16_bits(src[off + i]))
-            << tier_label(t) << " off=" << off << " i=" << i;
-      }
     }
   }
 }

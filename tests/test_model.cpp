@@ -276,6 +276,27 @@ TEST(EncoderConfigValidate, RejectsSwatHeadDimDrift) {
   }
 }
 
+/// The fused kernel streams fp32 K/V tiles only: an fp16 stream (and any
+/// unknown dtype) is rejected on every backend, naming the field.
+TEST(EncoderConfigValidate, RejectsNonFp32StreamDtype) {
+  EXPECT_EQ(EncoderConfig{}.stream_dtype, Dtype::kFp32);
+  for (const AttentionBackend backend :
+       {AttentionBackend::kFusedStreaming, AttentionBackend::kWindowExact}) {
+    for (const Dtype dtype : {Dtype::kFp16, static_cast<Dtype>(42)}) {
+      EncoderConfig cfg = small_config(backend);
+      cfg.stream_dtype = dtype;
+      try {
+        cfg.validate();
+        FAIL() << "stream_dtype " << static_cast<int>(dtype) << " accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("stream_dtype"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 TEST(Mha, RejectsMismatchedHeadDim) {
   Rng rng(9);
   SwatConfig bad;

@@ -558,14 +558,38 @@ class PlacementTest : public ::testing::Test {
   void TearDown() override { FaultInjector::global().reset(); }
 };
 
+/// The serving attention backends: the banded stable-softmax host kernel
+/// and the fused streaming kernel (Eq. 1) the benchmarks serve with.
+const AttentionBackend kServingBackends[] = {AttentionBackend::kWindowExact,
+                                             AttentionBackend::kFusedStreaming};
+
+std::string backend_name(
+    const ::testing::TestParamInfo<AttentionBackend>& info) {
+  return info.param == AttentionBackend::kFusedStreaming ? "FusedStreaming"
+                                                         : "WindowExact";
+}
+
+/// small_config() served through `backend`.
+EncoderConfig serving_config(AttentionBackend backend) {
+  EncoderConfig cfg = small_config();
+  cfg.backend = backend;
+  return cfg;
+}
+
+/// PlacementTest over each serving backend.
+class PlacementBackendTest
+    : public PlacementTest,
+      public ::testing::WithParamInterface<AttentionBackend> {};
+
 /// The acceptance bar: kPartitioned output is bit-identical to the solo
 /// sequential oracle across num_replicas {1,2,4} x SWAT_THREADS {1,4} x
-/// arrival orders x share_weight_pack {false,true} — pinning, per-replica
-/// pools and a shared pack (first-touched on replica 0's group) move work
-/// and pages, never bits. The footprint is one pack when shared, one per
-/// replica when private.
-TEST_F(PlacementTest, PartitionedBitIdentityAcrossReplicasOrdersAndThreads) {
-  const EncoderConfig cfg = small_config();
+/// arrival orders x share_weight_pack {false,true}, for each serving
+/// backend — pinning, per-replica pools and a shared pack (first-touched
+/// on replica 0's group) move work and pages, never bits. The footprint
+/// is one pack when shared, one per replica when private.
+TEST_P(PlacementBackendTest,
+       PartitionedBitIdentityAcrossReplicasOrdersAndThreads) {
+  const EncoderConfig cfg = serving_config(GetParam());
   const std::vector<std::int64_t> lengths = {5, 63, 64, 65, 1, 40, 128, 64,
                                              17, 33, 80, 64};
   std::vector<InferenceRequest> reqs = make_requests(cfg, lengths);
@@ -630,6 +654,9 @@ TEST_F(PlacementTest, PartitionedBitIdentityAcrossReplicasOrdersAndThreads) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, PlacementBackendTest,
+                         ::testing::ValuesIn(kServingBackends), backend_name);
 
 TEST_F(PlacementTest, PartitionedStatsExposeCoreGroups) {
   const EncoderConfig cfg = small_config();
@@ -783,12 +810,15 @@ TEST_F(PlacementTest, ChaosConservationHoldsUnderPartitionedPlacement) {
 
 // -------------------------------------------------- zero-alloc steady state ----
 
+class PlacementSteadyState
+    : public ::testing::TestWithParam<AttentionBackend> {};
+
 /// The zero-allocation guarantee survives placement: a warmed engine
 /// whose fan-outs are bound to a PINNED single-thread pool performs no
-/// heap allocation per run (same counter methodology as
-/// tests/test_runtime.cpp — single-threaded so the pool's O(1) fork-join
-/// bookkeeping is excluded).
-TEST(PlacementSteadyState, PinnedBoundEngineRunAllocatesNothing) {
+/// heap allocation per run, for each serving backend (same counter
+/// methodology as tests/test_runtime.cpp — single-threaded so the pool's
+/// O(1) fork-join bookkeeping is excluded).
+TEST_P(PlacementSteadyState, PinnedBoundEngineRunAllocatesNothing) {
   ASSERT_GT(g_alloc_count.load(), 0u);
 
   const CpuSet allowed = current_thread_affinity();
@@ -796,7 +826,7 @@ TEST(PlacementSteadyState, PinnedBoundEngineRunAllocatesNothing) {
   if (!allowed.empty()) group.add(allowed.cpus().front());
   ThreadPool pool(1, group);
 
-  const EncoderConfig cfg = small_config();
+  const EncoderConfig cfg = serving_config(GetParam());
   Engine engine(cfg, &pool);
   ExecutionPlan plan = engine.make_plan(200);
 
@@ -829,6 +859,9 @@ TEST(PlacementSteadyState, PinnedBoundEngineRunAllocatesNothing) {
   EXPECT_EQ(g_alloc_count.load(), before)
       << "a warmed pinned-pool run allocated";
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, PlacementSteadyState,
+                         ::testing::ValuesIn(kServingBackends), backend_name);
 
 }  // namespace
 }  // namespace swat

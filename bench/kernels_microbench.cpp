@@ -468,10 +468,9 @@ int main(int argc, char** argv) {
                                 std::to_string(sh.n);
       const double flops = 2.0 * sh.m * sh.k * sh.n;
       const swat::MatrixF wt = swat::transpose(w);  // the old cached W^T
-      swat::PackedWeight packed, packed_f16;
+      swat::PackedWeight packed;
       swat::pack_weight_nt(w, packed);  // packed once, as Engine::compile does
-      swat::pack_weight_nt(w, packed_f16, swat::Dtype::kFp16);
-      swat::MatrixF c_base(sh.m, sh.n), c_packed(sh.m, sh.n), c_f16(sh.m, sh.n),
+      swat::MatrixF c_base(sh.m, sh.n), c_packed(sh.m, sh.n),
           c_gelu(sh.m, sh.n), c_resid(sh.m, sh.n);
       swat::MatrixF first_plain, first_gelu, first_resid;
       // The blocked GEMM has no ISA tiers: timed once for every tier's row.
@@ -493,7 +492,7 @@ int main(int argc, char** argv) {
           swat::gemm_packed_into(a, packed, bias, c_packed);
         });
         r.max_abs_diff = swat::max_abs_diff(c_packed, c_base);
-        r.weight_bytes = static_cast<double>(packed.bytes());
+        r.weight_bytes = static_cast<double>(packed.floats() * sizeof(float));
         rows.push_back(r);
         gemm_tiers_identical &= same_bytes_across_tiers(
             first_plain, c_packed, r.name, tier, tiers[0]);
@@ -527,25 +526,6 @@ int main(int argc, char** argv) {
           gemm_tiers_identical &= same_bytes_across_tiers(
               first_gelu, c_gelu, e.name, tier, tiers[0]);
         }
-
-        // The half-precision pack on the same shape and tier, against the
-        // fp32 pack it replaces: half the streamed weight bytes, the same
-        // fp32 fused multiply-add tile on the widened panel.
-        BenchRow h;
-        h.name = "gemm_packed_f16_" + shape;
-        h.isa = r.isa;
-        h.baseline = "gemm_packed_f32";
-        h.flops = flops;
-        h.base = r.kernel;
-        h.base_parallel = true;
-        h.weight_bytes = static_cast<double>(packed_f16.bytes());
-        h.kernel = time_threads(reps, pool_threads, [&] {
-          swat::gemm_packed_into(a, packed_f16, bias, c_f16);
-        });
-        // fp16 rounds each weight once; the diff against the fp32 pack is
-        // the fidelity-budgeted rounding, not an implementation bug.
-        h.max_abs_diff = swat::max_abs_diff(c_f16, c_packed);
-        rows.push_back(h);
       }
     }
   }

@@ -102,7 +102,7 @@ struct ReplicaSweepResult {
 struct PackSplitResult {
   std::int64_t served = 0;
   double goodput_per_s = 0.0;
-  double packed_mib = 0.0;  ///< Server::packed_weight_bytes
+  double packed_mib = 0.0;  ///< Server::packed_weight_floats, in MiB
   double interactive_p99_ms = 0.0;
 };
 
@@ -499,7 +499,8 @@ int main(int argc, char** argv) {
     const double makespan =
         std::chrono::duration<double>(Clock::now() - start).count();
     const double packed_mib =
-        static_cast<double>(server.packed_weight_bytes()) / (1024.0 * 1024.0);
+        static_cast<double>(server.packed_weight_floats() * sizeof(float)) /
+        (1024.0 * 1024.0);
     server.drain();
 
     pack_split.served = served;

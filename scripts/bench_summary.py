@@ -28,9 +28,9 @@ from pathlib import Path
 # gflops covers the kernel microbench's per-arm throughput columns
 # (gflops_baseline_1t / gflops_kernel_*), so the packed-GEMM and
 # fused-attention arms land in the headline table alongside their
-# same-thread-count speedups and their own thread scaling. _gbps is the
-# effective weight-stream bandwidth column (weight_bytes / kernel time) the
-# packed-GEMM arms report — the number the fp16 pack halves the demand for.
+# same-thread-count speedups and their own thread scaling. _gbps covers the
+# effective stream bandwidth columns: weight_bytes / kernel time for the
+# packed-GEMM arms, kv_bytes / kernel time for the fused-attention arms.
 HEADLINE_MARKERS = ("_per_s", "speedup", "scaling", "_ms", "_rps", "_tps",
                     "gflops", "_gbps")
 

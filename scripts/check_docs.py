@@ -24,16 +24,16 @@
 6. The compiled-engine surface (src/runtime/engine.hpp: every top-level
    type and every public method of Engine and ExecutionPlan) must be
    mentioned in docs/ARCHITECTURE.md — the plan/execute split and the
-   packed-weight footprint accessors (the precision knob's observable
-   surface) are documented contracts too.
+   packed-weight footprint accessor (what the cost model's weight sweep
+   must equal) are documented contracts too.
 7. The placement/topology surface (src/common/topology.hpp: top-level
    types, free functions, CpuSet's public methods; plus the server's
    placement knob and the per-replica core_group/pinned_threads stats
    fields) must be mentioned in docs/ARCHITECTURE.md — replica placement
    is a behavioral contract (kShared stays bit-identical, kPartitioned
    matches solo oracles) and its docs may not drift. The fp32-only
-   stream_dtype config field is pinned here too, so its one valid value
-   and the removed fp16 stream stay documented.
+   stream_dtype and pack_dtype config fields are pinned here too, so their
+   one valid value and the removed fp16 stream and pack stay documented.
 8. The fused attention surface (src/attention/fused.hpp: every top-level
    type and every free function declared at namespace scope) must be
    mentioned in docs/ARCHITECTURE.md — the fused kernel and its
@@ -264,9 +264,11 @@ def check_topology_api_mentions(errors):
     names |= class_public_methods(header_text, "CpuSet")
     # Placement knobs live in server.hpp/stats.hpp as plain fields, which
     # the type/method scrapers don't see — pin them by name. stream_dtype
-    # (encoder.hpp) is not a placement knob: it rides along so the field's
-    # fp32-only contract stays documented until the field is removed.
-    names |= {"placement", "core_group", "pinned_threads", "stream_dtype"}
+    # and pack_dtype (encoder.hpp) are not placement knobs: they ride along
+    # so the fields' fp32-only contract stays documented until the fields
+    # are removed.
+    names |= {"placement", "core_group", "pinned_threads", "stream_dtype",
+              "pack_dtype"}
     for name in sorted(names):
         if not re.search(rf"\b{re.escape(name)}\b", text):
             errors.append(

@@ -1,16 +1,15 @@
 // Runtime ISA dispatch for the serving hot kernels.
 //
-// The packed-GEMM row worker, the two fused-attention workers and the
-// binary16 batch converters are compiled once per ISA tier (see
-// src/common/isa_kernels.hpp); this header chooses which tier runs. The
+// The packed-GEMM row worker and the fused-attention worker are compiled
+// once per ISA tier (see src/common/isa_kernels.hpp); this header chooses
+// which tier runs. The
 // choice is made once, on first use: the highest tier the CPU supports,
 // unless the SWAT_ISA environment variable names a lower one. SWAT_ISA
 // exists so one binary can test every tier; it may only select a tier the
 // CPU supports, and an unknown or unsupported name is an error (the kernels
 // throw), never a silent downgrade.
 //
-// fp32 kernels are byte-identical on every tier; fp16 kernels are
-// deterministic per tier and gated by the fidelity budgets.
+// The kernels are byte-identical on every tier.
 #pragma once
 
 #include <string_view>

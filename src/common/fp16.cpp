@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/contracts.hpp"
-#include "common/isa_kernels.hpp"
 
 namespace swat {
 
@@ -100,11 +99,6 @@ float f16_bits_to_f32(std::uint16_t h) {
   }
   const std::uint32_t exp32 = exp + (127 - 15);
   return bits_float(sign | (exp32 << 23) | (mant << 13));
-}
-
-void f16_bits_to_f32_batch(const std::uint16_t* src, float* dst,
-                           std::size_t n) {
-  isa::active_kernels().f16_bits_to_f32_batch(src, dst, n);
 }
 
 Half half_exp(Half x) { return Half(std::exp(x.to_float())); }

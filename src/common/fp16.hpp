@@ -13,7 +13,6 @@
 // and are themselves unit-tested against an exhaustive 16-bit sweep.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -25,16 +24,6 @@ std::uint16_t f32_to_f16_bits(float f);
 
 /// Convert a binary16 bit pattern to the exactly-representable binary32.
 float f16_bits_to_f32(std::uint16_t h);
-
-/// Widen `n` binary16 bit patterns to binary32, element-identical to calling
-/// the scalar `f16_bits_to_f32` on every element (including NaN payloads —
-/// the hardware F16C path quiets signalling NaNs, so those lanes are patched
-/// back to the scalar result). This is the panel-decode primitive of the
-/// half-precision packed-weight path; it dispatches to the active ISA tier
-/// (common/cpu_dispatch.hpp): 8 lanes per `vcvtph2ps` on the AVX2 and
-/// AVX-512 tiers, the scalar routine on the baseline tier.
-void f16_bits_to_f32_batch(const std::uint16_t* src, float* dst,
-                           std::size_t n);
 
 /// Value type wrapping one binary16 number.
 ///

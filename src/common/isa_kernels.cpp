@@ -4,9 +4,8 @@ namespace swat::isa {
 
 namespace {
 
-#define SWAT_ISA_TABLE(tier_enum, tier)                                    \
-  KernelTable{tier_enum, tier::gemm_packed_rows, tier::fused_window_tasks, \
-              tier::f16_bits_to_f32_batch}
+#define SWAT_ISA_TABLE(tier_enum, tier) \
+  KernelTable{tier_enum, tier::gemm_packed_rows, tier::fused_window_tasks}
 
 // Indexed by IsaTier. Without the AVX tiers compiled, host_isa_tier() is
 // always kBaseline, so the baseline table stands in for the slots no CPU

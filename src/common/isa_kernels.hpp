@@ -1,15 +1,12 @@
 // The per-ISA-tier kernel interface.
 //
-// Three kernel families are compiled once per tier from one shared source
+// Two kernel families are compiled once per tier from one shared source
 // body each, every copy in its own namespace swat::isa::<tier>:
 //
 //   src/tensor/gemm_packed_tier.cpp  — the packed-GEMM row worker (one
-//                                      tile for fp32 and widened fp16
-//                                      panels, all epilogues)
+//                                      fp32 tile, all epilogues)
 //   src/attention/fused_tier.cpp     — the fused-attention worker
 //                                      (stream_dtype is fp32-only)
-//   src/common/fp16_tier.cpp         — the binary16 -> binary32 batch
-//                                      widening (fp16-pack panel decode)
 //
 // The build compiles each body with the tier's -m flags and
 // -ffp-contract=off, so the compiler fuses nothing on its own. The fp32
@@ -32,12 +29,11 @@
 // SIGILL on an older CPU. scripts/check_isa_objects.py fails when a tier
 // object defines any such symbol.
 //
-// Baseline code (the public entry points in kernels.cpp, fused.cpp and
-// fp16.cpp) keeps the contract checks, the thread-pool fan-out and the
-// workspace leases, and calls the active tier through isa::active_kernels().
+// Baseline code (the public entry points in kernels.cpp and fused.cpp)
+// keeps the contract checks, the thread-pool fan-out and the workspace
+// leases, and calls the active tier through isa::active_kernels().
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 #include "common/cpu_dispatch.hpp"
@@ -52,12 +48,10 @@ constexpr std::int64_t kPackedPanel = 32;
 enum class PackedEpilogue : int { kNone, kGelu, kResidualAdd };
 
 /// out = A * W^T [+ bias] [epilogue], row-major with leading dimensions.
-/// Exactly one of `panels` / `panels_f16` is non-null (the pack's dtype).
 struct PackedGemmArgs {
   const float* a;
   std::int64_t lda;
   const float* panels;
-  const std::uint16_t* panels_f16;
   std::int64_t k;  ///< in_features
   std::int64_t n;  ///< out_features
   const float* bias;  ///< n floats, or null
@@ -68,11 +62,10 @@ struct PackedGemmArgs {
   std::int64_t ldo;
 };
 
-/// Rows [i0, i1) x panels [p0, p1). `widened` is k * kPackedPanel floats
-/// of scratch for an fp16 pack's decoded panel (unused for fp32 packs).
-using PackedRowsFn = void (*)(const PackedGemmArgs& args, float* widened,
-                              std::int64_t i0, std::int64_t i1,
-                              std::int64_t p0, std::int64_t p1);
+/// Rows [i0, i1) x panels [p0, p1).
+using PackedRowsFn = void (*)(const PackedGemmArgs& args, std::int64_t i0,
+                              std::int64_t i1, std::int64_t p0,
+                              std::int64_t p1);
 
 // --------------------------------------------------- fused attention ----
 
@@ -139,31 +132,23 @@ using FusedWindowFn = bool (*)(const FusedWindowArgs& args,
                                const FusedWindowScratch& scratch,
                                std::int64_t t0, std::int64_t t1);
 
-// -------------------------------------------------- fp16 converter ----
-
-using F16ToF32Fn = void (*)(const std::uint16_t* src, float* dst,
-                            std::size_t n);
-
 // ------------------------------------------------------- tier tables ----
 
 struct KernelTable {
   IsaTier tier;
   PackedRowsFn gemm_packed_rows;
   FusedWindowFn fused_window_tasks;
-  F16ToF32Fn f16_bits_to_f32_batch;
 };
 
 // Each tier namespace defines the same entry points.
 #define SWAT_ISA_DECLARE_TIER(tier)                                        \
   namespace tier {                                                         \
-  void gemm_packed_rows(const PackedGemmArgs& args, float* widened,        \
-                        std::int64_t i0, std::int64_t i1, std::int64_t p0, \
+  void gemm_packed_rows(const PackedGemmArgs& args, std::int64_t i0,       \
+                        std::int64_t i1, std::int64_t p0,                  \
                         std::int64_t p1);                                  \
   bool fused_window_tasks(const FusedWindowArgs& args,                     \
                           const FusedWindowScratch& scratch,               \
                           std::int64_t t0, std::int64_t t1);               \
-  void f16_bits_to_f32_batch(const std::uint16_t* src, float* dst,         \
-                             std::size_t n);                               \
   }
 SWAT_ISA_DECLARE_TIER(baseline)
 SWAT_ISA_DECLARE_TIER(avx2)

@@ -132,50 +132,13 @@ inline constexpr int kModelLayers = 8;
 inline constexpr int kModelHeads = 12;
 
 // ---------------------------------------------------------------------------
-// Host serving: weight streaming and the fp16 pack fidelity budget
+// Host serving: weight streaming
 // ---------------------------------------------------------------------------
 
 /// Sustained host memory bandwidth the packed-GEMM weight stream competes
 /// for — the stand-in for one commodity DDR4-3200 channel (25.6 GB/s).
 /// Not a paper datum (the host serves where the paper's GPU does); used by
-/// BatchCostModel to price the per-batch weight sweep so dispatch sees the
-/// pack_dtype bandwidth change.
+/// BatchCostModel to price the per-batch weight sweep and K/V stream.
 inline constexpr double kHostWeightStreamBytesPerSec = 25.6e9;
-
-/// Unit roundoff of binary16 (2^-11): the one rounding each packed weight
-/// absorbs when pack_dtype = fp16. Anchor: the paper's datapath is FP16
-/// (§4, Table 2) with 11-bit significands; the host pack models exactly
-/// that storage precision while keeping fp32 accumulation.
-inline constexpr double kFp16UnitRoundoff = 0x1p-11;
-
-/// Worst-case amplification of the per-weight roundoff through one GEMM
-/// reduction: |y~ - y| <= u * sum|w x| <= u * sqrt(k) * ||w|| ||x|| with
-/// signed cancellation, so the relative Frobenius error of a layer is
-/// bounded by u * sqrt(k_max). The deepest reduction in the stack is the
-/// FFN contraction (k = ffn_mult * d_model = 3072, sqrt = 55.4); 64 rounds
-/// that up to a clean power of two. Measured per-layer errors sit well
-/// under this bound (LayerNorm renormalizes), which is what makes it a
-/// budget rather than a fit.
-inline constexpr double kFp16GemmAmplification = 64.0;
-
-/// Per-layer relative-error budget for an fp16-packed encoder layer
-/// evaluated on the fp32 reference trajectory (teacher-forced, so layer
-/// errors do not compound): u * amplification = 2^-11 * 64 = 1/32.
-inline constexpr double kFp16LayerRelErrBudget =
-    kFp16UnitRoundoff * kFp16GemmAmplification;
-
-/// End-to-end (free-running) relative-error budget per layer of depth:
-/// divergence compounds roughly additively because post-norm LayerNorm
-/// re-normalizes every block output, so an L-layer stack gets L times the
-/// per-layer budget. The precision-fidelity test multiplies by the actual
-/// layer count of the model under test.
-inline constexpr double kFp16EndToEndRelErrPerLayer = kFp16LayerRelErrBudget;
-
-/// Cosine floor derived from a relative-error budget e: two unit-scale
-/// vectors within relative distance e have cosine >= 1 - e^2 / 2. Applied
-/// to the mean row cosine in the fidelity gate.
-constexpr double fp16_cosine_floor(double rel_err_budget) {
-  return 1.0 - 0.5 * rel_err_budget * rel_err_budget;
-}
 
 }  // namespace swat::calib

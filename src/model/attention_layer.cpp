@@ -33,14 +33,13 @@ std::size_t MhaWorkspace::capacity_floats() const {
 MultiHeadAttention::MultiHeadAttention(std::int64_t d_model,
                                        std::int64_t num_heads,
                                        AttentionBackend backend,
-                                       SwatConfig swat_cfg, Rng& rng,
-                                       Dtype pack_dtype)
+                                       SwatConfig swat_cfg, Rng& rng)
     : d_model_(d_model), num_heads_(num_heads), backend_(backend),
       swat_cfg_(std::move(swat_cfg)),
-      wq_(d_model, d_model, rng, pack_dtype),
-      wk_(d_model, d_model, rng, pack_dtype),
-      wv_(d_model, d_model, rng, pack_dtype),
-      wo_(d_model, d_model, rng, pack_dtype) {
+      wq_(d_model, d_model, rng),
+      wk_(d_model, d_model, rng),
+      wv_(d_model, d_model, rng),
+      wo_(d_model, d_model, rng) {
   SWAT_EXPECTS(d_model > 0 && num_heads > 0);
   SWAT_EXPECTS(d_model % num_heads == 0);
   swat_cfg_.validate();

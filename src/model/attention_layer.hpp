@@ -88,11 +88,9 @@ class MultiHeadAttention {
   /// `swat_cfg.head_dim` must equal d_model / num_heads when the SWAT
   /// backend is selected; for the window backends the band is taken from
   /// swat_cfg's window parameters so all three backends agree on the
-  /// pattern. `pack_dtype` is forwarded to all four projection Linears
-  /// (the packed-panel storage type).
+  /// pattern.
   MultiHeadAttention(std::int64_t d_model, std::int64_t num_heads,
-                     AttentionBackend backend, SwatConfig swat_cfg, Rng& rng,
-                     Dtype pack_dtype = Dtype::kFp32);
+                     AttentionBackend backend, SwatConfig swat_cfg, Rng& rng);
 
   /// Y = W_o . concat_heads(attend(W_q X, W_k X, W_v X)) for one
   /// sequence: forward_batch_into on a one-sequence batch with a throwaway

@@ -39,10 +39,11 @@ void EncoderConfig::validate() const {
   if (layers < 1) {
     fail("layers must be >= 1, got " + std::to_string(layers));
   }
-  if (pack_dtype != Dtype::kFp32 && pack_dtype != Dtype::kFp16) {
-    fail("pack_dtype must be Dtype::kFp32 or Dtype::kFp16, got enum value " +
+  if (pack_dtype != Dtype::kFp32) {
+    fail("pack_dtype must be Dtype::kFp32, got enum value " +
          std::to_string(static_cast<int>(pack_dtype)) +
-         " — the packed GEMM streams fp32 or fp16 panels only");
+         " — the packed GEMM streams fp32 panels only (the fp16 weight "
+         "pack was removed; restore it from commit 93862d2)");
   }
   if (stream_dtype != Dtype::kFp32) {
     fail("stream_dtype must be Dtype::kFp32, got enum value " +
@@ -99,11 +100,10 @@ std::size_t EncoderArena::capacity_floats() const {
 }
 
 EncoderLayer::EncoderLayer(const EncoderConfig& cfg, Rng& rng)
-    : mha_(cfg.d_model, cfg.num_heads, cfg.backend, cfg.swat, rng,
-           cfg.pack_dtype),
+    : mha_(cfg.d_model, cfg.num_heads, cfg.backend, cfg.swat, rng),
       norm1_(cfg.d_model),
-      ffn1_(cfg.d_model, cfg.d_model * cfg.ffn_mult, rng, cfg.pack_dtype),
-      ffn2_(cfg.d_model * cfg.ffn_mult, cfg.d_model, rng, cfg.pack_dtype),
+      ffn1_(cfg.d_model, cfg.d_model * cfg.ffn_mult, rng),
+      ffn2_(cfg.d_model * cfg.ffn_mult, cfg.d_model, rng),
       norm2_(cfg.d_model) {}
 
 MatrixF EncoderLayer::forward(const MatrixF& x) const {

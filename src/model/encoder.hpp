@@ -19,10 +19,9 @@ struct EncoderConfig {
   AttentionBackend backend = AttentionBackend::kWindowExact;
   SwatConfig swat;  ///< attention pattern + datapath parameters
   std::uint64_t weight_seed = 1;
-  /// Element type of the packed weight panels every Linear in the stack
-  /// streams (fp16 rounds each weight once, at pack time).
-  /// kFp32 (the default) keeps full oracle bit-parity; kFp16 halves the
-  /// streamed weight bytes and is gated by the precision-fidelity budget.
+  /// Element type of the packed weight panels: fp32-only (validate()
+  /// rejects anything else). The field stays only until its last reader,
+  /// the serving benchmark (perfbench/), stops setting it.
   Dtype pack_dtype = Dtype::kFp32;
   /// Element type of the K/V tiles the fused attention kernel streams:
   /// fp32-only (validate() rejects anything else). The field stays only
@@ -35,8 +34,8 @@ struct EncoderConfig {
 
   /// Reject inconsistent geometries with actionable messages
   /// (std::invalid_argument): positive d_model/num_heads with
-  /// d_model % num_heads == 0, ffn_mult >= 1, layers >= 1, known
-  /// pack_dtype, stream_dtype == kFp32, and swat.head_dim == d_model /
+  /// d_model % num_heads == 0, ffn_mult >= 1, layers >= 1, pack_dtype
+  /// and stream_dtype == kFp32, and swat.head_dim == d_model /
   /// num_heads (plus SwatConfig::validate()), so a bad config fails at
   /// construction/compile time, not rows deep into a forward pass. Called
   /// by Encoder and Engine::compile.

@@ -30,14 +30,16 @@ std::vector<float> zero_bias(std::int64_t out_features) {
 Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
                Dtype pack_dtype)
     : Linear(xavier_uniform(in_features, out_features, rng),
-             zero_bias(out_features), pack_dtype) {}
+             zero_bias(out_features)) {
+  SWAT_EXPECTS(pack_dtype == Dtype::kFp32);
+}
 
-Linear::Linear(MatrixF weight, std::vector<float> bias, Dtype pack_dtype)
+Linear::Linear(MatrixF weight, std::vector<float> bias)
     : bias_(std::move(bias)) {
   SWAT_EXPECTS(weight.rows() > 0 && weight.cols() > 0);
   SWAT_EXPECTS(static_cast<std::int64_t>(bias_.size()) == weight.rows());
   auto packed = std::make_shared<PackedWeight>();
-  pack_weight_nt(weight, *packed, pack_dtype);
+  pack_weight_nt(weight, *packed);
   packed_ = std::move(packed);
 }
 

@@ -24,15 +24,14 @@ namespace swat::model {
 /// replica pool's shared weight pack is just a copy of the model.
 class Linear {
  public:
-  /// Xavier/Glorot-uniform weights and zero bias. `pack_dtype` selects the
-  /// element type of the packed panels (fp16 rounds each weight once, at
-  /// pack time; see tensor/kernels.hpp).
+  /// Xavier/Glorot-uniform weights and zero bias. `pack_dtype` must be
+  /// kFp32 (the panels are fp32 only); the parameter stays only until its
+  /// last caller, the serving benchmark (perfbench/), stops passing it.
   Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
          Dtype pack_dtype = Dtype::kFp32);
 
   /// Explicit weights (out_features x in_features) and bias (out_features).
-  Linear(MatrixF weight, std::vector<float> bias,
-         Dtype pack_dtype = Dtype::kFp32);
+  Linear(MatrixF weight, std::vector<float> bias);
 
   /// Y = X W^T + b for X: batch x in_features.
   MatrixF forward(const MatrixF& x) const;

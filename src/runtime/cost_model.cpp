@@ -18,8 +18,7 @@ Bytes packed_sweep_bytes(const model::EncoderConfig& cfg) {
                                 PackedWeight::padded_elements(h, d) +
                                 PackedWeight::padded_elements(d, h);
   return Bytes{static_cast<std::uint64_t>(per_layer) *
-               static_cast<std::uint64_t>(cfg.layers) *
-               dtype_bytes(cfg.pack_dtype)};
+               static_cast<std::uint64_t>(cfg.layers) * sizeof(float)};
 }
 
 }  // namespace

@@ -43,8 +43,7 @@ class BatchCostModel {
   /// weight sweep (weight_stream_seconds) plus the batch's attention
   /// activation sweep (kv_stream_seconds) — every executed batch streams
   /// the whole packed weight set once and each sequence's K/V band tiles
-  /// once per layer, so the pack_dtype knob changes what dispatch charges
-  /// per batch. Named separately so "predict the cost of placing this
+  /// once per layer. Named separately so "predict the cost of placing this
   /// batch" has one spelling at the dispatch call sites (Server's replica
   /// pool, work stealing, watchdog thresholds).
   Seconds predict(const BatchPlanEntry& entry) const {
@@ -54,9 +53,9 @@ class BatchCostModel {
 
   /// Bytes of packed weights one executed batch streams from memory: one
   /// full sweep of every layer's panels, priced from the encoder geometry
-  /// via PackedWeight::padded_elements x dtype_bytes(pack_dtype) — exactly
-  /// Engine::packed_weight_bytes() for a non-sharing engine of the same
-  /// config (tests assert the identity).
+  /// via PackedWeight::padded_elements x sizeof(float) — exactly
+  /// Engine::packed_weight_floats() x sizeof(float) for a non-sharing
+  /// engine of the same config (tests assert the identity).
   Bytes weight_stream_bytes() const { return weight_stream_bytes_; }
 
   /// The weight sweep converted to time against the calibrated host

@@ -38,7 +38,6 @@
 #include <cstdint>
 #include <span>
 
-#include "common/dtype.hpp"
 #include "common/thread_pool.hpp"
 #include "model/encoder.hpp"
 
@@ -131,20 +130,10 @@ class Engine {
   const model::Encoder& encoder() const { return encoder_; }
   const ExecutionPlan& plan() const { return plan_; }
 
-  /// Total logical elements held by the panel-major packed weights (packed
-  /// eagerly at construction, shared by every plan this engine mints —
-  /// weight memory is per-engine, activation memory per-plan). Dtype-
-  /// independent: an fp16 pack reports the same element count as fp32;
-  /// packed_weight_bytes() is the footprint that shrinks.
+  /// Floats held by the panel-major packed weights (packed eagerly at
+  /// construction, shared by every plan this engine mints — weight memory
+  /// is per-engine, activation memory per-plan).
   std::size_t packed_weight_floats() const { return packed_weight_floats_; }
-
-  /// Resident bytes of the packed weights — packed_weight_floats() times
-  /// dtype_bytes(pack_dtype). 0 for a pack-sharing engine, like floats():
-  /// the footprint is attributed to the prototype.
-  std::size_t packed_weight_bytes() const {
-    return packed_weight_floats_ *
-           dtype_bytes(encoder_.config().pack_dtype);
-  }
 
  private:
   model::Encoder encoder_;

@@ -89,9 +89,8 @@ struct RuntimeTotals {
   std::int64_t batches = 0;
   /// Packed-weight bytes streamed from memory by the GEMMs, priced as one
   /// full weight sweep per executed batch (every layer streams its whole
-  /// pack once per batch regardless of batch size — the quantity the
-  /// pack_dtype knob halves). Counted per batch like `batches`, so the
-  /// accumulate() identity below is untouched.
+  /// pack once per batch regardless of batch size). Counted per batch like
+  /// `batches`, so the accumulate() identity below is untouched.
   Bytes weight_stream_bytes;
   Bytes swat_offchip_traffic;
   std::int64_t swat_core_loads = 0;
@@ -190,11 +189,6 @@ class BatchExecutor {
   /// cached plan — see Engine::packed_weight_floats).
   std::size_t packed_weight_floats() const {
     return engine_.packed_weight_floats();
-  }
-  /// Resident packed-weight bytes (floats x dtype_bytes(pack_dtype); 0 for
-  /// a pack-sharing executor — see Engine::packed_weight_bytes).
-  std::size_t packed_weight_bytes() const {
-    return engine_.packed_weight_bytes();
   }
 
  private:

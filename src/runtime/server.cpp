@@ -472,14 +472,6 @@ std::size_t Server::packed_weight_floats() const {
   return total;
 }
 
-std::size_t Server::packed_weight_bytes() const {
-  std::size_t total = 0;
-  for (const auto& replica : replicas_) {
-    total += replica->executor->packed_weight_bytes();
-  }
-  return total;
-}
-
 const model::Encoder& Server::encoder() const {
   return replicas_.front()->executor->encoder();
 }

@@ -290,10 +290,6 @@ class Server {
   /// N x the single-engine footprint; with share_weight_pack the shared
   /// pack is counted once (sharing replicas report 0).
   std::size_t packed_weight_floats() const;
-  /// Resident packed-weight bytes across replicas (floats x
-  /// dtype_bytes(pack_dtype)): the footprint EncoderConfig::pack_dtype =
-  /// Dtype::kFp16 halves, and share_weight_pack divides by N.
-  std::size_t packed_weight_bytes() const;
   const model::Encoder& encoder() const;
   const ServerOptions& options() const { return opt_; }
 

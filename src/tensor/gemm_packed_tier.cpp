@@ -1,14 +1,12 @@
 // Packed-GEMM row worker, compiled once per ISA tier (see
 // common/isa_kernels.hpp for the build and linkage rules).
 //
-// One register tile serves both pack dtypes. Every accumulator is
-// bias + sum_k a*w in ascending k with one fused multiply-add per term
-// (__builtin_fmaf, a single rounding) — the exact arithmetic of
-// matmul_nt_naive's dot(). fp32 packs are therefore byte-identical to the
-// scalar oracle on every tier; fp16 packs widen each panel into the
-// caller's scratch with this tier's converter and run the same tile. The
-// order never changes, so results depend only on the pack, never on the
-// thread count or tile partition. The TU keeps -ffp-contract=off: the
+// Every accumulator is bias + sum_k a*w in ascending k with one fused
+// multiply-add per term (__builtin_fmaf, a single rounding) — the exact
+// arithmetic of matmul_nt_naive's dot(). Packs are therefore
+// byte-identical to the scalar oracle on every tier. The order never
+// changes, so results depend only on the pack, never on the thread count
+// or tile partition. The TU keeps -ffp-contract=off: the
 // only contractions are the ones spelled here.
 #include "common/det_math.hpp"
 #include "common/isa_kernels.hpp"
@@ -91,20 +89,11 @@ void tiles(const PackedGemmArgs& g, const float* panel, const float* seed,
 
 }  // namespace
 
-void gemm_packed_rows(const PackedGemmArgs& g, float* widened,
-                      std::int64_t i0, std::int64_t i1, std::int64_t p0,
-                      std::int64_t p1) {
-  const bool half = g.panels_f16 != nullptr;
+void gemm_packed_rows(const PackedGemmArgs& g, std::int64_t i0,
+                      std::int64_t i1, std::int64_t p0, std::int64_t p1) {
   const std::int64_t panel_elems = g.k * kPanel;
   for (std::int64_t p = p0; p < p1; ++p) {
-    const float* panel;
-    if (half) {
-      f16_bits_to_f32_batch(g.panels_f16 + p * panel_elems, widened,
-                            static_cast<std::size_t>(panel_elems));
-      panel = widened;
-    } else {
-      panel = g.panels + p * panel_elems;
-    }
+    const float* const panel = g.panels + p * panel_elems;
     const std::int64_t j0 = p * kPanel;
     const std::int64_t width = min_i64(kPanel, g.n - j0);
     // Padded lanes seed with 0 and accumulate against zero weights; they

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "common/det_math.hpp"
-#include "common/fp16.hpp"
 #include "common/isa_kernels.hpp"
 #include "common/thread_pool.hpp"
 
@@ -259,10 +257,9 @@ MatrixF transpose(const MatrixF& a) {
 
 // ---------------------------------------------------- packed-weight GEMM ----
 
-void pack_weight_nt(const MatrixF& w, PackedWeight& packed, Dtype dtype) {
+void pack_weight_nt(const MatrixF& w, PackedWeight& packed) {
   packed.in_features = w.cols();
   packed.out_features = w.rows();
-  packed.dtype = dtype;
   const std::int64_t k = packed.in_features;
   const std::int64_t panels = packed.panels();
   const std::size_t total =
@@ -273,16 +270,8 @@ void pack_weight_nt(const MatrixF& w, PackedWeight& packed, Dtype dtype) {
   // complete initialization and the first touch of each page. Under
   // partitioned placement the pack runs on the replica's pinned pool, so
   // first-touch binds the pack's pages to that replica's NUMA node.
-  // Capacity is retained across repacks; the other-dtype vector is
-  // cleared (capacity kept) so floats()/bytes() report only the live
-  // pack.
-  if (dtype == Dtype::kFp16) {
-    packed.data_f16.resize(total);
-    packed.data.clear();
-  } else {
-    packed.data.resize(total);
-    packed.data_f16.clear();
-  }
+  // Capacity is retained across repacks.
+  packed.data.resize(total);
   // One panel's fill.
   const auto fill_panel = [&](std::int64_t p) {
     const std::size_t base =
@@ -291,28 +280,14 @@ void pack_weight_nt(const MatrixF& w, PackedWeight& packed, Dtype dtype) {
     const std::int64_t width =
         std::min(PackedWeight::kPanel, packed.out_features - j0);
     for (std::int64_t kk = 0; kk < k; ++kk) {
-      for (std::int64_t l = 0; l < width; ++l) {
-        const float v = w(j0 + l, kk);
-        const std::size_t at =
-            base + static_cast<std::size_t>(kk * PackedWeight::kPanel + l);
-        if (dtype == Dtype::kFp16) {
-          // One RNE rounding per weight, once per pack — the only place
-          // the fp16 path loses precision relative to fp32.
-          packed.data_f16[at] = f32_to_f16_bits(v);
-        } else {
-          packed.data[at] = v;
-        }
-      }
+      float* const row =
+          packed.data.data() + base +
+          static_cast<std::size_t>(kk * PackedWeight::kPanel);
+      for (std::int64_t l = 0; l < width; ++l) row[l] = w(j0 + l, kk);
       // Zero the padded lanes of the last panel explicitly — resize no
       // longer does it, and the microkernel reads all kPanel lanes.
       for (std::int64_t l = width; l < PackedWeight::kPanel; ++l) {
-        const std::size_t at =
-            base + static_cast<std::size_t>(kk * PackedWeight::kPanel + l);
-        if (dtype == Dtype::kFp16) {
-          packed.data_f16[at] = 0;
-        } else {
-          packed.data[at] = 0.0f;
-        }
+        row[l] = 0.0f;
       }
     }
   };
@@ -356,12 +331,10 @@ void gemm_packed_impl(ConstMatrixView a, const PackedWeight& w,
   if (m == 0 || w.out_features == 0) return;  // no output elements exist
   // k == 0 still initializes every element from the bias seed (or zero):
   // the microkernel's k loop is simply empty.
-  const bool half = w.dtype == Dtype::kFp16;
   const isa::PackedGemmArgs args{
       a.data(),
       a.stride(),
-      half ? nullptr : w.data.data(),
-      half ? w.data_f16.data() : nullptr,
+      w.data.data(),
       w.in_features,
       w.out_features,
       bias.empty() ? nullptr : bias.data(),
@@ -371,19 +344,10 @@ void gemm_packed_impl(ConstMatrixView a, const PackedWeight& w,
       out.data(),
       out.stride()};
   const isa::PackedRowsFn rows = isa::active_kernels().gemm_packed_rows;
-  const std::size_t widened_floats =
-      half ? static_cast<std::size_t>(w.in_features * PackedWeight::kPanel)
-           : 0;
   parallel_for_2d(m, kPackedRowGrain, w.panels(), kPackedPanelGrain,
                   [&](std::int64_t i0, std::int64_t i1, std::int64_t panel0,
                       std::int64_t panel1) {
-                    // One widened fp16 panel of scratch per task; after
-                    // warmup the thread's workspace serves it without
-                    // allocating. fp32 packs take no lease.
-                    std::optional<WorkspaceLease> widened;
-                    if (half) widened.emplace(tls_workspace(), widened_floats);
-                    rows(args, half ? widened->data() : nullptr, i0, i1,
-                         panel0, panel1);
+                    rows(args, i0, i1, panel0, panel1);
                   });
 }
 

@@ -18,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "common/dtype.hpp"
 #include "common/line_allocator.hpp"
 #include "common/uninit_allocator.hpp"
 #include "tensor/matrix.hpp"
@@ -140,24 +139,12 @@ MatrixF matmul_nt_naive(const MatrixF& a, const MatrixF& b);
 //   (padded lanes are computed and discarded; zero weights keep them
 //   finite).
 //
-// Panels store either binary32 (the default) or binary16 elements:
-//
-//  * Dtype::kFp32 — the microkernel accumulates every output element with
-//    a single float accumulator in ascending-k order with one fused
-//    multiply-add per term (see common/isa_kernels.hpp) — the exact
-//    arithmetic of matmul_nt_naive's dot() — so gemm_packed output is
-//    bit-identical to the scalar oracle for every shape, thread count,
-//    tile partition, AND ISA tier the kernels dispatch to.
-//  * Dtype::kFp16 — pack_weight_nt rounds each weight once (RNE) to
-//    binary16 at pack time, halving the panel bytes the microkernel
-//    streams; the kernel widens each panel back to float before the tile
-//    loop and keeps every accumulator fp32 in the same ascending-k order.
-//    Outputs are deterministic — bit-identical across SWAT_THREADS,
-//    arrival orders and runs (the tile grid is static, see parallel_for_2d)
-//    — but NOT bit-equal to the fp32 oracle (the weights were rounded).
-//    The widened panel runs the fp32 tile, fused multiply-adds and all.
-//    Accuracy is gated by the precision-fidelity test against the
-//    calibration budget, not by bit-equality.
+// Panels store binary32 elements. The microkernel accumulates every
+// output element with a single float accumulator in ascending-k order with
+// one fused multiply-add per term (see common/isa_kernels.hpp) — the exact
+// arithmetic of matmul_nt_naive's dot() — so gemm_packed output is
+// bit-identical to the scalar oracle for every shape, thread count, tile
+// partition, AND ISA tier the kernels dispatch to.
 //
 // Fused epilogues (bias seed, GELU, residual add) touch each output
 // element once while it is still in a register instead of re-streaming the
@@ -169,8 +156,7 @@ struct PackedWeight {
   static constexpr std::int64_t kPanel = 32;
 
   // Panel storage starts on a 64-byte cache line (LineAlignedAllocator),
-  // so every panel row — kPanel fp32 lanes = one line, or half a line of
-  // fp16 — is line-aligned. It also skips value-initialization
+  // so every panel row — kPanel fp32 lanes = one line — is line-aligned. It also skips value-initialization
   // (DefaultInitAllocator) so resize() leaves pages untouched and the
   // parallel pack fill performs the first write of every element — on
   // Linux that first touch binds each page to the writing thread's NUMA
@@ -178,28 +164,18 @@ struct PackedWeight {
   // node under partitioned placement. pack_weight_nt writes every element
   // (values and padding) exactly once, so nothing is ever read
   // uninitialized.
-  template <typename T>
-  using Buffer =
-      std::vector<T, DefaultInitAllocator<T, LineAlignedAllocator<T>>>;
-
   std::int64_t in_features = 0;   ///< k (depth of the reduction)
   std::int64_t out_features = 0;  ///< n (logical output columns)
-  Dtype dtype = Dtype::kFp32;     ///< element storage type of the panels
-  Buffer<float> data;             ///< fp32 panels (empty when dtype=fp16)
-  Buffer<std::uint16_t> data_f16;  ///< fp16 panels (same layout)
+  std::vector<float, DefaultInitAllocator<float, LineAlignedAllocator<float>>>
+      data;  ///< the panels
 
   std::int64_t panels() const {
     return (out_features + kPanel - 1) / kPanel;
   }
-  /// Logical element count (padded lanes included) — identical for every
-  /// dtype, so capacity accounting that predates the dtype knob stays
-  /// meaningful. Multiply by dtype_bytes(dtype) for the real footprint.
-  std::size_t floats() const {
-    return dtype == Dtype::kFp16 ? data_f16.size() : data.size();
-  }
-  /// Actual resident panel bytes (the quantity the cost model prices).
-  std::size_t bytes() const { return floats() * dtype_bytes(dtype); }
-  bool empty() const { return data.empty() && data_f16.empty(); }
+  /// Element count, padded lanes included (the resident footprint in
+  /// floats; the cost model prices the same count from geometry).
+  std::size_t floats() const { return data.size(); }
+  bool empty() const { return data.empty(); }
 
   /// Padded element count for a given logical shape — what floats() will
   /// report after packing. Exposed so the cost model can price the weight
@@ -212,17 +188,15 @@ struct PackedWeight {
 };
 
 /// Pack `w` (out_features x in_features, the Linear weight layout) into
-/// panel-major form, converting to `dtype` (RNE for fp16) element by
-/// element. Reuses the destination vector's capacity, so repacking after a
-/// weight mutation does not allocate once the shape has been seen.
-void pack_weight_nt(const MatrixF& w, PackedWeight& packed,
-                    Dtype dtype = Dtype::kFp32);
+/// panel-major form. Reuses the destination vector's capacity, so
+/// repacking after a weight mutation does not allocate once the shape has
+/// been seen.
+void pack_weight_nt(const MatrixF& w, PackedWeight& packed);
 
 /// out = A * W^T [+ bias row]. A is m x in_features; out must be
 /// m x out_features and may not alias A. `bias` (length out_features, or
 /// empty) seeds the accumulators, exactly like matmul_nt_bias_into.
-/// Bit-identical to matmul_nt_naive when bias is empty and the pack is
-/// fp32; fp16 packs are deterministic but fidelity-gated (see above).
+/// Bit-identical to matmul_nt_naive when bias is empty.
 /// Parallelized over a 2D (row tile x column panel) grid via
 /// parallel_for_2d.
 void gemm_packed_into(ConstMatrixView a, const PackedWeight& w,

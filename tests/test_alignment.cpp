@@ -1,7 +1,7 @@
 // Storage alignment contract of the serving hot path
-// (common/line_allocator.hpp): Matrix storage, PackedWeight panels (fp32
-// and fp16) and Workspace spans start on a 64-byte cache line, so every row
-// of a d_model % 16 == 0 activation and every pack panel does too.
+// (common/line_allocator.hpp): Matrix storage, PackedWeight panels and
+// Workspace spans start on a 64-byte cache line, so every row of a
+// d_model % 16 == 0 activation and every pack panel does too.
 //
 // The shapes include the long-document activation (4096 x 256 floats): the
 // default allocator serves a block that large from mmap at 16 mod 64, so
@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "common/dtype.hpp"
 #include "common/rng.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/matrix.hpp"
@@ -84,27 +83,18 @@ TEST(LineAlignment, MatrixAfterMove) {
   }
 }
 
-TEST(LineAlignment, PackedWeightPanelsFp32AndFp16) {
+TEST(LineAlignment, PackedWeightPanels) {
   Rng rng(7);
   // {out, in}: one partial panel, the projection and FFN shapes, ragged k.
   constexpr Shape kWeights[] = {{5, 3}, {256, 256}, {1024, 256}, {70, 37}};
   for (const Shape s : kWeights) {
     const MatrixF w = random_normal(s.rows, s.cols, rng);
-    for (const Dtype dtype : {Dtype::kFp32, Dtype::kFp16}) {
-      PackedWeight packed;
-      pack_weight_nt(w, packed, dtype);
-      const std::int64_t panel_elems = s.cols * PackedWeight::kPanel;
-      for (std::int64_t p = 0; p < packed.panels(); ++p) {
-        const void* panel =
-            dtype == Dtype::kFp16
-                ? static_cast<const void*>(packed.data_f16.data() +
-                                           p * panel_elems)
-                : static_cast<const void*>(packed.data.data() +
-                                           p * panel_elems);
-        ASSERT_TRUE(line_aligned(panel))
-            << dtype_name(dtype) << " " << s.rows << " x " << s.cols
-            << " panel " << p;
-      }
+    PackedWeight packed;
+    pack_weight_nt(w, packed);
+    const std::int64_t panel_elems = s.cols * PackedWeight::kPanel;
+    for (std::int64_t p = 0; p < packed.panels(); ++p) {
+      ASSERT_TRUE(line_aligned(packed.data.data() + p * panel_elems))
+          << s.rows << " x " << s.cols << " panel " << p;
     }
   }
 }

@@ -15,6 +15,7 @@
 #include "eval/calibration.hpp"
 #include "runtime/batcher.hpp"
 #include "runtime/cost_model.hpp"
+#include "runtime/engine.hpp"
 
 namespace swat {
 namespace {
@@ -314,6 +315,18 @@ TEST(CostModel, KvStreamPricingFollowsTheKernelClosedForm) {
                    fp32_model.batch_seconds(entry).value +
                        fp32_model.weight_stream_seconds().value +
                        fp32_model.kv_stream_seconds(entry).value);
+}
+
+/// The cost model prices the weight sweep from geometry alone; a
+/// non-sharing engine's resident pack IS one sweep.
+TEST(CostModel, SweepMatchesEngineResidentBytes) {
+  const model::EncoderConfig cfg = small_config();
+  const BatchCostModel model(cfg);
+  const Engine engine(cfg);
+  EXPECT_EQ(model.weight_stream_bytes().count,
+            static_cast<std::uint64_t>(engine.packed_weight_floats() *
+                                       sizeof(float)));
+  EXPECT_GT(model.weight_stream_seconds().value, 0.0);
 }
 
 }  // namespace

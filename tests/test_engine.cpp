@@ -8,6 +8,7 @@
 // property is asserted in tests/test_runtime.cpp (operator-new counter).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -221,6 +222,26 @@ TEST(EnginePlanReuse, OnePlanServesEveryShapeAtOrBelowItsHighWater) {
                                          "mixed-shape planned run");
     }
   }
+}
+
+// -------------------------------------------------------- shared pack ----
+
+/// The pack-sharing constructor (the replica pool's shared weight pack):
+/// the replica keeps the shared pack alive after its prototype is
+/// destroyed, reports no footprint of its own, and serves bit-identically
+/// to an engine with a private pack.
+TEST(EngineSharedPack, ReplicaOutlivesPrototypeAndMatchesPrivatePack) {
+  const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
+  std::optional<Engine> prototype(std::in_place, cfg);
+  Engine replica(*prototype, nullptr);
+  prototype.reset();  // the replica's copy keeps the shared pack alive
+  EXPECT_EQ(replica.packed_weight_floats(), 0u);
+  const auto [packed, offsets] = make_packed(cfg, {26, 30});
+  Engine solo = Engine::compile(cfg, 64);
+  ExecutionPlan plan = replica.make_plan(64);
+  testing::expect_matrix_equal(replica.run(plan, packed, offsets),
+                               solo.run(packed, offsets),
+                               "shared pack vs private pack");
 }
 
 // ------------------------------------------------ immutable encoder ----

@@ -4,10 +4,8 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <random>
-#include <vector>
 
 #include "common/fp16.hpp"
 
@@ -247,69 +245,6 @@ TEST(HalfExpLut, ErrorShrinksWithSegments) {
   EXPECT_GT(e256, e1024);
   // With 1024 segments the LUT is within a few fp16 ulps of exact.
   EXPECT_LT(e1024, 0.01f);
-}
-
-// ---------------------------------------------------------------------------
-// Batch converters (the fp16 pack's decode/encode path): element-identical
-// to the scalar routines over the ENTIRE 16-bit space, NaN payloads
-// included — the property that lets the packed GEMM use the SIMD decode
-// without weakening any bit-level determinism claim.
-// ---------------------------------------------------------------------------
-
-TEST(Fp16Batch, DecodeExhaustivelyMatchesScalar) {
-  std::vector<std::uint16_t> src(65536);
-  for (std::uint32_t bits = 0; bits < 65536; ++bits) {
-    src[bits] = static_cast<std::uint16_t>(bits);
-  }
-  std::vector<float> batch(src.size());
-  f16_bits_to_f32_batch(src.data(), batch.data(), src.size());
-  for (std::uint32_t bits = 0; bits < 65536; ++bits) {
-    const float scalar = f16_bits_to_f32(static_cast<std::uint16_t>(bits));
-    std::uint32_t scalar_bits = 0;
-    std::uint32_t batch_bits = 0;
-    std::memcpy(&scalar_bits, &scalar, sizeof(scalar_bits));
-    std::memcpy(&batch_bits, &batch[bits], sizeof(batch_bits));
-    ASSERT_EQ(batch_bits, scalar_bits) << "half bits 0x" << std::hex << bits;
-  }
-}
-
-TEST(Fp16Batch, DecodeHandlesEveryTailLength) {
-  // Exercise the SIMD body + scalar tail split at every offset, on a
-  // stretch that includes NaNs (quieting hazard) and subnormals.
-  std::vector<std::uint16_t> src;
-  for (std::uint32_t bits = 0x7bf0; bits < 0x7bf0 + 48; ++bits) {
-    src.push_back(static_cast<std::uint16_t>(bits));  // max-finite..NaNs
-  }
-  for (std::uint32_t bits = 0; bits < 16; ++bits) {
-    src.push_back(static_cast<std::uint16_t>(bits));  // zero + subnormals
-  }
-  for (std::size_t n = 0; n <= src.size(); ++n) {
-    std::vector<float> got(n, -1.0f);
-    f16_bits_to_f32_batch(src.data(), got.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const float want = f16_bits_to_f32(src[i]);
-      std::uint32_t want_bits = 0, got_bits = 0;
-      std::memcpy(&want_bits, &want, sizeof(want_bits));
-      std::memcpy(&got_bits, &got[i], sizeof(got_bits));
-      ASSERT_EQ(got_bits, want_bits) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(Fp16Batch, EncodeDecodeRoundTripsHalfSpace) {
-  // encode(decode(h)) == h for every non-NaN half — the identity that
-  // makes pack-time rounding a one-time cost (repacking cannot drift).
-  std::vector<std::uint16_t> src(65536);
-  for (std::uint32_t bits = 0; bits < 65536; ++bits) {
-    src[bits] = static_cast<std::uint16_t>(bits);
-  }
-  std::vector<float> wide(src.size());
-  f16_bits_to_f32_batch(src.data(), wide.data(), wide.size());
-  for (std::uint32_t bits = 0; bits < 65536; ++bits) {
-    if ((bits & 0x7fffu) > 0x7c00u) continue;  // NaN payloads may quiet
-    ASSERT_EQ(f32_to_f16_bits(wide[bits]), src[bits])
-        << "half bits 0x" << std::hex << bits;
-  }
 }
 
 TEST(HalfExpLut, ClampsDomain) {

@@ -10,10 +10,6 @@
 //     attention scores in exp's subnormal range);
 //   * every multiply-add in those kernels is one fused multiply-add, pinned
 //     by inputs whose fused and separately rounded results differ;
-//   * the fp16 decode converter matches the scalar routine on every
-//     pattern, NaN payloads included;
-//   * the fp16 pack is bit-identical across thread counts and inside the
-//     calibrated fidelity budget;
 //   * SWAT_ISA rejects unknown names and tiers above the host's.
 #include <gtest/gtest.h>
 
@@ -29,9 +25,7 @@
 #include "attention/fused.hpp"
 #include "common/cpu_dispatch.hpp"
 #include "common/det_math.hpp"
-#include "common/fp16.hpp"
 #include "common/isa_kernels.hpp"
-#include "eval/calibration.hpp"
 #include "test_util.hpp"
 
 namespace swat {
@@ -324,36 +318,6 @@ TEST(IsaFmaContract, PackedGemmFusesEveryMultiplyAdd) {
       expect_bytes_equal(got.residual, want.residual,
                          label + " residual epilogue");
     }
-  }
-}
-
-TEST(IsaGemmPacked, Fp16PackDeterministicAndInBudgetPerTier) {
-  Rng rng(61);
-  const std::int64_t m = 130, k = 75, n = 70;
-  const MatrixF a = random_normal(m, k, rng);
-  const MatrixF w = random_normal(n, k, rng);
-  const std::vector<float> bias(static_cast<std::size_t>(n), -0.5f);
-  PackedWeight p32, p16;
-  pack_weight_nt(w, p32);
-  pack_weight_nt(w, p16, Dtype::kFp16);
-  MatrixF y32(m, n);
-  gemm_packed_into(a, p32, bias, y32);  // fp32 is tier-independent
-  for (const IsaTier t : supported_tiers()) {
-    SCOPED_TRACE(tier_label(t));
-    const ScopedIsaTier scope(t);
-    MatrixF solo(m, n), wide(m, n);
-    {
-      const ThreadCountGuard guard(1);
-      gemm_packed_into(a, p16, bias, solo);
-    }
-    {
-      const ThreadCountGuard guard(4);
-      gemm_packed_into(a, p16, bias, wide);
-    }
-    expect_matrix_equal(wide, solo, "fp16 pack across thread counts");
-    const double err = relative_error(solo, y32);
-    EXPECT_GT(err, 0.0);
-    EXPECT_LT(err, calib::kFp16LayerRelErrBudget);
   }
 }
 
@@ -678,24 +642,6 @@ TEST(IsaFusedAttention, DenominatorUnderflowIsAnInvariantViolationOnEveryTier) {
                      p.q, p.k, p.v, p.offsets, 1, 2, 2, 1.0f, out),
                  std::logic_error)
         << tier_label(t);
-  }
-}
-
-// ----------------------------------------------------- fp16 converter ----
-
-TEST(IsaFp16Convert, DecodeMatchesScalarOnEveryPatternPerTier) {
-  std::vector<std::uint16_t> src(65536 + 5);  // odd tail
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    src[i] = static_cast<std::uint16_t>(i);
-  }
-  for (const IsaTier t : supported_tiers()) {
-    const ScopedIsaTier scope(t);
-    std::vector<float> got(src.size(), -1.0f);
-    f16_bits_to_f32_batch(src.data(), got.data(), src.size());
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      ASSERT_EQ(float_bits(got[i]), float_bits(f16_bits_to_f32(src[i])))
-          << tier_label(t) << " half bits 0x" << std::hex << src[i];
-    }
   }
 }
 

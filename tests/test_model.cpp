@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/encoder.hpp"
@@ -276,22 +277,28 @@ TEST(EncoderConfigValidate, RejectsSwatHeadDimDrift) {
   }
 }
 
-/// The fused kernel streams fp32 K/V tiles only: an fp16 stream (and any
-/// unknown dtype) is rejected on every backend, naming the field.
+/// The fused kernel streams fp32 K/V tiles and the packed GEMM fp32
+/// panels only: an fp16 stream_dtype or pack_dtype (and any unknown dtype)
+/// is rejected on every backend, naming the field.
 TEST(EncoderConfigValidate, RejectsNonFp32StreamDtype) {
   EXPECT_EQ(EncoderConfig{}.stream_dtype, Dtype::kFp32);
-  for (const AttentionBackend backend :
-       {AttentionBackend::kFusedStreaming, AttentionBackend::kWindowExact}) {
-    for (const Dtype dtype : {Dtype::kFp16, static_cast<Dtype>(42)}) {
-      EncoderConfig cfg = small_config(backend);
-      cfg.stream_dtype = dtype;
-      try {
-        cfg.validate();
-        FAIL() << "stream_dtype " << static_cast<int>(dtype) << " accepted";
-      } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find("stream_dtype"),
-                  std::string::npos)
-            << e.what();
+  EXPECT_EQ(EncoderConfig{}.pack_dtype, Dtype::kFp32);
+  const std::pair<const char*, Dtype EncoderConfig::*> fields[] = {
+      {"stream_dtype", &EncoderConfig::stream_dtype},
+      {"pack_dtype", &EncoderConfig::pack_dtype}};
+  for (const auto& [name, field] : fields) {
+    for (const AttentionBackend backend :
+         {AttentionBackend::kFusedStreaming, AttentionBackend::kWindowExact}) {
+      for (const Dtype dtype : {Dtype::kFp16, static_cast<Dtype>(42)}) {
+        EncoderConfig cfg = small_config(backend);
+        cfg.*field = dtype;
+        try {
+          cfg.validate();
+          FAIL() << name << " " << static_cast<int>(dtype) << " accepted";
+        } catch (const std::invalid_argument& e) {
+          EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+              << e.what();
+        }
       }
     }
   }

@@ -514,38 +514,6 @@ TEST(PackWeight, ParallelPackBitIdenticalAcrossThreadCounts) {
           << "padding lane " << l << " k " << kk;
     }
   }
-  // fp16 packs are deterministic across thread counts too.
-  PackedWeight h1, h4;
-  {
-    ThreadCountGuard guard(1);
-    pack_weight_nt(w, h1, Dtype::kFp16);
-  }
-  {
-    ThreadCountGuard guard(4);
-    pack_weight_nt(w, h4, Dtype::kFp16);
-  }
-  ASSERT_EQ(h1.data_f16.size(), h4.data_f16.size());
-  EXPECT_EQ(std::memcmp(h1.data_f16.data(), h4.data_f16.data(),
-                        h1.data_f16.size() * sizeof(std::uint16_t)),
-            0);
-  EXPECT_TRUE(h1.data.empty());  // other-dtype vector cleared
-}
-
-TEST(PackWeight, RepackAcrossDtypesMatchesFreshPack) {
-  ThreadCountGuard guard(4);
-  Rng rng(32);
-  const MatrixF w = random_normal(33, 16, rng);
-  PackedWeight reused;
-  pack_weight_nt(w, reused, Dtype::kFp32);
-  pack_weight_nt(w, reused, Dtype::kFp16);
-  pack_weight_nt(w, reused, Dtype::kFp32);  // stale fp16 lanes must not leak
-  PackedWeight fresh;
-  pack_weight_nt(w, fresh, Dtype::kFp32);
-  ASSERT_EQ(reused.data.size(), fresh.data.size());
-  EXPECT_EQ(std::memcmp(reused.data.data(), fresh.data.data(),
-                        fresh.data.size() * sizeof(float)),
-            0);
-  EXPECT_TRUE(reused.data_f16.empty());
 }
 
 // --------------------------------------------- partitioned serving oracle ----
@@ -593,9 +561,9 @@ TEST_P(PlacementBackendTest,
   const std::vector<std::int64_t> lengths = {5, 63, 64, 65, 1, 40, 128, 64,
                                              17, 33, 80, 64};
   std::vector<InferenceRequest> reqs = make_requests(cfg, lengths);
-  const std::size_t single_pack_bytes =
-      Engine::compile(cfg, 8).packed_weight_bytes();
-  ASSERT_GT(single_pack_bytes, 0u);
+  const std::size_t single_pack_floats =
+      Engine::compile(cfg, 8).packed_weight_floats();
+  ASSERT_GT(single_pack_floats, 0u);
 
   std::vector<RequestResult> oracle;
   for (const InferenceRequest& req : reqs) {
@@ -625,8 +593,8 @@ TEST_P(PlacementBackendTest,
           opt.share_weight_pack = share;
           opt.replica_queue_depth = replicas > 1 ? 1 : 0;
           Server server(cfg, opt);
-          EXPECT_EQ(server.packed_weight_bytes(),
-                    (share ? 1 : replicas) * single_pack_bytes);
+          EXPECT_EQ(server.packed_weight_floats(),
+                    (share ? 1 : replicas) * single_pack_floats);
           std::vector<Server::Ticket> tickets(reqs.size());
           for (const std::size_t i : order) {
             tickets[i] = server.submit(reqs[i]);

@@ -534,73 +534,26 @@ TEST_F(ReplicaPoolTest, ServerOptionsValidateReplicaKnobs) {
   EXPECT_NO_THROW(fine.validate());
 }
 
-/// EncoderConfig::pack_dtype = kFp16 with a shared pack: N replicas serve
-/// from ONE half-precision copy, so the pool's resident pack bytes are
-/// half the fp32 shared pool's — 0.5x weight bytes across N replicas —
-/// while the logical element count stays dtype-independent.
-TEST_F(ReplicaPoolTest, SharedFp16PackReportsHalvedByteFootprint) {
-  EncoderConfig cfg = small_config();
-  ServerOptions opt;
-  opt.num_replicas = 4;
-  opt.share_weight_pack = true;
-
-  std::size_t f32_bytes = 0, f32_floats = 0;
-  {
-    Server server(cfg, opt);
-    f32_bytes = server.packed_weight_bytes();
-    f32_floats = server.packed_weight_floats();
-  }
-  ASSERT_GT(f32_bytes, 0u);
-  EXPECT_EQ(f32_bytes, f32_floats * 4);
-
-  // Every replica packs at the config's dtype: same element count, half
-  // the bytes, one shared copy.
-  cfg.pack_dtype = Dtype::kFp16;
-  Server server(cfg, opt);
-  EXPECT_EQ(server.encoder().config().pack_dtype, Dtype::kFp16);
-  EXPECT_EQ(server.packed_weight_floats(), f32_floats);
-  EXPECT_EQ(server.packed_weight_bytes() * 2, f32_bytes);
-
-  // And the fp16 pool still serves: results are deterministic (two pools
-  // with the same knob agree bit for bit), gated for accuracy by the
-  // precision-fidelity budget rather than oracle bit-parity.
-  std::vector<InferenceRequest> reqs = make_requests(cfg, {30, 12, 47});
-  std::vector<Server::Ticket> tickets = server.submit_many(reqs);
-  Server again(cfg, opt);
-  std::vector<Server::Ticket> tickets2 = again.submit_many(reqs);
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const RequestResult a = tickets[i].get();
-    const RequestResult b = tickets2[i].get();
-    testing::expect_matrix_equal(a.output, b.output,
-                                 "fp16 pool determinism");
-  }
-}
-
 /// The per-batch weight-stream accounting: after drain, the server's
-/// totals charge exactly one cost-model weight sweep per executed batch,
-/// and the sweep is priced at the pack's dtype (fp16: half the fp32
-/// bytes). The token cap splits the burst, so more than one batch runs.
+/// totals charge exactly one cost-model weight sweep per executed batch.
+/// The token cap splits the burst, so more than one batch runs.
 TEST_F(ReplicaPoolTest, TotalsChargeOneWeightSweepPerBatch) {
-  for (const Dtype dtype : {Dtype::kFp32, Dtype::kFp16}) {
-    SCOPED_TRACE(dtype_name(dtype));
-    EncoderConfig cfg = small_config();
-    cfg.pack_dtype = dtype;
-    ServerOptions opt;
-    opt.batching.max_batch_tokens = 64;
-    opt.batching.bucket_width = 32;
-    Server server(cfg, opt);
-    std::vector<InferenceRequest> reqs =
-        make_requests(cfg, {25, 25, 60, 40, 40, 40});
-    std::vector<Server::Ticket> tickets = server.submit_many(reqs);
-    for (Server::Ticket& t : tickets) (void)t.get();
-    server.drain();
+  const EncoderConfig cfg = small_config();
+  ServerOptions opt;
+  opt.batching.max_batch_tokens = 64;
+  opt.batching.bucket_width = 32;
+  Server server(cfg, opt);
+  std::vector<InferenceRequest> reqs =
+      make_requests(cfg, {25, 25, 60, 40, 40, 40});
+  std::vector<Server::Ticket> tickets = server.submit_many(reqs);
+  for (Server::Ticket& t : tickets) (void)t.get();
+  server.drain();
 
-    const RuntimeTotals totals = server.totals();
-    ASSERT_GT(totals.batches, 1);
-    EXPECT_EQ(totals.weight_stream_bytes.count,
-              static_cast<std::uint64_t>(totals.batches) *
-                  BatchCostModel(cfg).weight_stream_bytes().count);
-  }
+  const RuntimeTotals totals = server.totals();
+  ASSERT_GT(totals.batches, 1);
+  EXPECT_EQ(totals.weight_stream_bytes.count,
+            static_cast<std::uint64_t>(totals.batches) *
+                BatchCostModel(cfg).weight_stream_bytes().count);
 }
 
 // -------------------------------------------------------------- chaos ----

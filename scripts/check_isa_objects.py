@@ -14,14 +14,21 @@ A tier object may define, with external linkage, only symbols in its own
 namespace swat::isa::<tier> (the tier's entry points). Anything else it
 defines with external or vague linkage fails the check.
 
+An incremental build keeps the objects of deleted sources; an object whose
+source file no longer exists in this repository is skipped (and counted),
+so only code that still exists is checked.
+
 Usage: check_isa_objects.py <build-dir>   (e.g. build)
-Exits non-zero with one line per offending symbol, or when no tier objects
-are found under <build-dir>/CMakeFiles/swat_isa_*.dir.
+Exits non-zero with one line per offending symbol, when no tier objects
+are found under <build-dir>/CMakeFiles/swat_isa_*.dir, or when a tier has
+objects but none of them is live.
 """
 
 import subprocess
 import sys
 from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
 
 # nm symbol types that are weak or COMDAT-like (vague linkage).
 VAGUE_TYPES = {"W", "V", "u"}
@@ -29,15 +36,30 @@ VAGUE_TYPES = {"W", "V", "u"}
 STRONG_TYPES = {"T", "D", "B", "R", "G", "S", "i"}
 
 
+def source_of(lib_dir, obj):
+    """The source CMake compiled `obj` from: the object's path under its
+    target directory (e.g. src/tensor/gemm_packed_tier.cpp.o) without the
+    object suffix, relative to the repository root."""
+    return REPO / obj.relative_to(lib_dir).with_suffix("")
+
+
 def tier_objects(build_dir):
-    """{tier: [object paths]} for every swat_isa_<tier> object library."""
+    """({tier: [live object paths]}, stale count) for every swat_isa_<tier>
+    object library that holds objects."""
     tiers = {}
+    stale = 0
     for lib_dir in sorted(build_dir.glob("**/CMakeFiles/swat_isa_*.dir")):
         tier = lib_dir.name[len("swat_isa_"):-len(".dir")]
         objects = sorted(lib_dir.rglob("*.o"))
-        if objects:
-            tiers.setdefault(tier, []).extend(objects)
-    return tiers
+        if not objects:
+            continue
+        live = tiers.setdefault(tier, [])
+        for obj in objects:
+            if source_of(lib_dir, obj).is_file():
+                live.append(obj)
+            else:
+                stale += 1
+    return tiers, stale
 
 
 def defined_symbols(obj):
@@ -74,14 +96,20 @@ def main(argv):
         print("usage: check_isa_objects.py <build-dir>", file=sys.stderr)
         return 2
     build_dir = Path(argv[1])
-    tiers = tier_objects(build_dir)
+    tiers, stale = tier_objects(build_dir)
     if not tiers:
         print(f"error: no swat_isa_*.dir objects under {build_dir} "
               "(build swat_core first)", file=sys.stderr)
         return 1
+    if stale:
+        print(f"skipped {stale} stale object(s) whose source no longer "
+              "exists")
     errors = []
     count = 0
     for tier, objects in sorted(tiers.items()):
+        if not objects:
+            errors.append(f"tier {tier} has no object whose source exists "
+                          f"under {REPO}")
         for obj in objects:
             count += 1
             errors += violations(tier, obj)

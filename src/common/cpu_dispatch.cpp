@@ -15,9 +15,8 @@ std::atomic<int> g_scoped_tier{-1};
 IsaTier probe_host_tier() {
 #if defined(SWAT_ISA_X86_TIERS)
   __builtin_cpu_init();
-  const bool avx2 = __builtin_cpu_supports("avx2") &&
-                    __builtin_cpu_supports("fma") &&
-                    __builtin_cpu_supports("f16c");
+  const bool avx2 =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   if (!avx2) return IsaTier::kBaseline;
   const bool avx512 = __builtin_cpu_supports("avx512f") &&
                       __builtin_cpu_supports("avx512vl") &&

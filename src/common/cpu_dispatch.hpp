@@ -19,7 +19,7 @@ namespace swat {
 /// An instruction-set tier, ordered: every tier includes the ones below.
 enum class IsaTier : int {
   kBaseline = 0,  ///< x86-64 baseline (SSE2), or any non-x86 target
-  kAvx2 = 1,      ///< AVX2 + FMA + F16C
+  kAvx2 = 1,      ///< AVX2 + FMA
   kAvx512 = 2,    ///< AVX-512 F/VL/BW/DQ (plus the AVX2 tier's features)
 };
 

@@ -45,6 +45,12 @@ namespace swat::isa {
 /// Output columns per packed panel; equals PackedWeight::kPanel.
 constexpr std::int64_t kPackedPanel = 32;
 
+/// Rows per register tile of the packed-GEMM worker; equals
+/// PackedWeight::kRowTile. 6 rows x 32 lanes = 12 independent 512-bit
+/// multiply-accumulate chains (or 24 256-bit ones) — enough to hide the
+/// arithmetic latency without exhausting the architectural registers.
+constexpr std::int64_t kPackedRowTile = 6;
+
 enum class PackedEpilogue : int { kNone, kGelu, kResidualAdd };
 
 /// out = A * W^T [+ bias] [epilogue], row-major with leading dimensions.

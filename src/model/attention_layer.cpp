@@ -127,6 +127,13 @@ MatrixF& tls_head_output() {
 void MultiHeadAttention::forward_batch_into(
     const MatrixF& x, std::span<const std::int64_t> offsets,
     std::span<AttentionStats> stats, MhaWorkspace& ws, MatrixF& out) const {
+  forward_concat_into(x, offsets, stats, ws);
+  wo_.forward_into(ws.concat, out);
+}
+
+void MultiHeadAttention::forward_concat_into(
+    const MatrixF& x, std::span<const std::int64_t> offsets,
+    std::span<AttentionStats> stats, MhaWorkspace& ws) const {
   SWAT_EXPECTS(x.cols() == d_model_);
   SWAT_EXPECTS(offsets.size() >= 2);
   const std::int64_t nseq = static_cast<std::int64_t>(offsets.size()) - 1;
@@ -239,7 +246,6 @@ void MultiHeadAttention::forward_batch_into(
     }
     for (AttentionStats& slot : stats) slot.heads_run += num_heads_;
   }
-  wo_.forward_into(concat, out);
 }
 
 }  // namespace swat::model

@@ -126,6 +126,20 @@ class MultiHeadAttention {
                           std::span<AttentionStats> stats, MhaWorkspace& ws,
                           MatrixF& out) const;
 
+  /// forward_batch_into up to, not including, the output projection: the
+  /// per-head outputs land in `ws.concat` (x.rows() x d_model), the Q/K/V
+  /// projections in ws.q/k/v, and counters are added to `stats` as above.
+  /// The encoder layer applies output_projection() itself, fused with the
+  /// residual, one row tile at a time. forward_batch_into is this call
+  /// followed by output_projection().forward_into(ws.concat, out).
+  void forward_concat_into(const MatrixF& x,
+                           std::span<const std::int64_t> offsets,
+                           std::span<AttentionStats> stats,
+                           MhaWorkspace& ws) const;
+
+  /// W_o, the projection forward_batch_into applies to ws.concat.
+  const Linear& output_projection() const { return wo_; }
+
   /// Total packed floats across the four projection weights (packed at
   /// construction) — the engine's footprint accounting.
   std::size_t packed_floats() const;

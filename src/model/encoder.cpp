@@ -1,7 +1,9 @@
 #include "model/encoder.hpp"
 
+#include <algorithm>
 #include <string>
 
+#include "common/thread_pool.hpp"
 #include "tensor/kernels.hpp"
 
 namespace swat::model {
@@ -72,20 +74,34 @@ void EncoderConfig::validate() const {
 
 float gelu(float x) { return swat::gelu(x); }
 
+RowTiling::RowTiling(std::int64_t n, int threads) : rows(n) {
+  SWAT_EXPECTS(n >= 0 && threads >= 1);
+  constexpr std::int64_t kTile = PackedWeight::kRowTile;
+  constexpr std::int64_t kGroupsPerTile = PackedWeight::kRowGrain / kTile;
+  groups = (n + kTile - 1) / kTile;
+  // The fewest tiles that keep each within kRowGrain rows, rounded up to a
+  // multiple of the pool so every thread gets the same number of tiles,
+  // but never more tiles than register tiles.
+  const std::int64_t fit = (groups + kGroupsPerTile - 1) / kGroupsPerTile;
+  tiles = std::min(groups, (fit + threads - 1) / threads * threads);
+  max_rows =
+      tiles == 0 ? 0 : std::min(n, kTile * ((groups + tiles - 1) / tiles));
+}
+
+std::int64_t RowTiling::begin(std::int64_t t) const {
+  SWAT_EXPECTS(t >= 0 && t <= tiles);
+  if (tiles == 0) return 0;
+  return std::min(rows, PackedWeight::kRowTile * (t * groups / tiles));
+}
+
 void EncoderLayerScratch::bind(const EncoderConfig& cfg,
                                std::int64_t max_tokens) {
   SWAT_EXPECTS(max_tokens >= 0);
   mha.bind(max_tokens, cfg.d_model);
-  attn_out.reshape(max_tokens, cfg.d_model);
-  norm1_out.reshape(max_tokens, cfg.d_model);
-  ffn_hidden.reshape(max_tokens, cfg.d_model * cfg.ffn_mult);
-  ffn_out.reshape(max_tokens, cfg.d_model);
 }
 
 std::size_t EncoderLayerScratch::capacity_floats() const {
-  return mha.capacity_floats() +
-         static_cast<std::size_t>(attn_out.size() + norm1_out.size() +
-                                  ffn_hidden.size() + ffn_out.size());
+  return mha.capacity_floats() + static_cast<std::size_t>(attn_out.size());
 }
 
 void EncoderArena::bind(const EncoderConfig& cfg, std::int64_t max_tokens) {
@@ -121,23 +137,52 @@ void EncoderLayer::forward_batch_into(const MatrixF& x,
                                       EncoderLayerScratch& s,
                                       MatrixF& out) const {
   SWAT_EXPECTS(&out != &x);
-  // Attention block with residual, post-norm. Attention is the only
-  // sequence-aware stage; everything below operates row-wise or
-  // element-wise on the packed matrix and so is batch-agnostic.
-  mha_.forward_batch_into(x, offsets, stats, s.mha, s.attn_out);
-  add_rows_into(s.attn_out, x, s.attn_out);
-  norm1_.forward_into(s.attn_out, s.norm1_out);
+  // Attention is the only sequence-aware stage; everything after it works
+  // row by row and so is batch-agnostic.
+  mha_.forward_concat_into(x, offsets, stats, s.mha);
+  out.reshape(x.rows(), x.cols());
+  post_attention_into(s.mha.concat, x, out);
+}
 
-  // FFN block with residual, post-norm. Both halves run with their
-  // elementwise tail fused into the GEMM epilogue: the hidden buffer
-  // (n x ffn_mult*d_model, the layer's largest activation) is written once
-  // already GELU'd instead of written-read-rewritten, and the contract GEMM
-  // adds the residual while each output element is still in a register.
-  // Bit-identical to the unfused forward_into + gelu_into/add_rows_into
-  // sequence this replaced.
-  ffn1_.forward_gelu_into(s.norm1_out, s.ffn_hidden);
-  ffn2_.forward_residual_into(s.ffn_hidden, s.norm1_out, s.ffn_out);
-  norm2_.forward_into(s.ffn_out, out);
+void EncoderLayer::post_attention_into(const MatrixF& concat,
+                                       const MatrixF& x, MatrixF& out) const {
+  // SWAT's row-wise dataflow on the host: a row tile goes from the output
+  // projection to LN2 while its intermediates sit in the thread's L2, and
+  // only the finished rows reach `out`. Per tile:
+  //   h = concat W_o^T + b_o + x     (residual epilogue)
+  //   h = LN1(h)                     (in place)
+  //   g = gelu(h W_1^T + b_1)        (GELU epilogue)
+  //   y = g W_2^T + b_2 + h          (residual epilogue, into out's rows)
+  //   y = LN2(y)                     (in place)
+  // Each element keeps the exact operations of the whole-matrix sequence,
+  // so the tiling changes no byte. The kernels' own fan-outs run inline
+  // inside a tile (nested parallel_for), so the tiles are the parallelism.
+  const std::int64_t d = x.cols();
+  const std::int64_t hidden = ffn1_.out_features();
+  const RowTiling tiling(x.rows(), current_pool().num_threads());
+  const std::size_t lease_floats =
+      static_cast<std::size_t>(tiling.max_rows * (d + hidden));
+  const Linear& wo = mha_.output_projection();
+  const ConstMatrixView concat_all(concat);
+  const ConstMatrixView x_all(x);
+  const MatrixView out_all(out);
+  parallel_for(0, tiling.tiles, 1, [&](std::int64_t t0, std::int64_t t1) {
+    const WorkspaceLease lease(tls_workspace(), lease_floats);
+    for (std::int64_t t = t0; t < t1; ++t) {
+      const std::int64_t r0 = tiling.begin(t);
+      const std::int64_t rows = tiling.end(t) - r0;
+      const MatrixView h(lease.data(), rows, d, d);
+      const MatrixView g(lease.data() + tiling.max_rows * d, rows, hidden,
+                         hidden);
+      const MatrixView y = out_all.row_range(r0, rows);
+      wo.forward_residual_into(concat_all.row_range(r0, rows),
+                               x_all.row_range(r0, rows), h);
+      norm1_.forward_into(h, h);
+      ffn1_.forward_gelu_into(h, g);
+      ffn2_.forward_residual_into(g, h, y);
+      norm2_.forward_into(y, y);
+    }
+  });
 }
 
 std::int64_t EncoderLayer::parameters() const {

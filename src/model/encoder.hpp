@@ -45,13 +45,15 @@ struct EncoderConfig {
 /// Per-layer activation scratch for the plan-driven encoder path. One
 /// instance is shared by every layer of a stack (layers run serially and
 /// each overwrites all of it); each buffer reshapes in place per batch, so
-/// once bound at the high-water shape the path stops allocating.
+/// once bound at the high-water shape the path stops allocating. Only the
+/// attention workspace is whole-batch: everything after attention runs
+/// per row tile in per-thread scratch (EncoderLayer::forward_batch_into).
 struct EncoderLayerScratch {
   MhaWorkspace mha;
-  MatrixF attn_out;    ///< attention block output, then +residual (n x d)
-  MatrixF norm1_out;   ///< post-norm1 activations, FFN input (n x d)
-  MatrixF ffn_hidden;  ///< GELU hidden (n x ffn_mult*d) — the largest buffer
-  MatrixF ffn_out;     ///< FFN output, then +residual (n x d)
+  /// Not bound and not written by the layer: a landing buffer for callers
+  /// that run attention().forward_batch_into on their own (the serving
+  /// benchmark's traced replay). Counted by capacity_floats() once used.
+  MatrixF attn_out;
 
   void bind(const EncoderConfig& cfg, std::int64_t max_tokens);
   std::size_t capacity_floats() const;
@@ -79,21 +81,38 @@ class EncoderLayer {
 
   /// Batched forward over a packed ragged batch — the layer's one forward
   /// core (see MultiHeadAttention::forward_batch_into for the offsets
-  /// convention, the stats contract and the bit-identity guarantee). All
-  /// intermediates live in `scratch` and the result lands in `out`
-  /// (reshaped in place). `out` must not alias `x` or a scratch buffer.
+  /// convention, the stats contract and the bit-identity guarantee).
+  /// Attention runs over the whole batch into `scratch`; the rest of the
+  /// layer — output projection + residual, LN1, FFN expand + GELU,
+  /// contract + residual, LN2 — runs as one parallel_for over row tiles
+  /// (see RowTiling), each tile's intermediates in a per-thread
+  /// tls_workspace() lease small enough to stay in L2. The result lands in
+  /// `out` (reshaped in place), which must not alias `x` or a scratch
+  /// buffer. Every element keeps the fma chain and epilogue of the
+  /// whole-matrix sequence MHA -> add_rows_into -> LN1 ->
+  /// forward_gelu_into -> forward_residual_into -> LN2, so the bytes are
+  /// the same for any tiling and thread count (tests/test_engine.cpp).
   void forward_batch_into(const MatrixF& x,
                           std::span<const std::int64_t> offsets,
                           std::span<AttentionStats> stats,
                           EncoderLayerScratch& scratch, MatrixF& out) const;
 
   const MultiHeadAttention& attention() const { return mha_; }
+  const LayerNorm& norm1() const { return norm1_; }
+  const Linear& ffn_expand() const { return ffn1_; }
+  const Linear& ffn_contract() const { return ffn2_; }
+  const LayerNorm& norm2() const { return norm2_; }
   std::int64_t parameters() const;
 
   /// Total packed floats across every Linear in the layer.
   std::size_t packed_floats() const;
 
  private:
+  /// Everything after attention, one row tile at a time (see
+  /// forward_batch_into); `out` is already x's shape.
+  void post_attention_into(const MatrixF& concat, const MatrixF& x,
+                           MatrixF& out) const;
+
   MultiHeadAttention mha_;
   LayerNorm norm1_;
   Linear ffn1_;
@@ -158,5 +177,24 @@ class Encoder {
 /// GELU activation (tanh approximation in its sigmoid form; swat::gelu),
 /// exposed for tests.
 float gelu(float x);
+
+/// The row tiles the post-attention block of an `n`-row batch runs as on a
+/// pool of `threads` threads: tile t covers rows [begin(t), end(t)).
+/// Tiles are whole 6-row register tiles of the packed GEMM (the last one
+/// takes the remainder), at most PackedWeight::kRowGrain (60) rows, and
+/// differ by at most one register tile; their count is the smallest
+/// multiple of `threads` that keeps tiles within 60 rows, but never more
+/// than the register tiles. Exposed for tests.
+struct RowTiling {
+  RowTiling(std::int64_t n, int threads);
+
+  std::int64_t rows = 0;      ///< n
+  std::int64_t groups = 0;    ///< register tiles: ceil(n / 6)
+  std::int64_t tiles = 0;     ///< 0 when n == 0
+  std::int64_t max_rows = 0;  ///< no tile is taller (sizes its scratch)
+
+  std::int64_t begin(std::int64_t t) const;
+  std::int64_t end(std::int64_t t) const { return begin(t + 1); }
+};
 
 }  // namespace swat::model

@@ -19,8 +19,12 @@ MatrixF LayerNorm::forward(const MatrixF& x) const {
 }
 
 void LayerNorm::forward_into(const MatrixF& x, MatrixF& out) const {
-  SWAT_EXPECTS(x.cols() == static_cast<std::int64_t>(gamma_.size()));
   out.reshape(x.rows(), x.cols());
+  forward_into(ConstMatrixView(x), MatrixView(out));
+}
+
+void LayerNorm::forward_into(ConstMatrixView x, MatrixView out) const {
+  SWAT_EXPECTS(x.cols() == static_cast<std::int64_t>(gamma_.size()));
   layer_norm_into(x, gamma_, beta_, eps_, out);
 }
 

@@ -18,6 +18,10 @@ class LayerNorm {
   /// in-place). Bit-identical to forward().
   void forward_into(const MatrixF& x, MatrixF& out) const;
 
+  /// The same over caller-shaped views: `out` must already have x's shape
+  /// and may alias it row for row. Runs on a row range or a scratch tile.
+  void forward_into(ConstMatrixView x, MatrixView out) const;
+
   std::vector<float>& gamma() { return gamma_; }
   std::vector<float>& beta() { return beta_; }
 

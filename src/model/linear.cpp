@@ -60,17 +60,27 @@ void Linear::forward_into(const MatrixF& x, MatrixF& y) const {
 }
 
 void Linear::forward_gelu_into(const MatrixF& x, MatrixF& y) const {
-  SWAT_EXPECTS(x.cols() == in_features());
   SWAT_EXPECTS(&y != &x);
   y.reshape(x.rows(), out_features());
-  gemm_packed_gelu_into(x, *packed_, bias_, y);
+  forward_gelu_into(ConstMatrixView(x), MatrixView(y));
 }
 
 void Linear::forward_residual_into(const MatrixF& x, const MatrixF& residual,
                                    MatrixF& y) const {
-  SWAT_EXPECTS(x.cols() == in_features());
   SWAT_EXPECTS(&y != &x && &y != &residual);
   y.reshape(x.rows(), out_features());
+  forward_residual_into(ConstMatrixView(x), ConstMatrixView(residual),
+                        MatrixView(y));
+}
+
+void Linear::forward_gelu_into(ConstMatrixView x, MatrixView y) const {
+  SWAT_EXPECTS(x.cols() == in_features());
+  gemm_packed_gelu_into(x, *packed_, bias_, y);
+}
+
+void Linear::forward_residual_into(ConstMatrixView x, ConstMatrixView residual,
+                                   MatrixView y) const {
+  SWAT_EXPECTS(x.cols() == in_features());
   gemm_packed_residual_into(x, *packed_, bias_, residual, y);
 }
 

@@ -55,6 +55,15 @@ class Linear {
   void forward_residual_into(const MatrixF& x, const MatrixF& residual,
                              MatrixF& y) const;
 
+  /// The two epilogue forwards over caller-shaped views: `y` must already
+  /// be x.rows() x out_features (nothing is reshaped), so they run on a
+  /// row range of a larger matrix or on a scratch tile — the encoder's
+  /// row-tiled post-attention block calls them once per tile. Same bits
+  /// as the Matrix forms above.
+  void forward_gelu_into(ConstMatrixView x, MatrixView y) const;
+  void forward_residual_into(ConstMatrixView x, ConstMatrixView residual,
+                             MatrixView y) const;
+
   std::int64_t in_features() const { return packed_->in_features; }
   std::int64_t out_features() const { return packed_->out_features; }
 

@@ -35,7 +35,6 @@ ExecutionPlan Engine::make_plan(std::int64_t max_tokens) const {
   ExecutionPlan plan;
   plan.max_tokens_ = max_tokens;
   plan.d_model_ = encoder_.config().d_model;
-  plan.ffn_mult_ = encoder_.config().ffn_mult;
   plan.arena_.bind(encoder_.config(), max_tokens);
   plan.bound_floats_ = plan.arena_.capacity_floats();
   return plan;
@@ -53,7 +52,6 @@ const MatrixF& Engine::run(ExecutionPlan& plan, const MatrixF& packed,
   SWAT_EXPECTS(plan.max_tokens_ >= 1 &&
                "plan was not compiled (use Engine::compile / make_plan)");
   SWAT_EXPECTS(plan.d_model_ == encoder_.config().d_model &&
-               plan.ffn_mult_ == encoder_.config().ffn_mult &&
                "plan was minted for a different encoder geometry");
   SWAT_EXPECTS(packed.rows() <= plan.max_tokens_ &&
                "packed batch exceeds the plan's compiled high-water shape");

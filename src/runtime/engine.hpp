@@ -11,11 +11,12 @@
 //     packed GEMM microkernel streams (weights are engine-wide constants,
 //     shared by every plan — packed_weight_floats() reports the
 //     footprint), walks the encoder geometry once, and sizes every
-//     intermediate a packed batch of up to max_tokens rows needs — Q/K/V
-//     projections, the per-head concat staging, LN outputs, the GELU
-//     hidden buffer, residual outputs, and the two ping-pong layer-I/O
-//     buffers — binding them into a persistent activation arena
-//     (ExecutionPlan).
+//     whole-batch intermediate a packed batch of up to max_tokens rows
+//     needs — Q/K/V projections, the per-head concat staging and the two
+//     ping-pong layer-I/O buffers, 6 x d_model floats per row — binding
+//     them into a persistent activation arena (ExecutionPlan). Everything
+//     after attention (output projection, LNs, FFN) runs per row tile in
+//     per-thread tls_workspace() scratch, so it takes no arena rows.
 //
 //   Engine::run(packed, offsets[, stats])
 //     executes the whole stack through the allocation-free *_into paths
@@ -72,7 +73,6 @@ class ExecutionPlan {
   // minted by a differently-shaped engine fails loudly instead of silently
   // regrowing the arena (which would void the zero-allocation guarantee).
   std::int64_t d_model_ = 0;
-  std::int64_t ffn_mult_ = 0;
   model::EncoderArena arena_;
 };
 
@@ -121,7 +121,7 @@ class Engine {
                      std::span<model::AttentionStats> stats = {});
 
   /// Execute through a caller-held plan. The plan must have been minted by
-  /// an engine with the same activation geometry (d_model, ffn_mult) —
+  /// an engine with the same activation geometry (d_model) —
   /// enforced, since a mismatched arena would silently reallocate.
   const MatrixF& run(ExecutionPlan& plan, const MatrixF& packed,
                      std::span<const std::int64_t> offsets,

@@ -16,10 +16,7 @@ namespace swat::isa::SWAT_ISA_TIER {
 namespace {
 
 constexpr std::int64_t kPanel = kPackedPanel;
-// Rows per register tile: 6 rows x 32 lanes = 12 independent 512-bit
-// multiply-accumulate chains (or 24 256-bit ones) — enough to hide the
-// arithmetic latency without exhausting the architectural registers.
-constexpr std::int64_t kRowTile = 6;
+constexpr std::int64_t kRowTile = kPackedRowTile;
 
 std::int64_t min_i64(std::int64_t a, std::int64_t b) { return a < b ? a : b; }
 

@@ -302,14 +302,14 @@ void pack_weight_nt(const MatrixF& w, PackedWeight& packed) {
 
 namespace {
 
-// 2D fan-out grain: row tiles x panel groups. 60 rows (10 full 6-row
-// register tiles) x 8 panels (256 columns) keeps a tile's A rows and
-// packed panels cache-resident while exposing enough tiles that the pool
-// load-balances ragged shapes.
-constexpr std::int64_t kPackedRowGrain = 60;
+// 2D fan-out grain: row tiles x panel groups. PackedWeight::kRowGrain
+// rows (10 full register tiles) x 8 panels (256 columns) keeps a tile's A
+// rows and packed panels cache-resident while exposing enough tiles that
+// the pool load-balances ragged shapes.
 constexpr std::int64_t kPackedPanelGrain = 8;
 
 static_assert(PackedWeight::kPanel == isa::kPackedPanel);
+static_assert(PackedWeight::kRowTile == isa::kPackedRowTile);
 
 void gemm_packed_impl(ConstMatrixView a, const PackedWeight& w,
                       std::span<const float> bias, isa::PackedEpilogue ep,
@@ -344,7 +344,7 @@ void gemm_packed_impl(ConstMatrixView a, const PackedWeight& w,
       out.data(),
       out.stride()};
   const isa::PackedRowsFn rows = isa::active_kernels().gemm_packed_rows;
-  parallel_for_2d(m, kPackedRowGrain, w.panels(), kPackedPanelGrain,
+  parallel_for_2d(m, PackedWeight::kRowGrain, w.panels(), kPackedPanelGrain,
                   [&](std::int64_t i0, std::int64_t i1, std::int64_t panel0,
                       std::int64_t panel1) {
                     rows(args, i0, i1, panel0, panel1);

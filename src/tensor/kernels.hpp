@@ -154,6 +154,11 @@ struct PackedWeight {
   /// 32 lanes x 6 rows of accumulators = 12 independent FMA chains on
   /// 512-bit SIMD, enough to hide the FMA latency).
   static constexpr std::int64_t kPanel = 32;
+  /// Rows per register tile of the microkernel (6 rows x kPanel lanes).
+  static constexpr std::int64_t kRowTile = 6;
+  /// Rows per task of the GEMM's 2D fan-out: 10 register tiles, small
+  /// enough that a task's A rows and output rows stay cache-resident.
+  static constexpr std::int64_t kRowGrain = 10 * kRowTile;
 
   // Panel storage starts on a 64-byte cache line (LineAlignedAllocator),
   // so every panel row — kPanel fp32 lanes = one line — is line-aligned. It also skips value-initialization

@@ -6,12 +6,20 @@
 // counters), for every backend, any thread count, and any batch
 // composition. One const Encoder is also safe to share across threads. The zero-allocation steady-state
 // property is asserted in tests/test_runtime.cpp (operator-new counter).
+//
+// Encoder::forward runs the same layer core as Engine::run, so those tests
+// cannot see a bug in the row-tiled post-attention block. The
+// EncoderLayerRowTiles tests hold that block to an independent oracle: the
+// unfused whole-matrix sequence built from the layer's own sub-modules.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cpu_dispatch.hpp"
 #include "common/thread_pool.hpp"
 #include "runtime/engine.hpp"
 #include "test_util.hpp"
@@ -68,11 +76,11 @@ TEST(EngineCompile, BindsArenaSizedForTheHighWaterShape) {
   const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
   const Engine engine = Engine::compile(cfg, 96);
   EXPECT_EQ(engine.plan().max_tokens(), 96);
-  // Every bound buffer scales with max_tokens: q/k/v/concat + attn_out +
-  // norm1_out + ffn_out + ping + pong at d_model wide, ffn_hidden at
-  // ffn_mult * d_model.
-  const std::size_t per_row =
-      static_cast<std::size_t>(9 * cfg.d_model + cfg.ffn_mult * cfg.d_model);
+  // Every bound buffer scales with max_tokens, all d_model wide: q, k, v,
+  // concat, ping and pong. The post-attention block (output projection,
+  // LNs, FFN hidden) runs per row tile in per-thread scratch and binds
+  // nothing.
+  const std::size_t per_row = static_cast<std::size_t>(6 * cfg.d_model);
   EXPECT_EQ(engine.plan().arena_floats(), 96 * per_row);
   // A separately minted plan for twice the tokens is exactly twice as big.
   const ExecutionPlan big = engine.make_plan(192);
@@ -186,6 +194,90 @@ TEST(EngineBitIdentity, ThreadCountInvariance) {
                 stats1[s].swat_offchip_traffic.count);
       EXPECT_EQ(stats4[s].swat_core_loads, stats1[s].swat_core_loads);
       EXPECT_EQ(stats4[s].heads_run, stats1[s].heads_run);
+    }
+  }
+}
+
+// --------------------------------------------------- row-tiled layer ----
+
+/// The whole-matrix sequence the row-tiled post-attention block must match
+/// byte for byte, every stage a separate pass over all rows, built from
+/// `layer`'s own sub-modules.
+MatrixF unfused_layer(const model::EncoderLayer& layer, const MatrixF& x,
+                      std::span<const std::int64_t> offsets) {
+  model::MhaWorkspace ws;
+  MatrixF attn, norm1, hidden, ffn, y;
+  layer.attention().forward_batch_into(x, offsets, {}, ws, attn);
+  add_rows_into(attn, x, attn);
+  layer.norm1().forward_into(attn, norm1);
+  layer.ffn_expand().forward_gelu_into(norm1, hidden);
+  layer.ffn_contract().forward_residual_into(hidden, norm1, ffn);
+  layer.norm2().forward_into(ffn, y);
+  return y;
+}
+
+TEST(EncoderLayerRowTiles, TilesAreWholeRegisterTilesWithinTheGrain) {
+  for (int threads = 1; threads <= 4; ++threads) {
+    for (std::int64_t n = 1; n <= 4096; n += (n < 300 ? 1 : 127)) {
+      const model::RowTiling tiling(n, threads);
+      const std::string what =
+          "n=" + std::to_string(n) + " threads=" + std::to_string(threads);
+      ASSERT_GE(tiling.tiles, 1) << what;
+      EXPECT_EQ(tiling.begin(0), 0) << what;
+      EXPECT_EQ(tiling.end(tiling.tiles - 1), n) << what;
+      // A multiple of the pool, unless there are fewer register tiles.
+      EXPECT_TRUE(tiling.tiles % threads == 0 ||
+                  tiling.tiles == tiling.groups)
+          << what;
+      std::int64_t tallest = 0;
+      for (std::int64_t t = 0; t < tiling.tiles; ++t) {
+        const std::int64_t rows = tiling.end(t) - tiling.begin(t);
+        EXPECT_GE(rows, 1) << what;
+        EXPECT_LE(rows, PackedWeight::kRowGrain) << what;
+        if (t + 1 < tiling.tiles) {
+          EXPECT_EQ(rows % PackedWeight::kRowTile, 0) << what;
+        }
+        tallest = std::max(tallest, rows);
+      }
+      EXPECT_GE(tiling.max_rows, tallest) << what;
+      EXPECT_LE(tiling.max_rows, PackedWeight::kRowGrain) << what;
+    }
+  }
+}
+
+/// The row-tiled layer against the unfused sequence, memcmp on the output
+/// bytes: row counts on both sides of every tile boundary (1, 5, 6, 7, 59,
+/// 60, 61, 121, 4096), ragged batches, 1-4 threads (3 splits the tiles
+/// unevenly) and every ISA tier this CPU runs.
+TEST(EncoderLayerRowTiles, ByteIdenticalToTheUnfusedSequence) {
+  const EncoderConfig cfg = small_config(AttentionBackend::kFusedStreaming);
+  const model::Encoder encoder(cfg);
+  const model::EncoderLayer& layer = encoder.layer(1);
+  const std::vector<std::vector<std::int64_t>> batches = {
+      {1},  {5},   {6},          {7},       {59},
+      {60}, {61},  {121},        {4096},    {1, 5, 6, 7},
+      {59, 1, 61}, {17, 64, 3, 40, 121}};
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const auto [x, offsets] = make_packed(cfg, batches[b], 31 * (b + 1));
+    const MatrixF want = unfused_layer(layer, x, offsets);
+    model::EncoderLayerScratch scratch;
+    MatrixF got;
+    for (const IsaTier tier : kIsaTiers) {
+      if (!isa_tier_supported(tier)) continue;
+      const ScopedIsaTier scope(tier);
+      for (int threads = 1; threads <= 4; ++threads) {
+        ThreadCountGuard guard(threads);
+        layer.forward_batch_into(x, offsets, {}, scratch, got);
+        ASSERT_EQ(got.rows(), want.rows());
+        ASSERT_EQ(got.cols(), want.cols());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              sizeof(float) *
+                                  static_cast<std::size_t>(want.size())),
+                  0)
+            << "rows " << x.rows() << " (" << batches[b].size()
+            << " sequences), tier " << isa_tier_name(tier) << ", threads "
+            << threads;
+      }
     }
   }
 }

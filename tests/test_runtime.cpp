@@ -291,16 +291,22 @@ TEST(BatchExecutor, CountersReconcile) {
 /// After a warmup pass at the high-water shape, serving the same workload
 /// again must not grow any per-worker kernel arena, the packed staging or
 /// the plan arenas — the "no per-request allocation on the hot path"
-/// property.
+/// property. The 162-row batch and the 250- and 300-row singletons run the
+/// post-attention block as 3, 5 and 5 row tiles, whose scratch is leased
+/// from the same per-thread arena.
 TEST(BatchExecutor, SteadyStateServingDoesNotGrowArenas) {
   ThreadCountGuard guard(1);  // all kernel scratch lands in this thread's arena
   const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
-  const auto reqs = make_requests(cfg, {31, 64, 17, 50});
+  const auto reqs = make_requests(cfg, {31, 64, 17, 50, 300, 250});
   BatchExecutor executor(cfg, BatchingOptions{});
   serve(executor, reqs);  // warmup: arenas and staging grow to high water
   const std::size_t warm_capacity = tls_workspace().capacity_floats();
   const std::size_t warm_slabs = tls_workspace().slab_count();
   const std::size_t warm_arena = executor.plan_arena_floats();
+  // A full-height tile's scratch: its d-wide rows and its GELU hidden.
+  EXPECT_GE(warm_capacity,
+            static_cast<std::size_t>(PackedWeight::kRowGrain * cfg.d_model *
+                                     (1 + cfg.ffn_mult)));
   serve(executor, reqs);
   serve(executor, reqs);
   EXPECT_EQ(tls_workspace().capacity_floats(), warm_capacity);

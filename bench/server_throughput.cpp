@@ -32,11 +32,13 @@
 // while bulk absorbs the shedding.
 //
 // The REPLICA-SCALING sweep reruns the same open-loop overload shape with
-// the server's engine-replica pool at 1/2/4 replicas (one shared
-// read-only weight pack, replica_queue_depth=1 so dispatch pipelines and
-// stealing is live), reporting aggregate goodput, goodput speedup vs one
-// replica at the same offered load, and per-class p50/p99 turnaround —
-// the goodput-vs-replicas scaling column is the headline.
+// the server's engine-replica pool at 1/2/4 replicas on default pool
+// options (each replica on a pinned pool over its own core group, all of
+// them reading one shared weight pack), with replica_queue_depth=2 so
+// dispatch pipelines and stealing is live. It reports aggregate goodput,
+// goodput speedup vs one replica at the same offered load, and per-class
+// p50/p99 turnaround — the goodput-vs-replicas scaling column is the
+// headline.
 //
 // Usage: server_throughput [--smoke] [--out <path>]
 #include <algorithm>
@@ -81,10 +83,8 @@ struct ArmResult {
   std::int64_t batches = 0;
 };
 
-/// One (placement, replica count, offered load) cell of the
-/// replica-scaling sweep.
+/// One (replica count, offered load) cell of the replica-scaling sweep.
 struct ReplicaSweepResult {
-  std::string placement;  ///< "shared" or "partitioned"
   std::size_t replicas = 1;
   double intensity_rel = 0.0;
   std::int64_t served = 0;
@@ -94,16 +94,6 @@ struct ReplicaSweepResult {
   double interactive_p99_ms = 0.0;
   double bulk_p50_ms = 0.0;
   double bulk_p99_ms = 0.0;
-};
-
-/// The shared-pack cell: partitioned replicas sharing one pack
-/// (first-touched on replica 0's group), so the far replica's remote-read
-/// cost shows up directly in goodput, with the pack footprint alongside.
-struct PackSplitResult {
-  std::int64_t served = 0;
-  double goodput_per_s = 0.0;
-  double packed_mib = 0.0;  ///< Server::packed_weight_floats, in MiB
-  double interactive_p99_ms = 0.0;
 };
 
 /// One (offered load, SLO class) cell of the overload sweep.
@@ -357,19 +347,12 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(Clock::now() - sweep_calib_start).count();
   const double sweep_deadline_s = std::max(0.1, 8.0 / sweep_service_rps);
 
-  // Shared vs partitioned placement, head to head at every (load,
-  // replicas) cell. goodput_speedup is normalized within each placement
-  // (vs its own 1-replica cell at that load), so the column answers "how
-  // well does THIS placement scale with replicas" — the partitioned-vs-
-  // shared goodput_per_s gap at 4 replicas is the locality win itself.
+  // Replica scaling at every (load, replicas) cell; goodput_speedup is
+  // normalized against the 1-replica cell at the same load.
   std::vector<ReplicaSweepResult> replica_sweep;
-  for (const swat::PlacementPolicy placement :
-       {swat::PlacementPolicy::kShared, swat::PlacementPolicy::kPartitioned}) {
-    const char* placement_name =
-        placement == swat::PlacementPolicy::kShared ? "shared" : "partitioned";
-    for (const double rel : overload_intensities) {
-      double base_goodput = 0.0;
-      for (const std::size_t replicas : {1u, 2u, 4u}) {
+  for (const double rel : overload_intensities) {
+    double base_goodput = 0.0;
+    for (const std::size_t replicas : {1u, 2u, 4u}) {
       swat::Rng arrival_rng(4321 + static_cast<std::uint64_t>(rel * 1000.0));
       std::vector<double> arrival(sweep_requests.size());
       double t = 0.0;
@@ -390,9 +373,7 @@ int main(int argc, char** argv) {
       opt.queue_capacity = 16;
       opt.shed_watermark = 0.75;
       opt.num_replicas = replicas;
-      opt.share_weight_pack = replicas > 1;
       opt.replica_queue_depth = 2;
-      opt.placement = placement;
       Server server(cfg, opt);
 
       std::vector<Server::Ticket> tickets(sweep_requests.size());
@@ -425,7 +406,6 @@ int main(int argc, char** argv) {
       server.drain();
 
       ReplicaSweepResult row;
-      row.placement = placement_name;
       row.replicas = replicas;
       row.intensity_rel = rel;
       row.served = served;
@@ -438,75 +418,7 @@ int main(int argc, char** argv) {
       row.bulk_p50_ms = percentile(turnaround_ms[1], 0.5);
       row.bulk_p99_ms = percentile(turnaround_ms[1], 0.99);
       replica_sweep.push_back(row);
-      }
     }
-  }
-
-  // ---- shared-pack cell: 2 partitioned replicas sharing one pack at
-  // saturating load. On a multi-node host the far replica pays remote reads
-  // for every panel.
-  PackSplitResult pack_split;
-  {
-    const double rel = overload_intensities.back();
-    swat::Rng arrival_rng(5151);
-    std::vector<double> arrival(sweep_requests.size());
-    double t = 0.0;
-    for (double& a : arrival) {
-      t += -std::log(1.0 - arrival_rng.uniform(0.0, 1.0)) /
-           (rel * sweep_service_rps);
-      a = t;
-    }
-
-    swat::ServerOptions opt;
-    opt.batching.max_batch_requests = 1;
-    opt.admission = swat::OverflowPolicy::kShedBulk;
-    opt.queue_capacity = 16;
-    opt.shed_watermark = 0.75;
-    opt.num_replicas = 2;
-    opt.share_weight_pack = true;
-    opt.replica_queue_depth = 2;
-    opt.placement = swat::PlacementPolicy::kPartitioned;
-    Server server(cfg, opt);
-
-    std::vector<Server::Ticket> tickets(sweep_requests.size());
-    const auto start = Clock::now();
-    for (std::size_t i = 0; i < sweep_requests.size(); ++i) {
-      const auto due =
-          start + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(arrival[i]));
-      std::this_thread::sleep_until(due);
-      InferenceRequest req = sweep_requests[i];
-      req.priority = (i % 2 == 0) ? swat::Priority::kInteractive
-                                  : swat::Priority::kBulk;
-      if (req.priority == swat::Priority::kInteractive) {
-        req.deadline = swat::Seconds{sweep_deadline_s};
-      }
-      tickets[i] = server.submit(std::move(req));
-    }
-    std::vector<double> interactive_ms;
-    std::int64_t served = 0;
-    for (std::size_t i = 0; i < tickets.size(); ++i) {
-      try {
-        const RequestResult res = tickets[i].get();
-        if (i % 2 == 0) {
-          interactive_ms.push_back(res.counters.turnaround.value * 1e3);
-        }
-        ++served;
-      } catch (const std::exception&) {
-        // shed at admission or by deadline — ledgered in server.stats()
-      }
-    }
-    const double makespan =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    const double packed_mib =
-        static_cast<double>(server.packed_weight_floats() * sizeof(float)) /
-        (1024.0 * 1024.0);
-    server.drain();
-
-    pack_split.served = served;
-    pack_split.goodput_per_s = static_cast<double>(served) / makespan;
-    pack_split.packed_mib = packed_mib;
-    pack_split.interactive_p99_ms = percentile(interactive_ms, 0.99);
   }
 
   std::ofstream out(out_path);
@@ -557,8 +469,7 @@ int main(int argc, char** argv) {
       << "  \"replica_sweep\": [\n";
   for (std::size_t i = 0; i < replica_sweep.size(); ++i) {
     const ReplicaSweepResult& r = replica_sweep[i];
-    out << "    {\"placement\": \"" << r.placement
-        << "\", \"replicas\": " << r.replicas
+    out << "    {\"replicas\": " << r.replicas
         << ", \"intensity_rel\": " << r.intensity_rel
         << ", \"served\": " << r.served
         << ", \"goodput_per_s\": " << r.goodput_per_s
@@ -569,13 +480,7 @@ int main(int argc, char** argv) {
         << ", \"bulk_p99_ms\": " << r.bulk_p99_ms << "}"
         << (i + 1 < replica_sweep.size() ? "," : "") << "\n";
   }
-  out << "  ],\n"
-      << "  \"pack_split\": [\n"
-      << "    {\"served\": " << pack_split.served
-      << ", \"goodput_per_s\": " << pack_split.goodput_per_s
-      << ", \"packed_mib\": " << pack_split.packed_mib
-      << ", \"interactive_p99_ms\": " << pack_split.interactive_p99_ms
-      << "}\n  ]\n}\n";
+  out << "  ]\n}\n";
 
   std::printf(
       "server throughput (%lld requests, %lld tokens, seq service %.1f "
@@ -608,29 +513,17 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nreplica-scaling sweep (%lld short requests, seq service %.1f "
-      "req/s; kShedBulk, shared weight pack, singleton batches, "
-      "queue_depth 2; speedup normalized within placement)\n",
+      "req/s; kShedBulk, singleton batches, queue_depth 2)\n",
       static_cast<long long>(sweep_count), sweep_service_rps);
-  std::printf("%-12s %6s %9s %6s %10s %8s %9s %9s %9s %9s\n", "placement",
-              "load", "replicas", "served", "goodput/s", "speedup",
-              "int p50", "int p99", "bulk p50", "bulk p99");
+  std::printf("%6s %9s %6s %10s %8s %9s %9s %9s %9s\n", "load", "replicas",
+              "served", "goodput/s", "speedup", "int p50", "int p99",
+              "bulk p50", "bulk p99");
   for (const ReplicaSweepResult& r : replica_sweep) {
-    std::printf(
-        "%-12s %5.1fx %9zu %6lld %10.1f %7.2fx %9.2f %9.2f %9.2f %9.2f\n",
-        r.placement.c_str(), r.intensity_rel, r.replicas,
-        static_cast<long long>(r.served), r.goodput_per_s, r.goodput_speedup,
-        r.interactive_p50_ms, r.interactive_p99_ms, r.bulk_p50_ms,
-        r.bulk_p99_ms);
+    std::printf("%5.1fx %9zu %6lld %10.1f %7.2fx %9.2f %9.2f %9.2f %9.2f\n",
+                r.intensity_rel, r.replicas, static_cast<long long>(r.served),
+                r.goodput_per_s, r.goodput_speedup, r.interactive_p50_ms,
+                r.interactive_p99_ms, r.bulk_p50_ms, r.bulk_p99_ms);
   }
-  std::printf(
-      "\nshared pack (2 partitioned replicas, shared pack, %.1fx load)\n",
-      overload_intensities.back());
-  std::printf("%6s %10s %10s %9s\n", "served", "goodput/s", "pack MiB",
-              "int p99");
-  std::printf("%6lld %10.1f %10.2f %9.2f\n",
-              static_cast<long long>(pack_split.served),
-              pack_split.goodput_per_s, pack_split.packed_mib,
-              pack_split.interactive_p99_ms);
   std::cout << "wrote " << out_path << "\n";
   return out ? 0 : 1;
 }

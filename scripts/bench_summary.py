@@ -88,25 +88,22 @@ def headline_rows(name, data):
     return rows
 
 
-def placement_rows(name, data):
-    """(bench, placement, replicas, speedup) rows: best goodput_speedup per
-    placement policy, so shared vs partitioned scaling is one glance. Arms
-    from bench files that predate the placement field group under "-"."""
-    best = {}
+def replica_scaling_rows(name, data):
+    """(bench, replicas, speedup) row: the best goodput_speedup over every
+    measurement arm that reports one, with its replica count, so how far
+    the replica pool scales is one glance."""
+    best = None
     for value in data.values():
         if not (isinstance(value, list) and value
                 and all(isinstance(e, dict) for e in value)):
             continue
         for arm in value:
             speedup = arm.get("goodput_speedup")
-            if not is_number(speedup):
-                continue
-            placement = arm.get("placement", "-")
-            prev = best.get(placement)
-            if prev is None or speedup > prev[0]:
-                best[placement] = (speedup, arm.get("replicas", "-"))
-    return [(name, placement, fmt(replicas), fmt(speedup))
-            for placement, (speedup, replicas) in sorted(best.items())]
+            if is_number(speedup) and (best is None or speedup > best[0]):
+                best = (speedup, arm.get("replicas", "-"))
+    if best is None:
+        return []
+    return [(name, fmt(best[1]), fmt(best[0]))]
 
 
 def pct(value):
@@ -167,14 +164,14 @@ def render(files):
                          [list(r) for r in headline]))
         out.append("")
 
-    placement = []
+    scaling = []
     for name, data in benches:
-        placement += placement_rows(name, data)
-    if placement:
-        out.append("## Replica scaling by placement (best goodput_speedup)")
+        scaling += replica_scaling_rows(name, data)
+    if scaling:
+        out.append("## Replica scaling (best goodput_speedup)")
         out.append("")
-        out.append(table(("bench", "placement", "replicas", "speedup"),
-                         [list(r) for r in placement]))
+        out.append(table(("bench", "replicas", "speedup"),
+                         [list(r) for r in scaling]))
         out.append("")
 
     tiers = []

@@ -27,11 +27,11 @@
    packed-weight footprint accessor (what the cost model's weight sweep
    must equal) are documented contracts too.
 7. The placement/topology surface (src/common/topology.hpp: top-level
-   types, free functions, CpuSet's public methods; plus the server's
-   placement knob and the per-replica core_group/pinned_threads stats
-   fields) must be mentioned in docs/ARCHITECTURE.md — replica placement
-   is a behavioral contract (kShared stays bit-identical, kPartitioned
-   matches solo oracles) and its docs may not drift. The fp32-only
+   types, free functions, CpuSet's public methods; plus the per-replica
+   core_group/pinned_threads stats fields) must be mentioned in
+   docs/ARCHITECTURE.md — replica placement is a behavioral contract
+   (pinned per-replica pools match solo oracles, and the fallback to the
+   process-wide pool is observable) and its docs may not drift. The fp32-only
    stream_dtype and pack_dtype config fields are pinned here too, so their
    one valid value and the removed fp16 stream and pack stay documented.
 8. The fused attention surface (src/attention/fused.hpp: every top-level
@@ -247,8 +247,8 @@ def check_engine_api_mentions(errors):
 
 def check_topology_api_mentions(errors):
     """topology.hpp types, free functions and CpuSet methods, plus the
-    placement surface the server exposes on top of them (the ServerOptions
-    field and the ReplicaStats fields), must be documented."""
+    placement surface the server exposes on top of them (the ReplicaStats
+    fields), must be documented."""
     header = REPO / "src" / "common" / "topology.hpp"
     arch = REPO / "docs" / "ARCHITECTURE.md"
     if not header.exists():
@@ -262,13 +262,12 @@ def check_topology_api_mentions(errors):
     # pin_current_thread, ...), same shape as kernels.hpp.
     names = set(kernels_public_api(header))
     names |= class_public_methods(header_text, "CpuSet")
-    # Placement knobs live in server.hpp/stats.hpp as plain fields, which
-    # the type/method scrapers don't see — pin them by name. stream_dtype
-    # and pack_dtype (encoder.hpp) are not placement knobs: they ride along
+    # Placement stats live in stats.hpp as plain fields, which the
+    # type/method scrapers don't see — pin them by name. stream_dtype
+    # and pack_dtype (encoder.hpp) are not placement fields: they ride along
     # so the fields' fp32-only contract stays documented until the fields
     # are removed.
-    names |= {"placement", "core_group", "pinned_threads", "stream_dtype",
-              "pack_dtype"}
+    names |= {"core_group", "pinned_threads", "stream_dtype", "pack_dtype"}
     for name in sorted(names):
         if not re.search(rf"\b{re.escape(name)}\b", text):
             errors.append(

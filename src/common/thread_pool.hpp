@@ -23,13 +23,12 @@
 // Placement: pools are also instantiable directly (the process-wide
 // instance() stays the default) with an optional CpuSet — workers pin
 // themselves to it via pthread_setaffinity_np (a documented no-op off
-// Linux). The serving pool's partitioned placement builds one pinned
-// pool per engine replica and routes that replica's kernel fan-outs
-// through it with a ScopedPoolBinding: the free parallel_for /
-// parallel_for_2d templates dispatch to the thread's bound pool when
-// one is active, so no kernel call site changes and the bit-exactness
-// contract (results independent of thread count AND of which pool ran
-// the partition) is untouched.
+// Linux). A multi-replica Server builds one pinned pool per engine
+// replica and routes that replica's kernel fan-outs through it with a
+// ScopedPoolBinding: the free parallel_for / parallel_for_2d templates
+// dispatch to the thread's bound pool when one is active, so no kernel
+// call site changes and the bit-exactness contract (results independent
+// of thread count AND of which pool ran the partition) is untouched.
 #pragma once
 
 #include <algorithm>

@@ -144,7 +144,7 @@ int Topology::core_count() const {
 std::vector<CpuSet> Topology::partition(std::size_t groups) const {
   SWAT_EXPECTS(groups >= 1);
   const std::size_t total = cpus.size();
-  if (groups > total) return {};  // caller falls back to shared placement
+  if (groups > total) return {};  // caller falls back to the global pool
   std::vector<CpuSet> out(groups);
   const std::size_t base = total / groups;
   const std::size_t extra = total % groups;  // first `extra` groups get +1

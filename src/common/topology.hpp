@@ -2,12 +2,12 @@
 //
 // The placement layer's model of the host: which logical CPUs this
 // process may use, how they group into physical cores (SMT siblings),
-// and which NUMA node each belongs to. The serving pool's partitioned
-// placement (ServerOptions::placement = kPartitioned) carves the allowed
-// set into one contiguous, locality-ordered core group per engine
-// replica; each replica then runs on a ThreadPool pinned to its group,
-// and packs its weights there so first-touch page placement puts each
-// PackedWeight on the replica's NUMA node.
+// and which NUMA node each belongs to. A multi-replica Server
+// (ServerOptions::num_replicas > 1) carves the allowed set into one
+// contiguous, locality-ordered core group per engine replica; each
+// replica then runs on a ThreadPool pinned to its group, and replica 0
+// packs the one shared weight pack on its own group, so first-touch page
+// placement puts the PackedWeight on replica 0's NUMA node.
 //
 // Discovery reads /sys/devices/system/cpu (Linux). Everything degrades
 // gracefully: a missing sysfs tree (non-Linux, containers without /sys)
@@ -87,8 +87,8 @@ struct Topology {
   /// groups taking one extra — so each group stays within as few nodes
   /// as possible and SMT siblings stay together. Returns an EMPTY
   /// vector when groups exceeds the allowed CPU count (each group must
-  /// hold at least one CPU): the caller's signal to fall back to shared
-  /// placement rather than oversubscribe.
+  /// hold at least one CPU): the caller's signal to keep every replica
+  /// on the process-wide pool rather than oversubscribe.
   std::vector<CpuSet> partition(std::size_t groups) const;
 };
 

@@ -25,6 +25,7 @@ Bytes packed_sweep_bytes(const model::EncoderConfig& cfg) {
 
 BatchCostModel::BatchCostModel(const model::EncoderConfig& cfg)
     : analytic_((cfg.validate(), cfg.swat)),
+      backend_(cfg.backend),
       num_heads_(static_cast<int>(cfg.num_heads)),
       layers_(cfg.layers),
       head_dim_(cfg.d_model / cfg.num_heads),
@@ -35,6 +36,7 @@ BatchCostModel::BatchCostModel(const model::EncoderConfig& cfg)
                              calib::kHostWeightStreamBytesPerSec) {}
 
 Bytes BatchCostModel::kv_stream_bytes(const BatchPlanEntry& entry) const {
+  if (backend_ != model::AttentionBackend::kFusedStreaming) return Bytes{0};
   std::int64_t per_layer = 0;
   for (std::size_t i = 0; i + 1 < entry.offsets.size(); ++i) {
     per_layer += attn::fused_window_kv_stream_bytes(

@@ -42,10 +42,11 @@ class BatchCostModel {
   /// credits back when the batch retires. batch_seconds plus the per-batch
   /// weight sweep (weight_stream_seconds) plus the batch's attention
   /// activation sweep (kv_stream_seconds) — every executed batch streams
-  /// the whole packed weight set once and each sequence's K/V band tiles
-  /// once per layer. Named separately so "predict the cost of placing this
-  /// batch" has one spelling at the dispatch call sites (Server's replica
-  /// pool, work stealing, watchdog thresholds).
+  /// the whole packed weight set once and, on the fused backend, each
+  /// sequence's K/V band tiles once per layer. Named separately so
+  /// "predict the cost of placing this batch" has one spelling at the
+  /// dispatch call sites (Server's replica pool, work stealing, watchdog
+  /// thresholds).
   Seconds predict(const BatchPlanEntry& entry) const {
     return batch_seconds(entry) + weight_stream_seconds() +
            kv_stream_seconds(entry);
@@ -66,7 +67,8 @@ class BatchCostModel {
   /// executed batch: per sequence, attn::fused_window_kv_stream_bytes
   /// (every row's clipped band read from both K and V, per head) times the
   /// layer count, at fp32 (stream_dtype is fp32-only) — the
-  /// activation-side twin of weight_stream_bytes.
+  /// activation-side twin of weight_stream_bytes. Zero unless the config's
+  /// backend is kFusedStreaming: only that kernel runs the band sweep.
   Bytes kv_stream_bytes(const BatchPlanEntry& entry) const;
 
   /// The batch's K/V sweep converted to time against the same calibrated
@@ -85,6 +87,7 @@ class BatchCostModel {
 
  private:
   AnalyticModel analytic_;
+  model::AttentionBackend backend_;
   int num_heads_;
   int layers_;
   std::int64_t head_dim_;

@@ -90,18 +90,16 @@ class Engine {
   /// outlive the engine; nullptr keeps today's global-pool behavior.
   explicit Engine(model::EncoderConfig cfg, ThreadPool* pool = nullptr);
 
-  /// An engine serving a copy of `pack_prototype`'s encoder — the replica
-  /// pool's shared read-only pack (ServerOptions::share_weight_pack). The
-  /// copy shares the prototype's immutable weight packs, so it cannot
-  /// differ from the prototype's model, and the packs live as long as any
-  /// engine holding them (the prototype need not outlive this engine).
-  /// packed_weight_floats() reports 0 here — the footprint is attributed
-  /// to the prototype. `pool` as above; a sharing engine reads the pack
-  /// wherever the prototype first-touched it, so under partitioned
-  /// placement sharing trades one replica-local copy per replica for
-  /// cross-node reads (the share_weight_pack memory-vs-locality tradeoff,
-  /// documented in docs/ARCHITECTURE.md). `pool` has no default, so this
-  /// is never the copy constructor.
+  /// An engine serving a copy of `pack_prototype`'s encoder — how a
+  /// multi-replica Server builds replicas 1..N-1 around replica 0's one
+  /// read-only pack. The copy shares the prototype's immutable weight
+  /// packs, so it cannot differ from the prototype's model, and the packs
+  /// live as long as any engine holding them (the prototype need not
+  /// outlive this engine). packed_weight_floats() reports 0 here — the
+  /// footprint is attributed to the prototype. `pool` as above; a sharing
+  /// engine reads the pack wherever the prototype first-touched it
+  /// (docs/ARCHITECTURE.md "Weight memory"). `pool` has no default, so
+  /// this is never the copy constructor.
   Engine(const Engine& pack_prototype, ThreadPool* pool);
 
   /// Compile an engine: validate `cfg`, build the encoder weights, and

@@ -155,17 +155,17 @@ class BatchExecutor {
  public:
   /// Validates the config (via Engine) and the batching options. `pool`
   /// is forwarded to the Engine: non-null routes weight packing and every
-  /// batch's kernels onto that pool (the per-replica pinned pool under
-  /// partitioned placement; results bit-identical either way). The pool
-  /// must outlive the executor; nullptr = the process-wide pool.
+  /// batch's kernels onto that pool (a multi-replica Server's per-replica
+  /// pinned pool; results bit-identical either way). The pool must
+  /// outlive the executor; nullptr = the process-wide pool.
   BatchExecutor(model::EncoderConfig cfg, BatchingOptions batching,
                 ThreadPool* pool = nullptr);
 
   /// An executor serving a copy of `pack_prototype`'s encoder, sharing its
-  /// read-only weight pack instead of building a private one (the replica
-  /// pool's opt-in shared pack; see Engine's sharing constructor).
-  /// packed_weight_floats() reports 0 here, the footprint being the
-  /// prototype's. `pool` as above — but note execution reads the shared
+  /// read-only weight pack instead of building a private one (how a
+  /// multi-replica Server builds replicas 1..N-1; see Engine's sharing
+  /// constructor). packed_weight_floats() reports 0 here, the footprint
+  /// being the prototype's. `pool` as above — but note execution reads the shared
   /// pack, wherever its pages live.
   BatchExecutor(const BatchExecutor& pack_prototype, BatchingOptions batching,
                 ThreadPool* pool);

@@ -120,15 +120,15 @@ Server::Server(model::EncoderConfig cfg, ServerOptions opt)
       cost_model_(std::make_unique<BatchCostModel>(cfg)),
       queue_(opt.queue_capacity, opt.admission, shed_watermark_slots(opt),
              opt.bulk_aging_interval) {
-  // Partitioned placement: carve the allowed cpuset (online ∩ process
+  // A multi-replica pool carves the allowed cpuset (online ∩ process
   // affinity ∩ SWAT_CPUSET) into one locality-ordered core group per
   // replica. An empty partition (more replicas than allowed CPUs) means
-  // the host cannot give every replica at least one core — fall back
-  // wholesale to shared placement rather than oversubscribe.
-  std::vector<CpuSet> groups;
-  if (opt_.placement == PlacementPolicy::kPartitioned) {
-    groups = discover_topology().partition(opt_.num_replicas);
-  }
+  // the host cannot give every replica at least one core: every replica
+  // then stays on the process-wide pool rather than oversubscribe. One
+  // replica keeps the process-wide pool, which SWAT_THREADS sizes.
+  const std::vector<CpuSet> groups =
+      opt_.num_replicas > 1 ? discover_topology().partition(opt_.num_replicas)
+                            : std::vector<CpuSet>{};
   replica_stats_.resize(opt_.num_replicas);
   replicas_.reserve(opt_.num_replicas);
   for (std::size_t r = 0; r < opt_.num_replicas; ++r) {
@@ -141,30 +141,21 @@ Server::Server(model::EncoderConfig cfg, ServerOptions opt)
           std::min(replica->core_group.count(), swat::num_threads()),
           replica->core_group);
     }
-    // First-touch: pin the constructing thread to the replica's group for
-    // the executor build so the inline share of the pack fill (and the
-    // serial parts — plan arenas bind lazily, but weights pack eagerly)
-    // first-touches pages on the replica's node too. A shared pack thus
-    // lands where replica 0 packs it. Restored after.
-    const CpuSet saved = replica->pool != nullptr
-                             ? current_thread_affinity()
-                             : CpuSet{};
-    const bool repinned =
-        replica->pool != nullptr && pin_current_thread(replica->core_group);
-    if (r == 0 || !opt_.share_weight_pack) {
+    // Replica 0 packs the weights (its parallel pack fill runs on its own
+    // pool); every other replica shares that one read-only pack.
+    if (r == 0) {
       replica->executor = std::make_unique<BatchExecutor>(
           cfg, opt_.batching, replica->pool.get());
     } else {
       replica->executor = std::make_unique<BatchExecutor>(
           *replicas_.front()->executor, opt_.batching, replica->pool.get());
     }
-    if (repinned && !saved.empty()) pin_current_thread(saved);
     replicas_.push_back(std::move(replica));
   }
   live_replicas_ = opt_.num_replicas;
-  // Partitioned placement: each worker joins its replica's core group
-  // before the constructor returns, so pinned_threads counts it from the
-  // first stats() call on. The worker is the caller thread of every
+  // Each pinned replica's worker joins its core group before the
+  // constructor returns, so pinned_threads counts it from the first
+  // stats() call on. The worker is the caller thread of every
   // parallel_for the replica's engine issues, so leaving it roaming would
   // leak one thread's worth of compute off the partition.
   std::latch workers_placed(static_cast<std::ptrdiff_t>(opt_.num_replicas));

@@ -41,11 +41,12 @@
 // Replica pool (num_replicas > 1): each cut batch is placed on the live
 // replica with the smallest cost-model backlog (BatchCostModel::predict
 // seconds queued + executing; ties go to the lowest index). Each replica
-// owns a BatchExecutor + Engine — its own packed-weight copy, or, with
-// share_weight_pack, a read-only pack shared from replica 0 — and a
-// worker thread that claims from its local queue, or STEALS the newest
-// queued batch from the most-backlogged live replica when its own queue
-// runs dry. Dispatch claim-ahead is bounded by replica_queue_depth: at
+// owns a BatchExecutor + Engine reading replica 0's one read-only weight
+// pack, a ThreadPool pinned to its own core group of the allowed cpuset
+// (discover_topology().partition(N); the process-wide pool when there
+// are more replicas than allowed CPUs), and a worker thread that claims
+// from its local queue, or STEALS the newest queued batch from the
+// most-backlogged live replica when its own queue runs dry. Dispatch claim-ahead is bounded by replica_queue_depth: at
 // the default 0 the scheduler only claims from the admission queue when a
 // replica is fully idle, which preserves the single-engine claim order
 // (interactive-first pops, watermark backpressure) exactly; small depths
@@ -136,21 +137,6 @@
 
 namespace swat {
 
-/// Where replica compute runs (ServerOptions::placement).
-enum class PlacementPolicy {
-  /// Every replica's kernels fan out on the process-wide ThreadPool —
-  /// exactly the pre-placement behavior, bit- and behavior-identical.
-  kShared,
-  /// Carve the allowed cpuset (topology discovery ∩ process affinity ∩
-  /// SWAT_CPUSET) into one contiguous, locality-ordered core group per
-  /// replica; each replica gets its own ThreadPool pinned to its group,
-  /// packs its weights on it (first-touch NUMA placement), and runs its
-  /// batches on it. Falls back to kShared when there are fewer allowed
-  /// CPUs than replicas. Results are bit-identical to kShared — the pool
-  /// partition never changes any reduction order.
-  kPartitioned,
-};
-
 struct ServerOptions {
   BatchingOptions batching;
   /// Bound on requests admitted but not yet claimed by the scheduler.
@@ -179,17 +165,14 @@ struct ServerOptions {
   /// Absolute floor added to the stall threshold, absorbing host
   /// scheduling noise the accelerator-time prediction knows nothing about.
   Seconds watchdog_grace{0.25};
-  /// Engine replicas behind the pool. 1 (the default) is bit- and
-  /// behavior-compatible with the single-engine server; N > 1 executes up
-  /// to N batches concurrently, each on its own BatchExecutor + Engine.
+  /// Engine replicas behind the pool. 1 (the default) is the
+  /// single-engine server on the process-wide thread pool. N > 1 executes
+  /// up to N batches concurrently, each on its own BatchExecutor + Engine:
+  /// the allowed cpuset is partitioned into one core group per replica,
+  /// each replica runs on a ThreadPool pinned to its group, and all of
+  /// them read replica 0's one weight pack. With more replicas than
+  /// allowed CPUs every replica stays on the process-wide pool.
   std::size_t num_replicas = 1;
-  /// When true, replicas 1..N-1 adopt replica 0's packed panel-major
-  /// weight pack read-only instead of packing private copies — weight
-  /// memory stays 1x instead of Nx (packed_weight_floats() shows the
-  /// difference). Results are bit-identical either way: replicas are
-  /// built from the same config and weight_seed, so the shared panels
-  /// hold exactly the floats the private ones would.
-  bool share_weight_pack = false;
   /// Batches the dispatcher may queue on one replica beyond the batch it
   /// is executing. At the default 0 the scheduler claims from the
   /// admission queue only when a replica is fully idle — requests wait in
@@ -200,14 +183,6 @@ struct ServerOptions {
   /// to steal; the cost is that a claimed-ahead request can no longer be
   /// reordered by class or shed at admission.
   std::size_t replica_queue_depth = 0;
-  /// Execution placement of the replica pool. kShared (default) keeps
-  /// every replica on the process-wide thread pool; kPartitioned gives
-  /// each replica a pinned per-core-group pool and replica-local weight
-  /// packs (see PlacementPolicy). Interacts with share_weight_pack: a
-  /// shared pack under kPartitioned lives on replica 0's NUMA node and
-  /// is read cross-node by the others — the memory-vs-locality tradeoff
-  /// (docs/ARCHITECTURE.md "Placement & affinity").
-  PlacementPolicy placement = PlacementPolicy::kShared;
 
   /// Rejects inconsistent options with actionable messages
   /// (std::invalid_argument).
@@ -222,9 +197,8 @@ class Server {
   using Ticket = std::future<RequestResult>;
 
   /// Validates `cfg` (via the engines) and `opt`, compiles the weights
-  /// (one pack per replica, or one shared pack with share_weight_pack),
-  /// and starts the replica workers, scheduler, and (if enabled) watchdog
-  /// threads.
+  /// once (replica 0 packs, the others share that pack), and starts the
+  /// replica workers, scheduler, and (if enabled) watchdog threads.
   explicit Server(model::EncoderConfig cfg, ServerOptions opt = {});
   ~Server();  // shutdown()
   Server(const Server&) = delete;
@@ -286,9 +260,9 @@ class Server {
   /// Compiled plans across all replica plan caches (sums over replicas).
   std::size_t plan_count() const;
   std::size_t plan_arena_floats() const;
-  /// Packed-weight floats held across replicas: N private packs sum to
-  /// N x the single-engine footprint; with share_weight_pack the shared
-  /// pack is counted once (sharing replicas report 0).
+  /// Packed-weight floats held across replicas: the one shared pack,
+  /// counted once (sharing replicas report 0) — the single-engine
+  /// footprint at any replica count.
   std::size_t packed_weight_floats() const;
   const model::Encoder& encoder() const;
   const ServerOptions& options() const { return opt_; }
@@ -317,8 +291,8 @@ class Server {
     // Immutable after construction. `pool` is declared before `executor`
     // so destruction tears the executor down first — an engine never
     // outlives the pool its runs are bound to. Null pool / empty
-    // core_group = shared placement.
-    std::unique_ptr<ThreadPool> pool;  ///< pinned pool (kPartitioned only)
+    // core_group = the process-wide pool (one replica, or the fallback).
+    std::unique_ptr<ThreadPool> pool;  ///< pinned per-replica pool
     CpuSet core_group;                 ///< the CPUs `pool` pins to
     std::unique_ptr<BatchExecutor> executor;
     std::thread worker;

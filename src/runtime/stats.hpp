@@ -107,11 +107,12 @@ struct ReplicaStats {
   std::int64_t batches_stolen = 0;   ///< batches claimed from another queue
   std::int64_t watchdog_stalls = 0;  ///< stall episodes on this replica
   /// The CPUs this replica is pinned to, in canonical cpulist form
-  /// ("0-3,8"); empty under shared placement (no per-replica pinning).
+  /// ("0-3,8"); empty on the process-wide pool (one replica, or more
+  /// replicas than allowed CPUs).
   std::string core_group;
   /// Threads successfully pinned to core_group: the replica pool's
-  /// workers plus the replica's own worker thread. 0 under shared
-  /// placement and on hosts without affinity support.
+  /// workers plus the replica's own worker thread. 0 on the process-wide
+  /// pool and on hosts without affinity support.
   int pinned_threads = 0;
   /// True once the replica died (its worker thread exited on an injected
   /// or real failure); a quarantined replica takes no further batches.

@@ -267,8 +267,8 @@ void pack_weight_nt(const MatrixF& w, PackedWeight& packed) {
   // resize (default-init, DefaultInitAllocator — pages stay untouched)
   // rather than assign: the panel loop below writes EVERY element of the
   // live pack, padding lanes included, so the parallel fill is both the
-  // complete initialization and the first touch of each page. Under
-  // partitioned placement the pack runs on the replica's pinned pool, so
+  // complete initialization and the first touch of each page. In a
+  // multi-replica Server the pack runs on replica 0's pinned pool, so
   // first-touch binds the pack's pages to that replica's NUMA node.
   // Capacity is retained across repacks.
   packed.data.resize(total);

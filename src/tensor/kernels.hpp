@@ -165,8 +165,8 @@ struct PackedWeight {
   // (DefaultInitAllocator) so resize() leaves pages untouched and the
   // parallel pack fill performs the first write of every element — on
   // Linux that first touch binds each page to the writing thread's NUMA
-  // node, which is what makes a per-replica pack land on the replica's
-  // node under partitioned placement. pack_weight_nt writes every element
+  // node, which is what makes a multi-replica Server's one pack land on
+  // replica 0's node. pack_weight_nt writes every element
   // (values and padding) exactly once, so nothing is ever read
   // uninitialized.
   std::int64_t in_features = 0;   ///< k (depth of the reduction)

@@ -9,6 +9,7 @@
 #include <limits>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "attention/fused.hpp"
@@ -315,6 +316,35 @@ TEST(CostModel, KvStreamPricingFollowsTheKernelClosedForm) {
                    fp32_model.batch_seconds(entry).value +
                        fp32_model.weight_stream_seconds().value +
                        fp32_model.kv_stream_seconds(entry).value);
+}
+
+/// Only the fused backend runs the K/V band sweep, so only it is charged
+/// for one: the other backends' kv bytes and seconds are zero, and their
+/// predict() is the compute estimate plus the weight sweep alone.
+TEST(CostModel, KvStreamChargedOnlyForTheFusedBackend) {
+  BatchPlanEntry entry;
+  entry.request_indices = {0, 1};
+  entry.offsets = {0, 5, 68};  // lengths 5 and 63
+  for (const model::AttentionBackend backend :
+       {model::AttentionBackend::kDenseReference,
+        model::AttentionBackend::kWindowExact,
+        model::AttentionBackend::kFusedStreaming,
+        model::AttentionBackend::kSwatSimulator}) {
+    SCOPED_TRACE("backend " + std::to_string(static_cast<int>(backend)));
+    model::EncoderConfig cfg = small_config();
+    cfg.backend = backend;
+    const BatchCostModel model(cfg);
+    if (backend == model::AttentionBackend::kFusedStreaming) {
+      EXPECT_GT(model.kv_stream_bytes(entry).count, 0u);
+      EXPECT_GT(model.kv_stream_seconds(entry).value, 0.0);
+    } else {
+      EXPECT_EQ(model.kv_stream_bytes(entry).count, 0u);
+      EXPECT_EQ(model.kv_stream_seconds(entry).value, 0.0);
+      EXPECT_DOUBLE_EQ(model.predict(entry).value,
+                       model.batch_seconds(entry).value +
+                           model.weight_stream_seconds().value);
+    }
+  }
 }
 
 /// The cost model prices the weight sweep from geometry alone; a

@@ -1,20 +1,23 @@
-// Tests for the execution-placement layer (src/common/topology,
-// ServerOptions::placement) and the SWAT_THREADS/SWAT_CPUSET hardening:
+// Tests for the execution-placement layer (src/common/topology, the
+// multi-replica Server's per-replica core groups) and the
+// SWAT_THREADS/SWAT_CPUSET hardening:
 //
 //   * CpuSet cpulist parsing round-trips and rejects malformed input;
 //   * topology discovery reads a synthetic sysfs fixture tree (SMT
 //     siblings, two NUMA nodes) and orders CPUs node-major/core-major;
 //   * partition() math: even splits, remainders, and the
-//     replicas-beyond-cores fallback-to-shared signal (empty result);
+//     replicas-beyond-cores fallback signal (empty result);
 //   * parse_thread_count clamps junk/zero/negative/overflow with a
 //     warning instead of letting them flow through;
 //   * pinned per-replica pools + ScopedPoolBinding route every free
-//     parallel_for without changing a single result bit: kPartitioned
-//     serving is bit-identical to the solo sequential oracle across
-//     replica counts, thread counts, arrival orders, and private vs
-//     shared weight packs (footprint N packs vs 1);
-//   * the chaos harness (PR 7) holds its conservation laws under
-//     partitioned placement too;
+//     parallel_for without changing a single result bit: multi-replica
+//     serving (partitioned cores, one shared weight pack) is
+//     bit-identical to the solo sequential oracle across replica counts,
+//     thread counts and arrival orders;
+//   * a default 2-replica server pins each replica to partition(2)'s
+//     group, and a 1-replica server pins nothing;
+//   * the chaos harness holds its conservation laws with pinned
+//     per-replica pools too;
 //   * a warmed engine bound to a pinned pool still performs ZERO
 //     steady-state heap allocations (global operator-new counter).
 #include <gtest/gtest.h>
@@ -336,8 +339,8 @@ TEST(Topology, PartitionMathEvenRemainderAndFallback) {
   EXPECT_EQ(total, 8);
 
   // One group per CPU still works; one MORE than the CPUs cannot give
-  // every group a core — the empty result is the fall-back-to-shared
-  // signal the server acts on.
+  // every group a core — the empty result is the signal on which the
+  // server keeps every replica on the process-wide pool.
   EXPECT_EQ(topo.partition(8).size(), 8u);
   EXPECT_TRUE(topo.partition(9).empty());
   EXPECT_THROW(topo.partition(0), std::invalid_argument);
@@ -549,12 +552,11 @@ class PlacementBackendTest
     : public PlacementTest,
       public ::testing::WithParamInterface<AttentionBackend> {};
 
-/// The acceptance bar: kPartitioned output is bit-identical to the solo
+/// The acceptance bar: replica-pool output is bit-identical to the solo
 /// sequential oracle across num_replicas {1,2,4} x SWAT_THREADS {1,4} x
-/// arrival orders x share_weight_pack {false,true}, for each serving
-/// backend — pinning, per-replica pools and a shared pack (first-touched
-/// on replica 0's group) move work and pages, never bits. The footprint
-/// is one pack when shared, one per replica when private.
+/// arrival orders, for each serving backend — pinning, per-replica pools
+/// and the shared pack (first-touched on replica 0's group) move work and
+/// pages, never bits. The footprint is one pack at every replica count.
 TEST_P(PlacementBackendTest,
        PartitionedBitIdentityAcrossReplicasOrdersAndThreads) {
   const EncoderConfig cfg = serving_config(GetParam());
@@ -582,42 +584,35 @@ TEST_P(PlacementBackendTest,
   for (const int threads : {1, 4}) {
     ThreadCountGuard guard(threads);
     for (const std::size_t replicas : {1u, 2u, 4u}) {
-      for (const bool share : {false, true}) {
-        for (const std::vector<std::size_t>& order : orders) {
-          SCOPED_TRACE("threads " + std::to_string(threads) + " replicas " +
-                       std::to_string(replicas) + " share " +
-                       std::to_string(share));
-          ServerOptions opt;
-          opt.num_replicas = replicas;
-          opt.placement = PlacementPolicy::kPartitioned;
-          opt.share_weight_pack = share;
-          opt.replica_queue_depth = replicas > 1 ? 1 : 0;
-          Server server(cfg, opt);
-          EXPECT_EQ(server.packed_weight_floats(),
-                    (share ? 1 : replicas) * single_pack_floats);
-          std::vector<Server::Ticket> tickets(reqs.size());
-          for (const std::size_t i : order) {
-            tickets[i] = server.submit(reqs[i]);
-          }
-          for (std::size_t i = 0; i < reqs.size(); ++i) {
-            const RequestResult got = tickets[i].get();
-            EXPECT_EQ(got.id, reqs[i].id);
-            testing::expect_matrix_equal(got.output, oracle[i].output,
-                                         "partitioned pool vs solo oracle");
-            EXPECT_EQ(got.counters.tokens, oracle[i].counters.tokens);
-            EXPECT_EQ(got.counters.heads_run, oracle[i].counters.heads_run);
-            EXPECT_EQ(got.counters.model_flops,
-                      oracle[i].counters.model_flops);
-          }
-          server.drain();
-          const ServerStats stats = server.stats();
-          ASSERT_EQ(stats.replicas.size(), replicas);
-          std::int64_t served = 0;
-          for (const ReplicaStats& rep : stats.replicas) {
-            served += rep.served();
-          }
-          EXPECT_EQ(served, static_cast<std::int64_t>(reqs.size()));
+      for (const std::vector<std::size_t>& order : orders) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + " replicas " +
+                     std::to_string(replicas));
+        ServerOptions opt;
+        opt.num_replicas = replicas;
+        opt.replica_queue_depth = replicas > 1 ? 1 : 0;
+        Server server(cfg, opt);
+        EXPECT_EQ(server.packed_weight_floats(), single_pack_floats);
+        std::vector<Server::Ticket> tickets(reqs.size());
+        for (const std::size_t i : order) {
+          tickets[i] = server.submit(reqs[i]);
         }
+        for (std::size_t i = 0; i < reqs.size(); ++i) {
+          const RequestResult got = tickets[i].get();
+          EXPECT_EQ(got.id, reqs[i].id);
+          testing::expect_matrix_equal(got.output, oracle[i].output,
+                                       "replica pool vs solo oracle");
+          EXPECT_EQ(got.counters.tokens, oracle[i].counters.tokens);
+          EXPECT_EQ(got.counters.heads_run, oracle[i].counters.heads_run);
+          EXPECT_EQ(got.counters.model_flops, oracle[i].counters.model_flops);
+        }
+        server.drain();
+        const ServerStats stats = server.stats();
+        ASSERT_EQ(stats.replicas.size(), replicas);
+        std::int64_t served = 0;
+        for (const ReplicaStats& rep : stats.replicas) {
+          served += rep.served();
+        }
+        EXPECT_EQ(served, static_cast<std::int64_t>(reqs.size()));
       }
     }
   }
@@ -626,12 +621,15 @@ TEST_P(PlacementBackendTest,
 INSTANTIATE_TEST_SUITE_P(Backends, PlacementBackendTest,
                          ::testing::ValuesIn(kServingBackends), backend_name);
 
-TEST_F(PlacementTest, PartitionedStatsExposeCoreGroups) {
+/// Default options are the partitioned layout: a 2-replica server pins
+/// each replica to its group of discover_topology().partition(2), or —
+/// with fewer than 2 allowed CPUs (SWAT_CPUSET=0) — keeps both on the
+/// process-wide pool, unpinned.
+TEST_F(PlacementTest, DefaultTwoReplicaServerPinsPartitionGroups) {
   const EncoderConfig cfg = small_config();
   constexpr std::size_t kReplicas = 2;
   ServerOptions opt;
   opt.num_replicas = kReplicas;
-  opt.placement = PlacementPolicy::kPartitioned;
   Server server(cfg, opt);
   std::vector<Server::Ticket> tickets =
       server.submit_many(make_requests(cfg, {16, 32, 64}));
@@ -644,7 +642,7 @@ TEST_F(PlacementTest, PartitionedStatsExposeCoreGroups) {
   const std::vector<CpuSet> groups =
       discover_topology().partition(kReplicas);
   if (groups.empty()) {
-    // Fewer allowed CPUs than replicas: wholesale shared fallback.
+    // Fewer allowed CPUs than replicas: every replica on the global pool.
     for (const ReplicaStats& rep : stats.replicas) {
       EXPECT_TRUE(rep.core_group.empty());
       EXPECT_EQ(rep.pinned_threads, 0);
@@ -660,25 +658,24 @@ TEST_F(PlacementTest, PartitionedStatsExposeCoreGroups) {
   }
 }
 
-TEST_F(PlacementTest, SharedPlacementLeavesStatsUnpinned) {
+/// One replica keeps the process-wide pool that set_num_threads sizes:
+/// no core group, nothing pinned, whatever the host's CPU count.
+TEST_F(PlacementTest, SingleReplicaServerStaysOnGlobalPool) {
   const EncoderConfig cfg = small_config();
-  ServerOptions opt;
-  opt.num_replicas = 2;  // placement defaults to kShared
-  Server server(cfg, opt);
+  Server server(cfg, ServerOptions{});
   std::vector<Server::Ticket> tickets =
       server.submit_many(make_requests(cfg, {16, 32}));
   for (Server::Ticket& t : tickets) t.get();
   server.drain();
-  for (const ReplicaStats& rep : server.stats().replicas) {
-    EXPECT_TRUE(rep.core_group.empty());
-    EXPECT_EQ(rep.pinned_threads, 0);
-  }
+  const ServerStats stats = server.stats();
+  ASSERT_EQ(stats.replicas.size(), 1u);
+  EXPECT_TRUE(stats.replicas[0].core_group.empty());
+  EXPECT_EQ(stats.replicas[0].pinned_threads, 0);
 }
 
-/// The PR 7 chaos harness under partitioned placement: every ticket
-/// resolves, drain() returns, and the per-replica conservation law holds
-/// with pinned pools in the mix.
-TEST_F(PlacementTest, ChaosConservationHoldsUnderPartitionedPlacement) {
+/// The chaos harness over pinned per-replica pools: every ticket
+/// resolves, drain() returns, and the per-replica conservation law holds.
+TEST_F(PlacementTest, ChaosConservationHoldsOnPinnedReplicaPools) {
   const char* const points[] = {"queue.push",      "queue.pop",
                                 "batcher.push",    "executor.execute",
                                 "replica.execute", "dispatch.place"};
@@ -694,14 +691,12 @@ TEST_F(PlacementTest, ChaosConservationHoldsUnderPartitionedPlacement) {
 
     FaultInjector::global().reset();
     ServerOptions opt;
-    opt.placement = PlacementPolicy::kPartitioned;
     opt.num_replicas = static_cast<std::size_t>(1 << pick(0, 2));  // 1/2/4
     opt.replica_queue_depth = static_cast<std::size_t>(pick(0, 2));
     opt.queue_capacity = static_cast<std::size_t>(pick(8, 64));
     opt.admission = pick(0, 1) == 0 ? OverflowPolicy::kBlock
                                     : OverflowPolicy::kShedBulk;
     opt.batching.max_batch_requests = pick(1, 6);
-    opt.share_weight_pack = pick(0, 1) == 1;
 
     for (const char* point : points) {
       if (pick(0, 2) != 0) continue;  // ~1/3 of points armed per seed
@@ -781,7 +776,7 @@ TEST_F(PlacementTest, ChaosConservationHoldsUnderPartitionedPlacement) {
 class PlacementSteadyState
     : public ::testing::TestWithParam<AttentionBackend> {};
 
-/// The zero-allocation guarantee survives placement: a warmed engine
+/// The zero-allocation guarantee survives pinning: a warmed engine
 /// whose fan-outs are bound to a PINNED single-thread pool performs no
 /// heap allocation per run, for each serving backend (same counter
 /// methodology as tests/test_runtime.cpp — single-threaded so the pool's

@@ -6,8 +6,8 @@
 // The load-bearing guarantees under test:
 //   * WHICH replica executes a batch can never change a result bit: for
 //     any replica count, arrival order, and SWAT_THREADS, every served
-//     output and counter is bit-identical to a solo sequential run —
-//     with private packed-weight copies or one shared read-only pack.
+//     output and counter is bit-identical to a solo sequential run, with
+//     every replica reading replica 0's one read-only weight pack.
 //   * The per-replica conservation law (dispatched == served + failed
 //     once drained) holds per replica and sums to the front-end class
 //     ledger, under healthy serving and under injected chaos.
@@ -28,6 +28,7 @@
 
 #include "common/fault_injection.hpp"
 #include "runtime/cost_model.hpp"
+#include "runtime/engine.hpp"
 #include "runtime/server.hpp"
 #include "test_util.hpp"
 
@@ -202,9 +203,10 @@ TEST_F(ReplicaPoolTest, BitIdentityAcrossReplicasOrdersAndThreads) {
   }
 }
 
-/// One shared read-only weight pack must be bit-identical to four private
-/// packs — and the packed footprint must show the 1x vs 4x difference.
-TEST_F(ReplicaPoolTest, SharedWeightPackBitIdenticalWithQuarterFootprint) {
+/// Replicas 1..N-1 read replica 0's one read-only weight pack: outputs
+/// stay bit-identical to the solo oracle and the packed footprint stays
+/// the single-engine one at 1, 2 and 4 replicas.
+TEST_F(ReplicaPoolTest, SharedWeightPackBitIdenticalAtSingleFootprint) {
   const EncoderConfig cfg = small_config();
   std::vector<InferenceRequest> reqs =
       make_requests(cfg, {31, 64, 17, 50, 64, 9, 100, 3});
@@ -213,29 +215,24 @@ TEST_F(ReplicaPoolTest, SharedWeightPackBitIdenticalWithQuarterFootprint) {
   for (const InferenceRequest& req : reqs) {
     oracle.push_back(testing::solo_result(cfg, req));
   }
+  const std::size_t single_pack_floats =
+      Engine::compile(cfg, 8).packed_weight_floats();
+  ASSERT_GT(single_pack_floats, 0u);
 
-  std::size_t private_floats = 0;
-  {
+  for (const std::size_t replicas : {1u, 2u, 4u}) {
+    SCOPED_TRACE("replicas " + std::to_string(replicas));
     ServerOptions opt;
-    opt.num_replicas = 4;
-    private_floats = Server(cfg, opt).packed_weight_floats();
-  }
-  ASSERT_GT(private_floats, 0u);
-  EXPECT_EQ(private_floats % 4, 0u);
+    opt.num_replicas = replicas;
+    opt.replica_queue_depth = 1;
+    Server server(cfg, opt);
+    EXPECT_EQ(server.packed_weight_floats(), single_pack_floats);
 
-  ServerOptions opt;
-  opt.num_replicas = 4;
-  opt.share_weight_pack = true;
-  opt.replica_queue_depth = 1;
-  Server server(cfg, opt);
-  // Replica 0 owns the one pack; replicas 1..3 stream it read-only.
-  EXPECT_EQ(server.packed_weight_floats(), private_floats / 4);
-
-  std::vector<Server::Ticket> tickets = server.submit_many(reqs);
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const RequestResult got = tickets[i].get();
-    testing::expect_matrix_equal(got.output, oracle[i].output,
-                                 "shared pack vs sequential oracle");
+    std::vector<Server::Ticket> tickets = server.submit_many(reqs);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      const RequestResult got = tickets[i].get();
+      testing::expect_matrix_equal(got.output, oracle[i].output,
+                                   "shared pack vs sequential oracle");
+    }
   }
 }
 
@@ -529,7 +526,6 @@ TEST_F(ReplicaPoolTest, ServerOptionsValidateReplicaKnobs) {
 
   ServerOptions fine;
   fine.num_replicas = 4;
-  fine.share_weight_pack = true;
   fine.replica_queue_depth = 2;
   EXPECT_NO_THROW(fine.validate());
 }
@@ -585,7 +581,6 @@ TEST_F(ReplicaPoolTest, ChaosConservationHoldsAcrossSeeds) {
     opt.admission = pick(0, 1) == 0 ? OverflowPolicy::kBlock
                                     : OverflowPolicy::kShedBulk;
     opt.batching.max_batch_requests = pick(1, 6);
-    opt.share_weight_pack = pick(0, 1) == 1;
     if (pick(0, 1) == 1) {
       opt.watchdog_multiplier = 1.0;
       opt.watchdog_grace = Seconds{0.02};

@@ -6,7 +6,8 @@
 // where queue latency actually exists. The arrival process is Poisson
 // (exponential inter-arrival gaps) from a deterministic seed, so the same
 // machine replays the same schedule run to run. Arrival intensity is
-// calibrated against the measured sequential service rate: arms run at
+// calibrated against the measured sequential service rate (the median of
+// five timed passes after a warm one): arms run at
 // 0.5x (underloaded — latency dominated by batch-formation waits) and 2.0x
 // (overloaded — latency dominated by queueing) of what one sequential
 // stream can absorb. submit() returns immediately, and the scheduler
@@ -72,6 +73,26 @@ double percentile(std::vector<double> values, double p) {
   const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return values[lo] * (1.0 - frac) + values[hi] * frac;
+}
+
+/// Sequential service rate of `requests` through `encoder`, in requests/s:
+/// one untimed warm pass, then the median of kCalibrationPasses timed
+/// passes, so one slow pass on a noisy host cannot rescale every offered
+/// load sized from it.
+double sequential_service_rps(const swat::model::Encoder& encoder,
+                              const std::vector<InferenceRequest>& requests) {
+  constexpr int kCalibrationPasses = 5;
+  for (const InferenceRequest& req : requests) (void)encoder.forward(req.input);
+  std::vector<double> pass_seconds;
+  for (int pass = 0; pass < kCalibrationPasses; ++pass) {
+    const auto start = Clock::now();
+    for (const InferenceRequest& req : requests) {
+      (void)encoder.forward(req.input);
+    }
+    pass_seconds.push_back(
+        std::chrono::duration<double>(Clock::now() - start).count());
+  }
+  return static_cast<double>(requests.size()) / percentile(pass_seconds, 0.5);
 }
 
 struct ArmResult {
@@ -152,20 +173,15 @@ int main(int argc, char** argv) {
     requests.push_back(std::move(req));
   }
 
-  // Correctness gate + service-rate calibration in one pass: the server
-  // must reproduce the sequential oracle bit for bit, and the
-  // timed oracle loop measures the sequential service rate the arrival
-  // intensities are expressed against.
+  // Service-rate calibration + correctness gate: the arrival intensities
+  // are expressed against the sequential service rate, and the server must
+  // reproduce the sequential oracle bit for bit.
   const swat::model::Encoder encoder(cfg);
+  const double service_rps = sequential_service_rps(encoder, requests);
   std::vector<MatrixF> oracle;
-  const auto calib_start = Clock::now();
   for (const InferenceRequest& req : requests) {
     oracle.push_back(encoder.forward(req.input));
   }
-  const double sequential_seconds =
-      std::chrono::duration<double>(Clock::now() - calib_start).count();
-  const double service_rps =
-      static_cast<double>(num_requests) / sequential_seconds;
   {
     Server server(cfg);
     std::vector<Server::Ticket> tickets;
@@ -338,13 +354,8 @@ int main(int argc, char** argv) {
   }
   // Calibrate the sweep's own sequential service rate (short requests
   // serve much faster than the main pool's).
-  const auto sweep_calib_start = Clock::now();
-  for (const InferenceRequest& req : sweep_requests) {
-    (void)encoder.forward(req.input);
-  }
   const double sweep_service_rps =
-      static_cast<double>(sweep_count) /
-      std::chrono::duration<double>(Clock::now() - sweep_calib_start).count();
+      sequential_service_rps(encoder, sweep_requests);
   const double sweep_deadline_s = std::max(0.1, 8.0 / sweep_service_rps);
 
   // Replica scaling at every (load, replicas) cell; goodput_speedup is

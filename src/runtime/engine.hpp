@@ -46,10 +46,11 @@ namespace swat {
 
 /// The compiled artifact: a persistent activation arena bound to one
 /// high-water packed-batch shape. Plans are cheap to mint from an Engine
-/// (one per bucket shape in the serving runtime) and independent — two
-/// plans never share buffers. The encoder underneath is immutable, so runs
-/// on distinct plans of one Engine may proceed concurrently; a plan's
-/// arena is the only per-call state, so one plan serves one run at a time.
+/// (the serving runtime keeps one per executor, rebound when a larger
+/// shape class arrives) and independent — two plans never share buffers.
+/// The encoder underneath is immutable, so runs on distinct plans of one
+/// Engine may proceed concurrently; a plan's arena is the only per-call
+/// state, so one plan serves one run at a time.
 class ExecutionPlan {
  public:
   ExecutionPlan() = default;
@@ -79,7 +80,8 @@ class ExecutionPlan {
 class Engine {
  public:
   /// An engine with weights but no default plan — for callers that size
-  /// plans themselves (the serving runtime mints one per bucket shape).
+  /// plans themselves (the serving runtime's BatchExecutor binds one at
+  /// its largest shape class).
   /// Validates `cfg` like compile(). When `pool` is non-null, every
   /// parallel fan-out this engine issues — weight packing at construction
   /// and every kernel inside run() — dispatches to that pool instead of
@@ -107,7 +109,7 @@ class Engine {
   static Engine compile(model::EncoderConfig cfg, std::int64_t max_tokens);
 
   /// Mint an additional plan (same geometry, different high-water shape) —
-  /// the serving runtime compiles one per bucket shape.
+  /// how the serving runtime grows its one arena to a larger shape class.
   ExecutionPlan make_plan(std::int64_t max_tokens) const;
 
   /// Execute a packed ragged batch through the default plan. `offsets` and

@@ -30,57 +30,37 @@ double request_model_flops(const model::EncoderConfig& cfg,
 
 }  // namespace
 
-PlanCache::PlanCache(const Engine& engine, std::int64_t bucket_width,
-                     std::int64_t max_batch_tokens)
-    : engine_(engine),
-      bucket_width_(bucket_width),
-      max_batch_tokens_(max_batch_tokens) {
-  SWAT_EXPECTS(bucket_width >= 1);
-  SWAT_EXPECTS(max_batch_tokens >= 1);
-}
-
-ExecutionPlan& PlanCache::acquire(std::int64_t rows,
-                                  ExecutionPlan& transient) {
-  SWAT_EXPECTS(rows >= 1);
-  if (rows > max_batch_tokens_) {
-    // Oversized singleton: a throwaway plan, never cached.
-    transient = engine_.make_plan(rows);
-    return transient;
-  }
-  const std::int64_t shape_class = (rows + bucket_width_ - 1) / bucket_width_;
-  std::lock_guard lock(mutex_);
-  const auto it = plans_.find(shape_class);
-  if (it != plans_.end()) return it->second;
-  // Compile once for the class's high-water row count (every batch the
-  // batcher can emit in this class has rows <= shape_class * bucket_width).
-  return plans_
-      .emplace(shape_class, engine_.make_plan(shape_class * bucket_width_))
-      .first->second;
-}
-
-std::size_t PlanCache::plan_count() const {
-  std::lock_guard lock(mutex_);
-  return plans_.size();
-}
-
-std::size_t PlanCache::plan_arena_floats() const {
-  std::lock_guard lock(mutex_);
-  std::size_t total = 0;
-  for (const auto& [key, plan] : plans_) total += plan.arena_floats();
-  return total;
-}
-
 BatchExecutor::BatchExecutor(model::EncoderConfig cfg, BatchingOptions batching,
                              ThreadPool* pool)
     : engine_(std::move(cfg), pool),
-      batching_((batching.validate(), batching)),
-      cache_(engine_, batching.bucket_width, batching.max_batch_tokens) {}
+      batching_((batching.validate(), batching)) {}
 
 BatchExecutor::BatchExecutor(const BatchExecutor& pack_prototype,
                              BatchingOptions batching, ThreadPool* pool)
     : engine_(pack_prototype.engine_, pool),
-      batching_((batching.validate(), batching)),
-      cache_(engine_, batching.bucket_width, batching.max_batch_tokens) {}
+      batching_((batching.validate(), batching)) {}
+
+ExecutionPlan& BatchExecutor::acquire(std::int64_t rows,
+                                      ExecutionPlan& transient) {
+  SWAT_EXPECTS(rows >= 1);
+  if (rows > batching_.max_batch_tokens) {
+    // Oversized singleton: a throwaway plan, never kept.
+    transient = engine_.make_plan(rows);
+    return transient;
+  }
+  const std::int64_t width = batching_.bucket_width;
+  const std::int64_t shape_class = (rows + width - 1) / width;
+  // Every batch the batcher can emit in this class has rows <= high_water.
+  const std::int64_t high_water = shape_class * width;
+  if (high_water > plan_.max_tokens()) {
+    plan_ = ExecutionPlan{};  // release first: never hold old + new arenas
+    plan_ = engine_.make_plan(high_water);
+    plan_arena_floats_.store(plan_.arena_floats());
+  }
+  classes_.insert(shape_class);
+  plan_count_.store(classes_.size());
+  return plan_;
+}
 
 std::vector<RequestResult> BatchExecutor::execute(
     const BatchPlanEntry& entry,
@@ -116,7 +96,7 @@ std::vector<RequestResult> BatchExecutor::execute(
 
   seg_stats_.assign(static_cast<std::size_t>(n), {});
   ExecutionPlan transient;
-  ExecutionPlan& plan = cache_.acquire(rows, transient);
+  ExecutionPlan& plan = acquire(rows, transient);
   const MatrixF& out = engine_.run(plan, packed_, offsets, seg_stats_);
 
   // Unpack into per-request results and counters.

@@ -1,8 +1,7 @@
-// The shared serving core: request/result types, the mutex-guarded
-// ExecutionPlan cache, and BatchExecutor — the pack/run/unpack engine
-// behind the serving front-end, swat::Server (server.hpp), whose scheduler
-// thread cuts batches continuously with BatchFormer and whose replicas
-// each execute them here.
+// The shared serving core: request/result types and BatchExecutor — the
+// pack/run/unpack engine behind the serving front-end, swat::Server
+// (server.hpp), whose scheduler thread cuts batches continuously with
+// BatchFormer and whose replicas each execute them here.
 //
 // This is the one definition of "execute a formed batch", and the
 // determinism guarantee lives exactly here: for ANY formed batch,
@@ -14,14 +13,15 @@
 //
 // Thread safety: execution is serialized on an internal mutex, which guards
 // the executor's reused staging (the packed input and per-sequence stats)
-// and the cached plans' arenas — the encoder itself is immutable — and
-// plan compilation is guarded by the PlanCache's own mutex, so concurrent
-// submitters can never race a lazy compile.
+// and its one activation arena — the encoder itself is immutable — so
+// concurrent submitters can never race a lazy compile. The plan counters
+// are atomics, readable while a batch runs.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -110,47 +110,19 @@ struct RuntimeTotals {
   }
 };
 
-/// Mutex-guarded cache of compiled ExecutionPlans, keyed by the batch's
-/// shape class ceil(rows / bucket_width) and compiled for that class's
-/// high-water row count, so every batch the batcher can emit in the class
-/// fits, and repeated traffic reuses the arena. One max-class plan could
-/// serve every smaller batch too (reshape retains capacity), but per-class
-/// plans keep each arena right-sized to its traffic and are independent —
-/// the prerequisite for running different-shape batches concurrently. The
-/// cache is bounded: batches beyond max_batch_tokens (oversized singletons)
-/// compile into caller-provided transient storage and are never cached, so
-/// one huge one-off document cannot pin a proportionally huge arena for the
-/// cache's lifetime. All entry points take the internal mutex — concurrent
-/// submitters never race a lazy compile.
-class PlanCache {
- public:
-  /// `engine` must outlive the cache.
-  PlanCache(const Engine& engine, std::int64_t bucket_width,
-            std::int64_t max_batch_tokens);
-
-  /// The plan serving a packed batch of `rows` rows. Cached per shape
-  /// class; oversized batches compile into `transient` instead. References
-  /// into the cache stay valid for the cache's lifetime (node-based map).
-  ExecutionPlan& acquire(std::int64_t rows, ExecutionPlan& transient);
-
-  /// Compiled plans currently cached (one per bucket shape class served so
-  /// far) and their total bound arena footprint — stable across repeated
-  /// identical workloads, which tests assert to prove plans are reused
-  /// rather than recompiled.
-  std::size_t plan_count() const;
-  std::size_t plan_arena_floats() const;
-
- private:
-  const Engine& engine_;
-  const std::int64_t bucket_width_;
-  const std::int64_t max_batch_tokens_;
-  mutable std::mutex mutex_;
-  std::map<std::int64_t, ExecutionPlan> plans_;  ///< shape class -> plan
-};
-
 /// Executes formed batches: pack the member requests into one ragged
-/// matrix, run it through the shape class's cached ExecutionPlan, unpack
+/// matrix, run it through the executor's one ExecutionPlan, unpack
 /// per-request outputs and counters.
+///
+/// Like SWAT's one set of on-chip buffers sized for its largest tile, the
+/// executor holds a single activation arena, bound at the high-water row
+/// count class * bucket_width of the largest bucket shape class
+/// ceil(rows / bucket_width) served so far. A batch of a larger class
+/// grows it once (the old arena is released before the new one is bound,
+/// so peak memory never holds both); every smaller class reuses it, since
+/// reshape retains capacity. Batches beyond max_batch_tokens (oversized
+/// singletons) run through a transient plan that is dropped afterwards, so
+/// one huge one-off document cannot pin a proportionally huge arena.
 class BatchExecutor {
  public:
   /// Validates the config (via Engine) and the batching options. `pool`
@@ -183,25 +155,37 @@ class BatchExecutor {
   const Engine& engine() const { return engine_; }
   const model::Encoder& encoder() const { return engine_.encoder(); }
   const BatchingOptions& batching() const { return batching_; }
-  std::size_t plan_count() const { return cache_.plan_count(); }
-  std::size_t plan_arena_floats() const { return cache_.plan_arena_floats(); }
-  /// Packed-weight footprint of the engine (per-engine, shared by every
-  /// cached plan — see Engine::packed_weight_floats).
+  /// Bucket shape classes compiled so far, and the floats bound into the
+  /// one arena serving them — stable across repeated identical workloads,
+  /// which tests assert to prove the arena is reused rather than rebound.
+  /// Never blocked by a running batch.
+  std::size_t plan_count() const { return plan_count_.load(); }
+  std::size_t plan_arena_floats() const { return plan_arena_floats_.load(); }
+  /// Packed-weight footprint of the engine (per-engine, independent of the
+  /// arena — see Engine::packed_weight_floats).
   std::size_t packed_weight_floats() const {
     return engine_.packed_weight_floats();
   }
 
  private:
+  /// The plan serving a packed batch of `rows` rows: plan_, grown first if
+  /// the batch's class exceeds its bound, or `transient` for an oversized
+  /// batch. Called under run_mutex_.
+  ExecutionPlan& acquire(std::int64_t rows, ExecutionPlan& transient);
+
   Engine engine_;
   BatchingOptions batching_;
-  PlanCache cache_;
 
-  // Per-batch staging reused across execute() calls (guarded by
-  // run_mutex_); reshape() retains the backing capacity, so serving stops
-  // allocating staging once the high-water batch shape has been seen.
+  // Per-batch state reused across execute() calls (guarded by run_mutex_);
+  // reshape() retains the backing capacity, so serving stops allocating
+  // once the high-water batch shape has been seen.
   std::mutex run_mutex_;
   MatrixF packed_;
   std::vector<model::AttentionStats> seg_stats_;
+  ExecutionPlan plan_;                  ///< the one arena
+  std::set<std::int64_t> classes_;      ///< shape classes compiled
+  std::atomic<std::size_t> plan_count_{0};
+  std::atomic<std::size_t> plan_arena_floats_{0};
 };
 
 }  // namespace swat

@@ -257,7 +257,9 @@ class Server {
   /// batch ages (health().replicas[i]) and the admission backlog.
   ServerHealth health() const;
 
-  /// Compiled plans across all replica plan caches (sums over replicas).
+  /// Shape classes compiled and activation-arena floats bound, summed over
+  /// replicas (each replica's executor holds one arena at its largest
+  /// class's high water).
   std::size_t plan_count() const;
   std::size_t plan_arena_floats() const;
   /// Packed-weight floats held across replicas: the one shared pack,

@@ -580,8 +580,11 @@ void row_softmax_naive(MatrixF& m) {
 // also cloned for FMA hosts and the loader picks the clone (an ifunc). Both
 // clones compute the same correctly rounded fma, so the bits never depend
 // on the clone; only the speed does (the exact-window and sliding-chunks
-// attention run 7-9x slower through the libm call).
-#if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__)
+// attention run 7-9x slower through the libm call). ThreadSanitizer builds
+// keep the libm call: the loader runs an ifunc resolver before TSan is
+// initialised, and the instrumented resolver crashes every binary at load.
+#if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__) && \
+    !defined(__SANITIZE_THREAD__)
 #define SWAT_FMA_CLONES __attribute__((target_clones("fma", "default")))
 #else
 #define SWAT_FMA_CLONES

@@ -202,7 +202,9 @@ TEST(BatchFormer, ShuffledFeedCoversEveryRequestExactlyOnceWithinCaps) {
   std::vector<int> seen(lengths.size(), 0);
   for (const BatchPlanEntry& b : batches) {
     EXPECT_LE(b.requests(), opt.max_batch_requests);
-    if (b.requests() > 1) EXPECT_LE(b.rows(), opt.max_batch_tokens);
+    if (b.requests() > 1) {
+      EXPECT_LE(b.rows(), opt.max_batch_tokens);
+    }
     ASSERT_EQ(b.offsets.size(), b.request_indices.size() + 1);
     for (std::size_t s = 0; s < b.request_indices.size(); ++s) {
       ++seen[b.request_indices[s]];

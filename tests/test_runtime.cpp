@@ -7,6 +7,7 @@
 // Encoder::forward), for any batch composition and any thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -123,6 +124,18 @@ std::vector<InferenceRequest> make_requests(
   return reqs;
 }
 
+/// Execute one formed batch of `reqs` through `executor`; results come back
+/// in the batch's slot order.
+std::vector<RequestResult> execute_batch(BatchExecutor& executor,
+                                         std::span<const InferenceRequest> reqs,
+                                         const BatchPlanEntry& batch) {
+  std::vector<const InferenceRequest*> inputs;
+  for (const std::size_t ri : batch.request_indices) {
+    inputs.push_back(&reqs[ri]);
+  }
+  return executor.execute(batch, inputs);
+}
+
 /// Cut `reqs` into batches with a BatchFormer fed in submission order
 /// (then flushed) and execute each batch through `executor`. Results come
 /// back in submission order; the formed batches, in execution order, go
@@ -137,14 +150,9 @@ std::vector<RequestResult> serve(BatchExecutor& executor,
   }
   former.flush();
   std::vector<RequestResult> results(reqs.size());
-  std::vector<const InferenceRequest*> inputs;
   while (former.has_ready()) {
     const BatchPlanEntry batch = former.pop_ready();
-    inputs.clear();
-    for (const std::size_t ri : batch.request_indices) {
-      inputs.push_back(&reqs[ri]);
-    }
-    std::vector<RequestResult> served = executor.execute(batch, inputs);
+    std::vector<RequestResult> served = execute_batch(executor, reqs, batch);
     for (std::size_t k = 0; k < served.size(); ++k) {
       results[batch.request_indices[k]] = std::move(served[k]);
     }
@@ -289,8 +297,9 @@ TEST(BatchExecutor, CountersReconcile) {
 }
 
 /// After a warmup pass at the high-water shape, serving the same workload
-/// again must not grow any per-worker kernel arena, the packed staging or
-/// the plan arenas — the "no per-request allocation on the hot path"
+/// again — in the former's order, then batch by batch from the largest
+/// down — must not grow any per-worker kernel arena, the packed staging or
+/// the plan arena — the "no per-request allocation on the hot path"
 /// property. The 162-row batch and the 250- and 300-row singletons run the
 /// post-attention block as 3, 5 and 5 row tiles, whose scratch is leased
 /// from the same per-thread arena.
@@ -299,19 +308,29 @@ TEST(BatchExecutor, SteadyStateServingDoesNotGrowArenas) {
   const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
   const auto reqs = make_requests(cfg, {31, 64, 17, 50, 300, 250});
   BatchExecutor executor(cfg, BatchingOptions{});
-  serve(executor, reqs);  // warmup: arenas and staging grow to high water
+  std::vector<BatchPlanEntry> batches;
+  serve(executor, reqs, &batches);  // warmup: arenas, staging to high water
   const std::size_t warm_capacity = tls_workspace().capacity_floats();
   const std::size_t warm_slabs = tls_workspace().slab_count();
   const std::size_t warm_arena = executor.plan_arena_floats();
+  const std::size_t warm_plans = executor.plan_count();
   // A full-height tile's scratch: its d-wide rows and its GELU hidden.
   EXPECT_GE(warm_capacity,
             static_cast<std::size_t>(PackedWeight::kRowGrain * cfg.d_model *
                                      (1 + cfg.ffn_mult)));
   serve(executor, reqs);
   serve(executor, reqs);
+  std::sort(batches.begin(), batches.end(),
+            [](const BatchPlanEntry& a, const BatchPlanEntry& b) {
+              return a.rows() > b.rows();
+            });
+  for (const BatchPlanEntry& batch : batches) {
+    execute_batch(executor, reqs, batch);
+  }
   EXPECT_EQ(tls_workspace().capacity_floats(), warm_capacity);
   EXPECT_EQ(tls_workspace().slab_count(), warm_slabs);
   EXPECT_EQ(executor.plan_arena_floats(), warm_arena);
+  EXPECT_EQ(executor.plan_count(), warm_plans);
 }
 
 // -------------------------------------------------- compiled plan path ----
@@ -377,20 +396,23 @@ TEST(RuntimePlanned, SteadyStateIsAllocationFreeWithFusedStreaming) {
   check_steady_state_allocation_free(AttentionBackend::kFusedStreaming);
 }
 
-/// Plans must be compiled once per bucket shape class and reused across
-/// batches — not recompiled per batch.
+/// The arena is bound once per growth of the largest shape class and
+/// reused across batches — not rebound per batch.
 TEST(RuntimePlanned, PlansAreReusedAcrossBatches) {
   const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
+  const std::size_t per_row = static_cast<std::size_t>(6 * cfg.d_model);
   BatchingOptions opt;
   opt.bucket_width = 64;
   opt.max_batch_requests = 8;
   BatchExecutor executor(cfg, opt);
   const auto reqs = make_requests(cfg, {5, 63, 64, 65, 1, 40, 128, 64});
 
+  // Two batches, of 237 and 193 rows: both shape class 4.
   const std::vector<RequestResult> first = serve(executor, reqs);
   const std::size_t plans_after_first = executor.plan_count();
   const std::size_t arena_after_first = executor.plan_arena_floats();
-  EXPECT_GT(plans_after_first, 0u);
+  EXPECT_EQ(plans_after_first, 1u);
+  EXPECT_EQ(arena_after_first, 4 * 64 * per_row);
 
   for (int rep = 0; rep < 3; ++rep) {
     const std::vector<RequestResult> again = serve(executor, reqs);
@@ -404,18 +426,65 @@ TEST(RuntimePlanned, PlansAreReusedAcrossBatches) {
         << "a repeated workload must not grow the plan arenas";
   }
 
-  // A genuinely new shape class (a much longer request) compiles one more
-  // plan — lazily, exactly once.
+  // A genuinely new, larger shape class (a much longer request) grows the
+  // one arena to its high water — lazily, exactly once.
   const auto longer = make_requests(cfg, {300});
   serve(executor, longer);
   EXPECT_EQ(executor.plan_count(), plans_after_first + 1);
+  EXPECT_EQ(executor.plan_arena_floats(), 5 * 64 * per_row);
   serve(executor, longer);
+  serve(executor, reqs);
   EXPECT_EQ(executor.plan_count(), plans_after_first + 1);
+  EXPECT_EQ(executor.plan_arena_floats(), 5 * 64 * per_row);
+}
+
+/// One arena serves every shape class: served in ascending and then
+/// descending class order, the executor counts every class compiled but
+/// binds only the largest class's high water, 6 x d_model floats per row.
+/// A smaller batch run right after a larger one reads none of the larger
+/// batch's stale rows: every output stays bit-identical to the solo oracle.
+TEST(RuntimePlanned, OneArenaServesEveryShapeClass) {
+  const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
+  const std::size_t per_row = static_cast<std::size_t>(6 * cfg.d_model);
+  BatchingOptions opt;
+  opt.bucket_width = 64;
+  BatchExecutor executor(cfg, opt);
+  const model::Encoder oracle(cfg);
+
+  // Each call is one batch: classes 1, 2, 3, 4 going up, then 4, 3, 2, 1
+  // coming down (the last one a two-request batch of 39 rows).
+  const std::vector<std::vector<std::int64_t>> ascending = {
+      {50}, {100}, {150}, {230}};
+  const std::vector<std::vector<std::int64_t>> descending = {
+      {250}, {180}, {120}, {9, 30}};
+  std::int64_t shape_class = 0;
+  for (const auto& lengths : ascending) {
+    serve(executor, make_requests(cfg, lengths));
+    ++shape_class;
+    EXPECT_EQ(executor.plan_count(), static_cast<std::size_t>(shape_class));
+    EXPECT_EQ(executor.plan_arena_floats(),
+              static_cast<std::size_t>(shape_class) * 64 * per_row)
+        << "a larger class grows the one arena to its high water";
+  }
+  for (const auto& lengths : descending) {
+    const auto reqs = make_requests(cfg, lengths);
+    std::vector<BatchPlanEntry> batches;
+    const std::vector<RequestResult> got = serve(executor, reqs, &batches);
+    ASSERT_EQ(batches.size(), 1u);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      testing::expect_matrix_equal(got[i].output,
+                                   oracle.forward(reqs[i].input),
+                                   "after a larger batch vs Encoder::forward");
+    }
+    EXPECT_EQ(executor.plan_count(), 4u);
+    EXPECT_EQ(executor.plan_arena_floats(), 4 * 64 * per_row)
+        << "a smaller class reuses the bound arena";
+  }
 }
 
 /// A request longer than max_batch_tokens forms its own batch; it must be
-/// served through a throwaway plan, not pin a proportionally huge arena in
-/// the cache for the executor's lifetime.
+/// served through a throwaway plan, not grow the executor's arena to a
+/// proportionally huge size for its lifetime.
 TEST(RuntimePlanned, OversizedSingletonsDoNotPinCachedPlans) {
   const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
   BatchingOptions opt;
@@ -423,10 +492,13 @@ TEST(RuntimePlanned, OversizedSingletonsDoNotPinCachedPlans) {
   opt.max_batch_tokens = 100;
   BatchExecutor executor(cfg, opt);
 
-  serve(executor, make_requests(cfg, {40, 80}));  // two classes get cached
+  // One batch per length bucket: classes 1 and 2, served by one arena at
+  // class 2's high water.
+  serve(executor, make_requests(cfg, {40, 80}));
   const std::size_t plans = executor.plan_count();
   const std::size_t arena = executor.plan_arena_floats();
   EXPECT_EQ(plans, 2u);
+  EXPECT_EQ(arena, static_cast<std::size_t>(2 * 64 * 6 * cfg.d_model));
 
   const auto huge = make_requests(cfg, {400});
   std::vector<BatchPlanEntry> batches;

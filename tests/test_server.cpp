@@ -443,10 +443,10 @@ TEST(Server, TinyLatencyBudgetFormsSingletonsNeverStarves) {
   EXPECT_EQ(server.totals().requests, 6);
 }
 
-/// Concurrent submitters: the MPMC queue, the shared plan cache, and the
+/// Concurrent submitters: the MPMC queue, the executor's one arena, and the
 /// scheduler under real contention (the configuration the TSan CI arm
 /// watches). Results must still be bit-identical to the oracle.
-TEST(Server, ConcurrentSubmittersShareOnePlanCache) {
+TEST(Server, ConcurrentSubmittersShareOneArena) {
   const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
   const std::vector<std::int64_t> length_cycle = {31, 64, 17, 50};
   const model::Encoder oracle(cfg);
@@ -483,10 +483,10 @@ TEST(Server, ConcurrentSubmittersShareOnePlanCache) {
                                    "concurrent submitter vs oracle");
     }
   }
-  // Plans are keyed by the BATCH's shape class ceil(rows / bucket_width):
-  // every request is <= 64 tokens and a batch packs at most
-  // max_batch_requests of them, so the class set is bounded by the request
-  // cap no matter how the scheduler cut the traffic.
+  // Shape classes are the BATCH's ceil(rows / bucket_width): every request
+  // is <= 64 tokens and a batch packs at most max_batch_requests of them,
+  // so the class set is bounded by the request cap no matter how the
+  // scheduler cut the traffic.
   EXPECT_GE(server.plan_count(), 1u);
   EXPECT_LE(server.plan_count(),
             static_cast<std::size_t>(

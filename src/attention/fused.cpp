@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -11,6 +12,23 @@
 #include "tensor/kernels.hpp"
 
 namespace swat::attn {
+
+namespace {
+
+/// True when the elements two views span share any address.
+bool overlaps(ConstMatrixView a, ConstMatrixView b) {
+  if (a.empty() || b.empty()) return false;
+  const auto first = [](ConstMatrixView m) {
+    return reinterpret_cast<std::uintptr_t>(m.data());
+  };
+  const auto last = [](ConstMatrixView m) {
+    return reinterpret_cast<std::uintptr_t>(
+        m.data() + (m.rows() - 1) * m.stride() + m.cols());
+  };
+  return first(a) < last(b) && first(b) < last(a);
+}
+
+}  // namespace
 
 void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
                                        ConstMatrixView v,
@@ -28,6 +46,10 @@ void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
   SWAT_EXPECTS(k.rows() == rows && k.cols() == d_model);
   SWAT_EXPECTS(v.rows() == rows && v.cols() == d_model);
   SWAT_EXPECTS(out.rows() == rows && out.cols() == d_model);
+  // out over q is safe only exactly (see fused.hpp); over k or v never.
+  SWAT_EXPECTS(!overlaps(out, k) && !overlaps(out, v));
+  SWAT_EXPECTS(!overlaps(out, q) ||
+               (out.data() == q.data() && out.stride() == q.stride()));
   SWAT_EXPECTS(offsets.size() >= 2);
   SWAT_EXPECTS(offsets.front() == 0 && offsets.back() == rows);
   const std::int64_t nseq = static_cast<std::int64_t>(offsets.size()) - 1;

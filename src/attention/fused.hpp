@@ -43,6 +43,14 @@ MatrixF fused_window_attention(const HeadInput& in,
 /// sequence; `scale` (the 1/sqrt(h) logit scaling) is folded into each
 /// query row as it is staged.
 ///
+/// `out` may alias `q` exactly (same base and stride): a row group copies
+/// its scaled Q rows into scratch before it writes that group's head slice,
+/// and no task reads another task's Q, so writing over Q gives the bytes a
+/// separate `out` gets. The encoder layer relies on this to drop a
+/// rows x d_model buffer. `out` must not overlap `k` or `v` (a row's band
+/// reads K and V rows that earlier rows have already written), nor overlap
+/// `q` other than exactly; std::invalid_argument otherwise.
+///
 /// No (rows x window) score matrix is ever materialized: the per-thread
 /// scratch (isa::FusedWindowScratch, one lease of the thread's Workspace
 /// arena) holds a row group's scaled Q rows and O(window) score rows plus

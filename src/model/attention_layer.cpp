@@ -14,7 +14,6 @@ void MhaWorkspace::bind(std::int64_t max_tokens, std::int64_t d_model) {
   q.reshape(max_tokens, d_model);
   k.reshape(max_tokens, d_model);
   v.reshape(max_tokens, d_model);
-  concat.reshape(max_tokens, d_model);
 }
 
 std::size_t MhaWorkspace::capacity_floats() const {
@@ -127,14 +126,15 @@ MatrixF& tls_head_output() {
 void MultiHeadAttention::forward_batch_into(
     const MatrixF& x, std::span<const std::int64_t> offsets,
     std::span<AttentionStats> stats, MhaWorkspace& ws, MatrixF& out) const {
-  forward_concat_into(x, offsets, stats, ws);
+  forward_concat_into(x, offsets, stats, ws, ws.concat);
   wo_.forward_into(ws.concat, out);
 }
 
 void MultiHeadAttention::forward_concat_into(
     const MatrixF& x, std::span<const std::int64_t> offsets,
-    std::span<AttentionStats> stats, MhaWorkspace& ws) const {
+    std::span<AttentionStats> stats, MhaWorkspace& ws, MatrixF& out) const {
   SWAT_EXPECTS(x.cols() == d_model_);
+  SWAT_EXPECTS(&out != &x && &out != &ws.k && &out != &ws.v);
   SWAT_EXPECTS(offsets.size() >= 2);
   const std::int64_t nseq = static_cast<std::int64_t>(offsets.size()) - 1;
   SWAT_EXPECTS(offsets.front() == 0 && offsets.back() == x.rows());
@@ -183,8 +183,9 @@ void MultiHeadAttention::forward_concat_into(
     }
   };
 
-  ws.concat.reshape(x.rows(), d_model_);
-  MatrixF& concat = ws.concat;
+  // When out is ws.q the reshape keeps its shape, and with it Q.
+  out.reshape(x.rows(), d_model_);
+  MatrixF& concat = out;
   const auto scatter = [&](std::int64_t task, const MatrixF& z) {
     const std::int64_t row0 = offsets[static_cast<std::size_t>(seg_of(task))];
     const std::int64_t base = head_of(task) * h;

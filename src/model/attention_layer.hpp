@@ -63,10 +63,14 @@ struct AttentionStats {
 /// workspace cycled at or below its high-water batch shape never
 /// reallocates.
 struct MhaWorkspace {
-  MatrixF q;       ///< packed Q projection (rows x d_model)
-  MatrixF k;       ///< packed K projection (rows x d_model)
-  MatrixF v;       ///< packed V projection (rows x d_model)
-  MatrixF concat;  ///< per-head outputs scattered back (rows x d_model)
+  MatrixF q;  ///< packed Q projection (rows x d_model)
+  MatrixF k;  ///< packed K projection (rows x d_model)
+  MatrixF v;  ///< packed V projection (rows x d_model)
+  /// Per-head outputs of the MHA oracle (forward_batch_into), which keeps
+  /// Q intact. Not bound by bind(): the encoder layer writes its per-head
+  /// outputs over q instead, so serving never touches it. Counted by
+  /// capacity_floats() once used.
+  MatrixF concat;
 
   // SWAT-simulator staging: one entry per (sequence, head) task. The
   // simulator itself still allocates per-head core state internally (it is
@@ -75,8 +79,8 @@ struct MhaWorkspace {
   std::vector<attn::HeadInput> sim_inputs;
   std::vector<FunctionalResult> sim_results;
 
-  /// Grow every buffer to the high-water shape for `max_tokens` packed
-  /// rows so subsequent calls at or below it never reallocate.
+  /// Grow q, k and v to the high-water shape for `max_tokens` packed rows
+  /// so subsequent calls at or below it never reallocate.
   void bind(std::int64_t max_tokens, std::int64_t d_model);
 
   /// Total floats currently held (introspection for plan sizing/tests).
@@ -127,15 +131,20 @@ class MultiHeadAttention {
                           MatrixF& out) const;
 
   /// forward_batch_into up to, not including, the output projection: the
-  /// per-head outputs land in `ws.concat` (x.rows() x d_model), the Q/K/V
-  /// projections in ws.q/k/v, and counters are added to `stats` as above.
-  /// The encoder layer applies output_projection() itself, fused with the
-  /// residual, one row tile at a time. forward_batch_into is this call
-  /// followed by output_projection().forward_into(ws.concat, out).
+  /// Q/K/V projections land in ws.q/k/v, the per-head outputs in `out`
+  /// (reshaped to x.rows() x d_model), and counters are added to `stats`
+  /// as above. `out` may be ws.q itself: every attention task reads its
+  /// own (sequence, head) block of Q before it writes that block, and no
+  /// task reads another's, so the per-head outputs overwrite Q with the
+  /// same bytes a separate matrix would get. That is how the encoder layer
+  /// calls it, applying output_projection() itself, fused with the
+  /// residual, one row tile at a time. `out` must be neither x, ws.k nor
+  /// ws.v. forward_batch_into is this call into ws.concat followed by
+  /// output_projection().forward_into(ws.concat, out).
   void forward_concat_into(const MatrixF& x,
                            std::span<const std::int64_t> offsets,
-                           std::span<AttentionStats> stats,
-                           MhaWorkspace& ws) const;
+                           std::span<AttentionStats> stats, MhaWorkspace& ws,
+                           MatrixF& out) const;
 
   /// W_o, the projection forward_batch_into applies to ws.concat.
   const Linear& output_projection() const { return wo_; }

@@ -106,8 +106,6 @@ std::size_t EncoderLayerScratch::capacity_floats() const {
 
 void EncoderArena::bind(const EncoderConfig& cfg, std::int64_t max_tokens) {
   scratch.bind(cfg, max_tokens);
-  ping.reshape(max_tokens, cfg.d_model);
-  pong.reshape(max_tokens, cfg.d_model);
 }
 
 std::size_t EncoderArena::capacity_floats() const {
@@ -136,12 +134,15 @@ void EncoderLayer::forward_batch_into(const MatrixF& x,
                                       std::span<AttentionStats> stats,
                                       EncoderLayerScratch& s,
                                       MatrixF& out) const {
-  SWAT_EXPECTS(&out != &x);
+  for (const MatrixF* m : {&s.mha.q, &s.mha.k, &s.mha.v}) {
+    SWAT_EXPECTS(m != &x && m != &out);
+  }
   // Attention is the only sequence-aware stage; everything after it works
-  // row by row and so is batch-agnostic.
-  mha_.forward_concat_into(x, offsets, stats, s.mha);
-  out.reshape(x.rows(), x.cols());
-  post_attention_into(s.mha.concat, x, out);
+  // row by row and so is batch-agnostic. Its per-head outputs overwrite Q,
+  // which nothing reads once attention is done.
+  mha_.forward_concat_into(x, offsets, stats, s.mha, s.mha.q);
+  out.reshape(x.rows(), x.cols());  // keeps x when out is x
+  post_attention_into(s.mha.q, x, out);
 }
 
 void EncoderLayer::post_attention_into(const MatrixF& concat,
@@ -155,7 +156,8 @@ void EncoderLayer::post_attention_into(const MatrixF& concat,
   //   y = g W_2^T + b_2 + h          (residual epilogue, into out's rows)
   //   y = LN2(y)                     (in place)
   // Each element keeps the exact operations of the whole-matrix sequence,
-  // so the tiling changes no byte. The kernels' own fan-outs run inline
+  // so the tiling changes no byte. A tile reads its x rows only in the
+  // first step, so out may be x. The kernels' own fan-outs run inline
   // inside a tile (nested parallel_for), so the tiles are the parallelism.
   const std::int64_t d = x.cols();
   const std::int64_t hidden = ffn1_.out_features();
@@ -207,33 +209,35 @@ MatrixF Encoder::forward(const MatrixF& x) const {
   if (x.rows() == 0) return x;  // empty in, empty out
   const std::int64_t offsets[2] = {0, x.rows()};
   EncoderArena arena;
-  const MatrixF& out = forward_batch_into(x, offsets, {}, arena);
-  // The result lives in one of the throwaway arena's ping-pong buffers;
-  // move it out instead of copying.
-  return &out == &arena.ping ? std::move(arena.ping) : std::move(arena.pong);
+  MatrixF y = x;
+  forward_in_place(y, offsets, {}, arena);
+  return y;
+}
+
+void Encoder::forward_in_place(MatrixF& x,
+                               std::span<const std::int64_t> offsets,
+                               std::span<AttentionStats> per_sequence_stats,
+                               EncoderArena& arena) const {
+  SWAT_EXPECTS(x.cols() == cfg_.d_model);
+  for (AttentionStats& s : per_sequence_stats) s = AttentionStats{};
+  // Layers are sequentially dependent, so the sweep itself stays serial;
+  // the parallelism lives inside each layer (per-sequence-per-head
+  // attention tasks, GEMM row blocks over all packed rows, elementwise
+  // passes). Every layer writes its output over its input.
+  for (const EncoderLayer& layer : layers_) {
+    layer.forward_batch_into(x, offsets, per_sequence_stats, arena.scratch,
+                             x);
+  }
 }
 
 const MatrixF& Encoder::forward_batch_into(
     const MatrixF& packed, std::span<const std::int64_t> offsets,
     std::span<AttentionStats> per_sequence_stats, EncoderArena& arena) const {
-  SWAT_EXPECTS(packed.cols() == cfg_.d_model);
-  SWAT_EXPECTS(&packed != &arena.ping && &packed != &arena.pong);
-  for (AttentionStats& s : per_sequence_stats) s = AttentionStats{};
-  // Layers are sequentially dependent, so the sweep itself stays serial;
-  // the parallelism lives inside each layer (per-sequence-per-head
-  // attention tasks, GEMM row blocks over all packed rows, elementwise
-  // passes). Layer L reads the previous layer's output from one ping-pong
-  // buffer and writes the other; no layer output is ever materialized into
-  // a fresh matrix.
-  const MatrixF* in = &packed;
-  MatrixF* out = &arena.ping;
-  for (const EncoderLayer& layer : layers_) {
-    layer.forward_batch_into(*in, offsets, per_sequence_stats, arena.scratch,
-                             *out);
-    in = out;
-    out = (out == &arena.ping) ? &arena.pong : &arena.ping;
-  }
-  return *in;
+  SWAT_EXPECTS(&packed != &arena.ping);
+  arena.ping.reshape(packed.rows(), packed.cols());
+  std::copy_n(packed.data(), packed.size(), arena.ping.data());
+  forward_in_place(arena.ping, offsets, per_sequence_stats, arena);
+  return arena.ping;
 }
 
 std::int64_t Encoder::parameters() const {

@@ -46,8 +46,9 @@ struct EncoderConfig {
 /// instance is shared by every layer of a stack (layers run serially and
 /// each overwrites all of it); each buffer reshapes in place per batch, so
 /// once bound at the high-water shape the path stops allocating. Only the
-/// attention workspace is whole-batch: everything after attention runs
-/// per row tile in per-thread scratch (EncoderLayer::forward_batch_into).
+/// attention workspace's q, k and v are whole-batch (attention writes its
+/// per-head outputs over q): everything after attention runs per row tile
+/// in per-thread scratch (EncoderLayer::forward_batch_into).
 struct EncoderLayerScratch {
   MhaWorkspace mha;
   /// Not bound and not written by the layer: a landing buffer for callers
@@ -59,15 +60,21 @@ struct EncoderLayerScratch {
   std::size_t capacity_floats() const;
 };
 
-/// The full activation arena of a compiled plan: the shared layer scratch
-/// plus the two ping-pong buffers layer outputs alternate between (layer L
-/// reads one, writes the other — no per-layer matrix is ever returned).
+/// The full activation arena of a compiled plan. bind() binds the shared
+/// layer scratch only — q, k and v, 3 x d_model floats per row — because
+/// every layer runs over its own input (Encoder::forward_in_place).
 struct EncoderArena {
   EncoderLayerScratch scratch;
+  /// The copy of a const input that Encoder::forward_batch_into runs in
+  /// place; not bound by bind(), grown on first use.
   MatrixF ping;
+  /// Not used by the encoder: a second layer-I/O buffer for callers that
+  /// run the layers one by one out of place (the serving benchmark's
+  /// traced replay).
   MatrixF pong;
 
   void bind(const EncoderConfig& cfg, std::int64_t max_tokens);
+  /// Floats held by every buffer, ping and pong included once used.
   std::size_t capacity_floats() const;
 };
 
@@ -86,9 +93,13 @@ class EncoderLayer {
   /// layer — output projection + residual, LN1, FFN expand + GELU,
   /// contract + residual, LN2 — runs as one parallel_for over row tiles
   /// (see RowTiling), each tile's intermediates in a per-thread
-  /// tls_workspace() lease small enough to stay in L2. The result lands in
-  /// `out` (reshaped in place), which must not alias `x` or a scratch
-  /// buffer. Every element keeps the fma chain and epilogue of the
+  /// tls_workspace() lease small enough to stay in L2. The per-head
+  /// attention outputs overwrite scratch.mha.q. The result lands in `out`
+  /// (reshaped in place), which may be `x` itself: the Q/K/V projections
+  /// read all of x before attention starts, and each row tile reads its
+  /// own x rows (the W_o residual) before it writes those rows, and no
+  /// other tile's. Neither x nor out may be scratch.mha's q, k or v.
+  /// Every element keeps the fma chain and epilogue of the
   /// whole-matrix sequence MHA -> add_rows_into -> LN1 ->
   /// forward_gelu_into -> forward_residual_into -> LN2, so the bytes are
   /// the same for any tiling and thread count (tests/test_engine.cpp).
@@ -109,7 +120,7 @@ class EncoderLayer {
 
  private:
   /// Everything after attention, one row tile at a time (see
-  /// forward_batch_into); `out` is already x's shape.
+  /// forward_batch_into); `out` is already x's shape and may be x.
   void post_attention_into(const MatrixF& concat, const MatrixF& x,
                            MatrixF& out) const;
 
@@ -132,7 +143,7 @@ class Encoder {
   /// the oracle every batched and served path is held bit-identical to.
   MatrixF forward(const MatrixF& x) const;
 
-  /// Batched forward — the stack's one forward core. `packed` stacks the
+  /// Batched forward — the stack's one forward core. `x` stacks the
   /// token embeddings of `offsets.size() - 1` independent sequences,
   /// sequence s occupying rows [offsets[s], offsets[s+1]).
   /// Position-independent layers (projections, FFN, LayerNorm, residuals,
@@ -146,12 +157,20 @@ class Encoder {
   /// receives each sequence's attention counters summed over layers, so
   /// per-request traffic stays separable from the batch total.
   ///
-  /// Every intermediate lives in the caller's arena — layer outputs
-  /// ping-pong between arena.ping and arena.pong and the returned
-  /// reference points at whichever holds the final layer's output (valid
-  /// until the arena is next written). The compiled Engine passes a
-  /// persistent arena, which is what makes its steady state
-  /// allocation-free.
+  /// This is the in-place core: `x` holds the packed input and receives
+  /// the stack's output, each layer writing over its own input, so no
+  /// layer output is ever materialized into another matrix. Every
+  /// intermediate lives in x and the caller's arena (q, k and v); the
+  /// compiled Engine passes a persistent arena, which is what makes its
+  /// steady state allocation-free. `x` must not be arena.scratch's q, k
+  /// or v.
+  void forward_in_place(MatrixF& x, std::span<const std::int64_t> offsets,
+                        std::span<AttentionStats> per_sequence_stats,
+                        EncoderArena& arena) const;
+
+  /// forward_in_place over a copy of `packed` in arena.ping (grown on
+  /// first use). The returned reference is arena.ping, valid until the
+  /// arena is next written. `packed` must not be arena.ping.
   const MatrixF& forward_batch_into(
       const MatrixF& packed, std::span<const std::int64_t> offsets,
       std::span<AttentionStats> per_sequence_stats,

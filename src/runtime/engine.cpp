@@ -46,20 +46,32 @@ const MatrixF& Engine::run(const MatrixF& packed,
   return run(plan_, packed, offsets, stats);
 }
 
-const MatrixF& Engine::run(ExecutionPlan& plan, const MatrixF& packed,
-                           std::span<const std::int64_t> offsets,
-                           std::span<model::AttentionStats> stats) const {
+void Engine::expect_fits(const ExecutionPlan& plan, std::int64_t rows) const {
   SWAT_EXPECTS(plan.max_tokens_ >= 1 &&
                "plan was not compiled (use Engine::compile / make_plan)");
   SWAT_EXPECTS(plan.d_model_ == encoder_.config().d_model &&
                "plan was minted for a different encoder geometry");
-  SWAT_EXPECTS(packed.rows() <= plan.max_tokens_ &&
+  SWAT_EXPECTS(rows <= plan.max_tokens_ &&
                "packed batch exceeds the plan's compiled high-water shape");
+}
+
+const MatrixF& Engine::run(ExecutionPlan& plan, const MatrixF& packed,
+                           std::span<const std::int64_t> offsets,
+                           std::span<model::AttentionStats> stats) const {
+  expect_fits(plan, packed.rows());
   // Route every kernel fan-out of this run to the engine's pool (no-op
   // binding when pool_ is null): how one replica's work stays on that
   // replica's pinned core group without any kernel call site knowing.
   ScopedPoolBinding bind(pool_);
   return encoder_.forward_batch_into(packed, offsets, stats, plan.arena_);
+}
+
+void Engine::run_in_place(ExecutionPlan& plan, MatrixF& x,
+                          std::span<const std::int64_t> offsets,
+                          std::span<model::AttentionStats> stats) const {
+  expect_fits(plan, x.rows());
+  ScopedPoolBinding bind(pool_);  // as in run()
+  encoder_.forward_in_place(x, offsets, stats, plan.arena_);
 }
 
 }  // namespace swat

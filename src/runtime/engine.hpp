@@ -12,16 +12,20 @@
 //     shared by every plan — packed_weight_floats() reports the
 //     footprint), walks the encoder geometry once, and sizes every
 //     whole-batch intermediate a packed batch of up to max_tokens rows
-//     needs — Q/K/V projections, the per-head concat staging and the two
-//     ping-pong layer-I/O buffers, 6 x d_model floats per row — binding
-//     them into a persistent activation arena (ExecutionPlan). Everything
-//     after attention (output projection, LNs, FFN) runs per row tile in
-//     per-thread tls_workspace() scratch, so it takes no arena rows.
+//     needs — the Q/K/V projections, 3 x d_model floats per row — binding
+//     them into a persistent activation arena (ExecutionPlan). Attention
+//     writes its per-head outputs over Q, every layer writes its output
+//     over its input, and everything after attention (output projection,
+//     LNs, FFN) runs per row tile in per-thread tls_workspace() scratch,
+//     so nothing else takes arena rows.
 //
-//   Engine::run(packed, offsets[, stats])
-//     executes the whole stack through the allocation-free *_into paths
-//     (Linear/LayerNorm/MHA/EncoderLayer), returning a reference into the
-//     plan's arena. No layer materializes a fresh matrix.
+//   Engine::run_in_place(plan, x, offsets[, stats])
+//     executes the whole stack over the caller's packed batch `x` through
+//     the allocation-free *_into paths (Linear/LayerNorm/MHA/EncoderLayer),
+//     leaving the output in x. No layer materializes a fresh matrix.
+//   Engine::run([plan,] packed, offsets[, stats])
+//     the same over a copy of a const batch in the plan's arena, returning
+//     a reference to it.
 //
 // Guarantees (asserted by tests/test_engine.cpp and tests/test_runtime.cpp):
 //   * each sequence's output rows are bit-identical to Encoder::forward on
@@ -60,10 +64,11 @@ class ExecutionPlan {
   /// to grow, silently breaking the zero-allocation promise).
   std::int64_t max_tokens() const { return max_tokens_; }
 
-  /// Total floats bound into the arena at compile time — the plan's answer
-  /// to "what does serving this shape cost in activation memory". Fixed at
-  /// make_plan(); running smaller batches reshapes the buffers logically
-  /// but never shrinks (or grows) the bound capacity.
+  /// Total floats bound into the arena at compile time (q, k and v: 3 x
+  /// d_model per row) — the plan's answer to "what does serving this shape
+  /// cost in activation memory". Fixed at make_plan(); running smaller
+  /// batches reshapes the buffers logically but never shrinks (or grows)
+  /// the bound capacity. Engine::run's input copy is not counted here.
   std::size_t arena_floats() const { return bound_floats_; }
 
  private:
@@ -113,9 +118,11 @@ class Engine {
   ExecutionPlan make_plan(std::int64_t max_tokens) const;
 
   /// Execute a packed ragged batch through the default plan. `offsets` and
-  /// `stats` follow the Encoder::forward_batch_into contract (stats: one
-  /// slot per sequence or empty). The returned reference points into the
-  /// plan's arena and is valid until the next run() on the same plan.
+  /// `stats` follow the Encoder::forward_in_place contract (stats: one
+  /// slot per sequence or empty). `packed` is copied into the plan's arena
+  /// (its ping buffer, grown on first use) and run in place there; the
+  /// returned reference points at it and is valid until the next run on
+  /// the same plan.
   const MatrixF& run(const MatrixF& packed,
                      std::span<const std::int64_t> offsets,
                      std::span<model::AttentionStats> stats = {});
@@ -127,6 +134,15 @@ class Engine {
                      std::span<const std::int64_t> offsets,
                      std::span<model::AttentionStats> stats = {}) const;
 
+  /// Execute through a caller-held plan over `x` itself: the output
+  /// replaces the packed input, and the plan's arena holds only q, k and v.
+  /// How the serving executor runs a batch with no copy. Deliberately not
+  /// an overload of run(): a caller holding a non-const batch must not get
+  /// it overwritten by picking a different overload.
+  void run_in_place(ExecutionPlan& plan, MatrixF& x,
+                    std::span<const std::int64_t> offsets,
+                    std::span<model::AttentionStats> stats = {}) const;
+
   const model::Encoder& encoder() const { return encoder_; }
   const ExecutionPlan& plan() const { return plan_; }
 
@@ -136,6 +152,10 @@ class Engine {
   std::size_t packed_weight_floats() const { return packed_weight_floats_; }
 
  private:
+  /// The run preconditions: `plan` was compiled, for this geometry, for at
+  /// least `rows` rows.
+  void expect_fits(const ExecutionPlan& plan, std::int64_t rows) const;
+
   model::Encoder encoder_;
   ExecutionPlan plan_;          ///< default plan, bound at compile()
   std::size_t packed_weight_floats_ = 0;

@@ -76,39 +76,51 @@ std::vector<RequestResult> BatchExecutor::execute(
   const std::int64_t d_model = encoder().config().d_model;
   const std::int64_t rows = entry.rows();
   const std::vector<std::int64_t>& offsets = entry.offsets;
-
-  std::vector<RequestResult> results(static_cast<std::size_t>(n));
-  std::lock_guard lock(run_mutex_);
-
-  // Pack: each request's rows are contiguous row-major, so one memcpy per
-  // request moves its whole block into the reused staging matrix.
-  packed_.reshape(rows, d_model);
   for (std::int64_t i = 0; i < n; ++i) {
-    const InferenceRequest& req = *inputs[static_cast<std::size_t>(i)];
-    SWAT_EXPECTS(req.input.cols() == d_model);
-    SWAT_EXPECTS(req.input.rows() ==
-                 offsets[static_cast<std::size_t>(i) + 1] -
-                     offsets[static_cast<std::size_t>(i)]);
-    std::memcpy(packed_.row(offsets[static_cast<std::size_t>(i)]).data(),
-                req.input.data(),
-                static_cast<std::size_t>(req.input.size()) * sizeof(float));
+    const MatrixF& input = inputs[static_cast<std::size_t>(i)]->input;
+    SWAT_EXPECTS(input.cols() == d_model);
+    SWAT_EXPECTS(input.rows() == offsets[static_cast<std::size_t>(i) + 1] -
+                                     offsets[static_cast<std::size_t>(i)]);
   }
 
+  std::vector<RequestResult> results(static_cast<std::size_t>(n));
+  // A singleton runs in place in its result's output matrix, which it
+  // needs anyway: no staging copy, no pack, no unpack.
+  if (n == 1) results.front().output = inputs.front()->input;
+  std::lock_guard lock(run_mutex_);
   seg_stats_.assign(static_cast<std::size_t>(n), {});
   ExecutionPlan transient;
   ExecutionPlan& plan = acquire(rows, transient);
-  const MatrixF& out = engine_.run(plan, packed_, offsets, seg_stats_);
+  if (n == 1) {
+    engine_.run_in_place(plan, results.front().output, offsets, seg_stats_);
+  } else {
+    // Pack: each request's rows are contiguous row-major, so one memcpy
+    // per request moves its whole block into the reused staging matrix,
+    // which the batch then runs in place in; unpack copies each request's
+    // rows back out.
+    packed_.reshape(rows, d_model);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const MatrixF& input = inputs[static_cast<std::size_t>(i)]->input;
+      std::memcpy(packed_.row(offsets[static_cast<std::size_t>(i)]).data(),
+                  input.data(),
+                  static_cast<std::size_t>(input.size()) * sizeof(float));
+    }
+    engine_.run_in_place(plan, packed_, offsets, seg_stats_);
+    for (std::int64_t i = 0; i < n; ++i) {
+      MatrixF& output = results[static_cast<std::size_t>(i)].output;
+      output = MatrixF(inputs[static_cast<std::size_t>(i)]->input.rows(),
+                       d_model);
+      std::memcpy(output.data(),
+                  packed_.row(offsets[static_cast<std::size_t>(i)]).data(),
+                  static_cast<std::size_t>(output.size()) * sizeof(float));
+    }
+  }
 
-  // Unpack into per-request results and counters.
+  // Per-request ids and counters.
   for (std::int64_t i = 0; i < n; ++i) {
     const InferenceRequest& req = *inputs[static_cast<std::size_t>(i)];
     RequestResult& res = results[static_cast<std::size_t>(i)];
     res.id = req.id;
-    res.output = MatrixF(req.input.rows(), d_model);
-    std::memcpy(res.output.data(),
-                out.row(offsets[static_cast<std::size_t>(i)]).data(),
-                static_cast<std::size_t>(res.output.size()) * sizeof(float));
-
     const model::AttentionStats& st = seg_stats_[static_cast<std::size_t>(i)];
     res.counters.tokens = req.input.rows();
     res.counters.swat_offchip_traffic = st.swat_offchip_traffic;

@@ -111,8 +111,9 @@ struct RuntimeTotals {
 };
 
 /// Executes formed batches: pack the member requests into one ragged
-/// matrix, run it through the executor's one ExecutionPlan, unpack
-/// per-request outputs and counters.
+/// matrix, run it in place through the executor's one ExecutionPlan,
+/// unpack per-request outputs and counters. A one-request batch skips the
+/// staging: it runs in place in its result's output matrix.
 ///
 /// Like SWAT's one set of on-chip buffers sized for its largest tile, the
 /// executor holds a single activation arena, bound at the high-water row
@@ -180,7 +181,7 @@ class BatchExecutor {
   // reshape() retains the backing capacity, so serving stops allocating
   // once the high-water batch shape has been seen.
   std::mutex run_mutex_;
-  MatrixF packed_;
+  MatrixF packed_;  ///< multi-request batches only
   std::vector<model::AttentionStats> seg_stats_;
   ExecutionPlan plan_;                  ///< the one arena
   std::set<std::int64_t> classes_;      ///< shape classes compiled

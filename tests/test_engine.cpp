@@ -76,11 +76,11 @@ TEST(EngineCompile, BindsArenaSizedForTheHighWaterShape) {
   const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
   const Engine engine = Engine::compile(cfg, 96);
   EXPECT_EQ(engine.plan().max_tokens(), 96);
-  // Every bound buffer scales with max_tokens, all d_model wide: q, k, v,
-  // concat, ping and pong. The post-attention block (output projection,
-  // LNs, FFN hidden) runs per row tile in per-thread scratch and binds
-  // nothing.
-  const std::size_t per_row = static_cast<std::size_t>(6 * cfg.d_model);
+  // Every bound buffer scales with max_tokens, all d_model wide: q, k and
+  // v. Attention writes over q, every layer over its own input, and the
+  // post-attention block (output projection, LNs, FFN hidden) runs per row
+  // tile in per-thread scratch and binds nothing.
+  const std::size_t per_row = static_cast<std::size_t>(3 * cfg.d_model);
   EXPECT_EQ(engine.plan().arena_floats(), 96 * per_row);
   // A separately minted plan for twice the tokens is exactly twice as big.
   const ExecutionPlan big = engine.make_plan(192);
@@ -200,21 +200,7 @@ TEST(EngineBitIdentity, ThreadCountInvariance) {
 
 // --------------------------------------------------- row-tiled layer ----
 
-/// The whole-matrix sequence the row-tiled post-attention block must match
-/// byte for byte, every stage a separate pass over all rows, built from
-/// `layer`'s own sub-modules.
-MatrixF unfused_layer(const model::EncoderLayer& layer, const MatrixF& x,
-                      std::span<const std::int64_t> offsets) {
-  model::MhaWorkspace ws;
-  MatrixF attn, norm1, hidden, ffn, y;
-  layer.attention().forward_batch_into(x, offsets, {}, ws, attn);
-  add_rows_into(attn, x, attn);
-  layer.norm1().forward_into(attn, norm1);
-  layer.ffn_expand().forward_gelu_into(norm1, hidden);
-  layer.ffn_contract().forward_residual_into(hidden, norm1, ffn);
-  layer.norm2().forward_into(ffn, y);
-  return y;
-}
+using testing::unfused_layer;
 
 TEST(EncoderLayerRowTiles, TilesAreWholeRegisterTilesWithinTheGrain) {
   for (int threads = 1; threads <= 4; ++threads) {
@@ -245,20 +231,25 @@ TEST(EncoderLayerRowTiles, TilesAreWholeRegisterTilesWithinTheGrain) {
   }
 }
 
+/// Row counts on both sides of every tile boundary (1, 5, 6, 7, 59, 60,
+/// 61, 121, 4096) and ragged batches.
+const std::vector<std::vector<std::int64_t>> kRowTileBatches = {
+    {1},  {5},   {6},          {7},       {59},
+    {60}, {61},  {121},        {4096},    {1, 5, 6, 7},
+    {59, 1, 61}, {17, 64, 3, 40, 121}};
+
 /// The row-tiled layer against the unfused sequence, memcmp on the output
-/// bytes: row counts on both sides of every tile boundary (1, 5, 6, 7, 59,
-/// 60, 61, 121, 4096), ragged batches, 1-4 threads (3 splits the tiles
-/// unevenly) and every ISA tier this CPU runs.
-TEST(EncoderLayerRowTiles, ByteIdenticalToTheUnfusedSequence) {
+/// bytes: kRowTileBatches, 1-4 threads (3 splits the tiles unevenly) and
+/// every ISA tier this CPU runs. With `in_place` the layer writes over its
+/// own input, as the encoder stack runs it; the oracle always writes a
+/// separate matrix.
+void check_row_tiles_against_unfused(bool in_place) {
   const EncoderConfig cfg = small_config(AttentionBackend::kFusedStreaming);
   const model::Encoder encoder(cfg);
   const model::EncoderLayer& layer = encoder.layer(1);
-  const std::vector<std::vector<std::int64_t>> batches = {
-      {1},  {5},   {6},          {7},       {59},
-      {60}, {61},  {121},        {4096},    {1, 5, 6, 7},
-      {59, 1, 61}, {17, 64, 3, 40, 121}};
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    const auto [x, offsets] = make_packed(cfg, batches[b], 31 * (b + 1));
+  for (std::size_t b = 0; b < kRowTileBatches.size(); ++b) {
+    const auto [x, offsets] =
+        make_packed(cfg, kRowTileBatches[b], 31 * (b + 1));
     const MatrixF want = unfused_layer(layer, x, offsets);
     model::EncoderLayerScratch scratch;
     MatrixF got;
@@ -267,19 +258,32 @@ TEST(EncoderLayerRowTiles, ByteIdenticalToTheUnfusedSequence) {
       const ScopedIsaTier scope(tier);
       for (int threads = 1; threads <= 4; ++threads) {
         ThreadCountGuard guard(threads);
-        layer.forward_batch_into(x, offsets, {}, scratch, got);
+        if (in_place) {
+          got = x;
+          layer.forward_batch_into(got, offsets, {}, scratch, got);
+        } else {
+          layer.forward_batch_into(x, offsets, {}, scratch, got);
+        }
         ASSERT_EQ(got.rows(), want.rows());
         ASSERT_EQ(got.cols(), want.cols());
         EXPECT_EQ(std::memcmp(got.data(), want.data(),
                               sizeof(float) *
                                   static_cast<std::size_t>(want.size())),
                   0)
-            << "rows " << x.rows() << " (" << batches[b].size()
+            << "rows " << x.rows() << " (" << kRowTileBatches[b].size()
             << " sequences), tier " << isa_tier_name(tier) << ", threads "
             << threads;
       }
     }
   }
+}
+
+TEST(EncoderLayerRowTiles, ByteIdenticalToTheUnfusedSequence) {
+  check_row_tiles_against_unfused(/*in_place=*/false);
+}
+
+TEST(EncoderLayerRowTiles, InPlaceByteIdenticalToTheUnfusedSequence) {
+  check_row_tiles_against_unfused(/*in_place=*/true);
 }
 
 // --------------------------------------------------------- plan reuse ----

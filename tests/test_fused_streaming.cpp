@@ -214,6 +214,23 @@ TEST(FusedStreamingBatch, RejectsMalformedInputs) {
   EXPECT_THROW(attn::fused_window_attention_batch_into(
                    p.q, p.k, p.v, p.offsets, 2, 2, 2, 1.0f, small),
                std::invalid_argument);
+  // The output may be Q itself, but may overlap neither K, V nor Q other
+  // than exactly.
+  MatrixF q = p.q, k = p.k, v = p.v;
+  EXPECT_THROW(attn::fused_window_attention_batch_into(
+                   p.q, k, p.v, p.offsets, 2, 2, 2, 1.0f, k),
+               std::invalid_argument);
+  EXPECT_THROW(attn::fused_window_attention_batch_into(
+                   p.q, p.k, v, p.offsets, 2, 2, 2, 1.0f, v),
+               std::invalid_argument);
+  MatrixF backing(9, 16, 0.5f);
+  const ConstMatrixView q_rows(backing.data(), 8, 16, 16);
+  const MatrixView shifted(backing.row(1).data(), 8, 16, 16);
+  EXPECT_THROW(attn::fused_window_attention_batch_into(
+                   q_rows, p.k, p.v, p.offsets, 2, 2, 2, 1.0f, shifted),
+               std::invalid_argument);
+  EXPECT_NO_THROW(attn::fused_window_attention_batch_into(
+      q, p.k, p.v, p.offsets, 2, 2, 2, 1.0f, q));
   // The K/V tiles stream in fp32 only.
   EXPECT_THROW(attn::fused_window_attention_batch_into(
                    p.q, p.k, p.v, p.offsets, 2, 2, 2, 1.0f, out,

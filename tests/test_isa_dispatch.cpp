@@ -439,6 +439,41 @@ TEST(IsaFusedAttention, Fp32ByteIdenticalAcrossTiersAndToTheOracle) {
   }
 }
 
+TEST(IsaFusedAttention, OutputOverQIsByteIdenticalToASeparateOutput) {
+  // The encoder layer passes its Q buffer as the output. Each run over Q
+  // is held to the same call into a separate matrix, never to another run
+  // over Q, on a ragged batch with 1-row sequences and lengths that are
+  // not multiples of the row group, at 1-4 threads on every tier. The
+  // separate output is computed once per band: it is the same bytes on
+  // every tier and thread count (Fp32ByteIdenticalAcrossTiersAndToTheOracle).
+  for (const std::int64_t head_dim : kHeadDims) {
+    const Packed p = make_packed(tile_edge_lengths(), kHeads * head_dim, 77);
+    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+    for (const Band band : kTileBands) {
+      MatrixF separate(p.q.rows(), p.q.cols());
+      attn::fused_window_attention_batch_into(p.q, p.k, p.v, p.offsets,
+                                              kHeads, band.before, band.after,
+                                              scale, separate);
+      for (const IsaTier t : supported_tiers()) {
+        const ScopedIsaTier scope(t);
+        for (int threads = 1; threads <= 4; ++threads) {
+          const ThreadCountGuard guard(threads);
+          MatrixF over_q = p.q;
+          attn::fused_window_attention_batch_into(over_q, p.k, p.v, p.offsets,
+                                                  kHeads, band.before,
+                                                  band.after, scale, over_q);
+          expect_bytes_equal(over_q, separate,
+                             tier_label(t) + " threads " +
+                                 std::to_string(threads) + " head_dim " +
+                                 std::to_string(head_dim) + " band " +
+                                 std::to_string(band.before) + "/" +
+                                 std::to_string(band.after));
+        }
+      }
+    }
+  }
+}
+
 TEST(IsaFusedAttention, TileEdgesAndUnalignedViewsMatchTheOracleBytes) {
   // Query-tile edges (one row short of a tile, one past it, two tiles plus
   // a partial row group) under a band and head width that are not whole

@@ -234,6 +234,52 @@ TEST(BatchExecutor, BatchOfOneEqualsEncoderForward) {
   EXPECT_EQ(one.counters.queue_delay.value, 0.0);
 }
 
+/// A one-request batch runs in place in its result's output matrix, a
+/// larger one in the executor's packed staging. Interleaved through one
+/// executor on every backend, each output stays bit-identical to its
+/// request run alone through the out-of-place oracle
+/// (testing::unfused_forward; Encoder::forward runs the same in-place core
+/// as the executor), its counters equal the solo executor's, and no
+/// request's input is written.
+TEST(BatchExecutor, InterleavedSingletonAndPackedBatchesMatchTheSoloOracle) {
+  for (const AttentionBackend backend :
+       {AttentionBackend::kDenseReference, AttentionBackend::kWindowExact,
+        AttentionBackend::kFusedStreaming, AttentionBackend::kSwatSimulator}) {
+    const EncoderConfig cfg = small_config(backend);
+    const auto reqs = make_requests(cfg, {40, 5, 63, 17, 1, 64, 30, 9});
+    const std::vector<InferenceRequest> inputs_before = reqs;
+    const model::Encoder oracle(cfg);
+    BatchExecutor executor(cfg, BatchingOptions{});
+    const std::vector<std::vector<std::size_t>> batches = {
+        {0}, {1, 2, 3}, {4}, {5, 6}, {7}, {0, 4}, {2}};
+    for (const std::vector<std::size_t>& members : batches) {
+      BatchPlanEntry entry;
+      entry.offsets = {0};
+      for (const std::size_t i : members) {
+        entry.request_indices.push_back(i);
+        entry.offsets.push_back(entry.offsets.back() + reqs[i].input.rows());
+      }
+      const std::vector<RequestResult> got =
+          execute_batch(executor, reqs, entry);
+      ASSERT_EQ(got.size(), members.size());
+      for (std::size_t k = 0; k < members.size(); ++k) {
+        const InferenceRequest& req = reqs[members[k]];
+        EXPECT_EQ(got[k].id, req.id);
+        testing::expect_matrix_equal(
+            got[k].output, testing::unfused_forward(oracle, req.input),
+            members.size() == 1 ? "singleton vs out-of-place solo oracle"
+                                : "packed vs out-of-place solo oracle");
+        expect_same_counters(got[k].counters,
+                             testing::solo_result(cfg, req).counters);
+      }
+    }
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      testing::expect_matrix_equal(reqs[i].input, inputs_before[i].input,
+                                   "request input after serving");
+    }
+  }
+}
+
 /// Outputs and counters must not depend on the thread count — the
 /// repo-wide determinism guarantee across the whole serving core
 /// (SWAT_THREADS={1,4} mirrors the repo-wide convention).
@@ -400,7 +446,7 @@ TEST(RuntimePlanned, SteadyStateIsAllocationFreeWithFusedStreaming) {
 /// reused across batches — not rebound per batch.
 TEST(RuntimePlanned, PlansAreReusedAcrossBatches) {
   const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
-  const std::size_t per_row = static_cast<std::size_t>(6 * cfg.d_model);
+  const std::size_t per_row = static_cast<std::size_t>(3 * cfg.d_model);
   BatchingOptions opt;
   opt.bucket_width = 64;
   opt.max_batch_requests = 8;
@@ -440,12 +486,12 @@ TEST(RuntimePlanned, PlansAreReusedAcrossBatches) {
 
 /// One arena serves every shape class: served in ascending and then
 /// descending class order, the executor counts every class compiled but
-/// binds only the largest class's high water, 6 x d_model floats per row.
+/// binds only the largest class's high water, 3 x d_model floats per row.
 /// A smaller batch run right after a larger one reads none of the larger
 /// batch's stale rows: every output stays bit-identical to the solo oracle.
 TEST(RuntimePlanned, OneArenaServesEveryShapeClass) {
   const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
-  const std::size_t per_row = static_cast<std::size_t>(6 * cfg.d_model);
+  const std::size_t per_row = static_cast<std::size_t>(3 * cfg.d_model);
   BatchingOptions opt;
   opt.bucket_width = 64;
   BatchExecutor executor(cfg, opt);
@@ -498,7 +544,7 @@ TEST(RuntimePlanned, OversizedSingletonsDoNotPinCachedPlans) {
   const std::size_t plans = executor.plan_count();
   const std::size_t arena = executor.plan_arena_floats();
   EXPECT_EQ(plans, 2u);
-  EXPECT_EQ(arena, static_cast<std::size_t>(2 * 64 * 6 * cfg.d_model));
+  EXPECT_EQ(arena, static_cast<std::size_t>(2 * 64 * 3 * cfg.d_model));
 
   const auto huge = make_requests(cfg, {400});
   std::vector<BatchPlanEntry> batches;

@@ -64,6 +64,39 @@ inline MatrixF sequence_rows(const MatrixF& packed,
   return one;
 }
 
+/// One encoder layer as the whole-matrix sequence, every stage a separate
+/// pass over all rows into its own matrix, built from `layer`'s own
+/// sub-modules: the MHA oracle (which keeps Q and writes a separate
+/// concat), residual, LN1, FFN expand + GELU, contract + residual, LN2.
+/// The out-of-place oracle the row-tiled, in-place layer must match byte
+/// for byte.
+inline MatrixF unfused_layer(const model::EncoderLayer& layer,
+                             const MatrixF& x,
+                             std::span<const std::int64_t> offsets) {
+  model::MhaWorkspace ws;
+  MatrixF attn, norm1, hidden, ffn, y;
+  layer.attention().forward_batch_into(x, offsets, {}, ws, attn);
+  add_rows_into(attn, x, attn);
+  layer.norm1().forward_into(attn, norm1);
+  layer.ffn_expand().forward_gelu_into(norm1, hidden);
+  layer.ffn_contract().forward_residual_into(hidden, norm1, ffn);
+  layer.norm2().forward_into(ffn, y);
+  return y;
+}
+
+/// One sequence through every layer of `encoder` as unfused_layer: an
+/// out-of-place solo oracle, independent of Encoder::forward's in-place
+/// core.
+inline MatrixF unfused_forward(const model::Encoder& encoder,
+                               const MatrixF& x) {
+  const std::int64_t offsets[2] = {0, x.rows()};
+  MatrixF y = x;
+  for (int l = 0; l < encoder.config().layers; ++l) {
+    y = unfused_layer(encoder.layer(l), y, offsets);
+  }
+  return y;
+}
+
 /// The packed-batch oracle: every sequence of `packed` run alone through
 /// `oracle.forward`, stacked back at its offsets.
 inline MatrixF solo_forward_packed(const model::Encoder& oracle,

@@ -65,9 +65,20 @@ ExecutionPlan& BatchExecutor::acquire(std::int64_t rows,
 std::vector<RequestResult> BatchExecutor::execute(
     const BatchPlanEntry& entry,
     std::span<const InferenceRequest* const> inputs) {
+  std::vector<InferenceRequest> copies;
+  copies.reserve(inputs.size());
+  for (const InferenceRequest* input : inputs) copies.push_back(*input);
+  std::vector<InferenceRequest*> requests;
+  requests.reserve(copies.size());
+  for (InferenceRequest& copy : copies) requests.push_back(&copy);
+  return execute_in_place(entry, requests);
+}
+
+std::vector<RequestResult> BatchExecutor::execute_in_place(
+    const BatchPlanEntry& entry, std::span<InferenceRequest* const> requests) {
   const std::int64_t n = entry.requests();
   SWAT_EXPECTS(n >= 1);
-  SWAT_EXPECTS(static_cast<std::int64_t>(inputs.size()) == n);
+  SWAT_EXPECTS(static_cast<std::int64_t>(requests.size()) == n);
   SWAT_EXPECTS(static_cast<std::int64_t>(entry.offsets.size()) == n + 1);
   // Resilience hook: a kThrow here is a batch-level executor failure (the
   // serving front-end must fail exactly this batch's tickets and keep
@@ -76,31 +87,38 @@ std::vector<RequestResult> BatchExecutor::execute(
   const std::int64_t d_model = encoder().config().d_model;
   const std::int64_t rows = entry.rows();
   const std::vector<std::int64_t>& offsets = entry.offsets;
+  // Ids and lengths are read here, before any input is consumed.
+  std::vector<RequestResult> results(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
-    const MatrixF& input = inputs[static_cast<std::size_t>(i)]->input;
-    SWAT_EXPECTS(input.cols() == d_model);
-    SWAT_EXPECTS(input.rows() == offsets[static_cast<std::size_t>(i) + 1] -
-                                     offsets[static_cast<std::size_t>(i)]);
+    const InferenceRequest& req = *requests[static_cast<std::size_t>(i)];
+    const std::int64_t len = offsets[static_cast<std::size_t>(i) + 1] -
+                             offsets[static_cast<std::size_t>(i)];
+    SWAT_EXPECTS(req.input.cols() == d_model);
+    SWAT_EXPECTS(req.input.rows() == len);
+    RequestResult& res = results[static_cast<std::size_t>(i)];
+    res.id = req.id;
+    res.counters.tokens = len;
+    res.counters.model_flops = request_model_flops(encoder().config(), len);
   }
 
-  std::vector<RequestResult> results(static_cast<std::size_t>(n));
-  // A singleton runs in place in its result's output matrix, which it
-  // needs anyway: no staging copy, no pack, no unpack.
-  if (n == 1) results.front().output = inputs.front()->input;
   std::lock_guard lock(run_mutex_);
   seg_stats_.assign(static_cast<std::size_t>(n), {});
   ExecutionPlan transient;
   ExecutionPlan& plan = acquire(rows, transient);
   if (n == 1) {
-    engine_.run_in_place(plan, results.front().output, offsets, seg_stats_);
+    // A singleton runs in place in its own input buffer: no copy, no pack,
+    // no unpack.
+    MatrixF& output = results.front().output;
+    output = std::move(requests.front()->input);
+    engine_.run_in_place(plan, output, offsets, seg_stats_);
   } else {
     // Pack: each request's rows are contiguous row-major, so one memcpy
     // per request moves its whole block into the reused staging matrix,
     // which the batch then runs in place in; unpack copies each request's
-    // rows back out.
+    // rows back into its own input buffer, which becomes its output.
     packed_.reshape(rows, d_model);
     for (std::int64_t i = 0; i < n; ++i) {
-      const MatrixF& input = inputs[static_cast<std::size_t>(i)]->input;
+      const MatrixF& input = requests[static_cast<std::size_t>(i)]->input;
       std::memcpy(packed_.row(offsets[static_cast<std::size_t>(i)]).data(),
                   input.data(),
                   static_cast<std::size_t>(input.size()) * sizeof(float));
@@ -108,26 +126,19 @@ std::vector<RequestResult> BatchExecutor::execute(
     engine_.run_in_place(plan, packed_, offsets, seg_stats_);
     for (std::int64_t i = 0; i < n; ++i) {
       MatrixF& output = results[static_cast<std::size_t>(i)].output;
-      output = MatrixF(inputs[static_cast<std::size_t>(i)]->input.rows(),
-                       d_model);
+      output = std::move(requests[static_cast<std::size_t>(i)]->input);
       std::memcpy(output.data(),
                   packed_.row(offsets[static_cast<std::size_t>(i)]).data(),
                   static_cast<std::size_t>(output.size()) * sizeof(float));
     }
   }
 
-  // Per-request ids and counters.
   for (std::int64_t i = 0; i < n; ++i) {
-    const InferenceRequest& req = *inputs[static_cast<std::size_t>(i)];
-    RequestResult& res = results[static_cast<std::size_t>(i)];
-    res.id = req.id;
     const model::AttentionStats& st = seg_stats_[static_cast<std::size_t>(i)];
-    res.counters.tokens = req.input.rows();
-    res.counters.swat_offchip_traffic = st.swat_offchip_traffic;
-    res.counters.swat_core_loads = st.swat_core_loads;
-    res.counters.heads_run = st.heads_run;
-    res.counters.model_flops =
-        request_model_flops(encoder().config(), req.input.rows());
+    RequestCounters& counters = results[static_cast<std::size_t>(i)].counters;
+    counters.swat_offchip_traffic = st.swat_offchip_traffic;
+    counters.swat_core_loads = st.swat_core_loads;
+    counters.heads_run = st.heads_run;
   }
   return results;
 }

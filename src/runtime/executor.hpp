@@ -112,8 +112,10 @@ struct RuntimeTotals {
 
 /// Executes formed batches: pack the member requests into one ragged
 /// matrix, run it in place through the executor's one ExecutionPlan,
-/// unpack per-request outputs and counters. A one-request batch skips the
-/// staging: it runs in place in its result's output matrix.
+/// unpack per-request outputs and counters. Each request is served in its
+/// own input buffer (execute_in_place): a one-request batch skips the
+/// staging and runs in place in it, a packed batch unpacks each request's
+/// rows back into it.
 ///
 /// Like SWAT's one set of on-chip buffers sized for its largest tile, the
 /// executor holds a single activation arena, bound at the high-water row
@@ -143,12 +145,29 @@ class BatchExecutor {
   BatchExecutor(const BatchExecutor& pack_prototype, BatchingOptions batching,
                 ThreadPool* pool);
 
-  /// Execute one formed batch. `inputs[i]` is the request packed at entry
-  /// slot i (rows [entry.offsets[i], entry.offsets[i+1]) — its row count
-  /// must match). Returns one result per slot with id, output, and
-  /// counters filled; `batch_index` and `queue_delay` are left to the
-  /// serving front-end, which owns their meaning. Safe to call from
-  /// multiple threads (serialized internally).
+  /// Execute one formed batch, consuming its requests. `requests[i]` is
+  /// the request packed at entry slot i (rows [entry.offsets[i],
+  /// entry.offsets[i+1]) — its row count must match); the requests must be
+  /// distinct. Returns one result per slot with id, output, and counters
+  /// filled; `batch_index` and `queue_delay` are left to the serving
+  /// front-end, which owns their meaning.
+  ///
+  /// Consumption contract: each request's input matrix is moved into its
+  /// result, so `results[i].output` is the very buffer `requests[i]->input`
+  /// held (same data() pointer) and the request's input is left moved-from:
+  /// read nothing from it. No large block is allocated per request. If the
+  /// call throws, the inputs are unspecified (possibly consumed): the
+  /// caller must not re-execute them. Ids and lengths are read before
+  /// anything is consumed. Safe to call from multiple threads (serialized
+  /// internally).
+  std::vector<RequestResult> execute_in_place(
+      const BatchPlanEntry& entry,
+      std::span<InferenceRequest* const> requests);
+
+  /// execute_in_place over copies of `inputs`: the caller's requests are
+  /// left untouched and may be executed again. A distinct name rather than
+  /// a constness overload, since a vector<InferenceRequest*> converts to
+  /// either span.
   std::vector<RequestResult> execute(
       const BatchPlanEntry& entry,
       std::span<const InferenceRequest* const> inputs);

@@ -638,7 +638,7 @@ void Server::replica_loop(std::size_t r) {
     }
     try {
       // Resilience hook: a throw HERE — unlike one inside
-      // BatchExecutor::execute, which run_on_replica contains as a
+      // BatchExecutor::execute_in_place, which run_on_replica contains as a
       // batch-level failure — kills the replica itself: quarantine, not
       // batch retry, is the recovery.
       SWAT_FAULT_POINT("replica.execute");
@@ -700,16 +700,20 @@ void Server::run_on_replica(std::size_t r, ReadyBatch& batch) {
   const std::size_t lane = static_cast<std::size_t>(entry.priority);
   const auto start = std::chrono::steady_clock::now();
 
-  std::vector<const InferenceRequest*> inputs;
-  inputs.reserve(n);
-  for (const Pending& member : members) inputs.push_back(&member.request);
+  // Each member is served in its own input buffer, which becomes its
+  // output: nothing reads a member's request after execution, and a failed
+  // batch is never re-executed (replica_failed re-places only queued,
+  // unexecuted batches).
+  std::vector<InferenceRequest*> requests;
+  requests.reserve(n);
+  for (Pending& member : members) requests.push_back(&member.request);
 
   // Stamp this replica's watchdog slot: it flags a stall once the batch's
   // age exceeds grace + multiplier * this prediction.
   exec_begin(r, batch.predicted);
   try {
     std::vector<RequestResult> results =
-        replicas_[r]->executor->execute(entry, inputs);
+        replicas_[r]->executor->execute_in_place(entry, requests);
     exec_end(r);
     const auto finish = std::chrono::steady_clock::now();
     // No NaN or Inf output is returned as a success: a member whose output

@@ -206,11 +206,13 @@ class Server {
 
   /// Admit one request under its SLO class. Thread-safe. The ticket always
   /// resolves: with the result once its batch ran, or with an exception if
-    /// the request was malformed (wrong shape, a NaN/Inf element, or a
+  /// the request was malformed (wrong shape, a NaN/Inf element, or a
   /// negative or NaN deadline: std::invalid_argument, counted as shed),
   /// shed at admission, predicted (or observed) to miss its deadline,
   /// failed by its batch's executor or replica, given a non-finite output,
-  /// or submitted after shutdown.
+  /// or submitted after shutdown. A served request's output is its own
+  /// input buffer (BatchExecutor::execute_in_place): the result's
+  /// output.data() is the pointer the submitted input held.
   Ticket submit(InferenceRequest request);
 
   /// Admit a burst. Equivalent to submit() in order; with kReject or

@@ -1,7 +1,8 @@
 // Storage alignment contract of the serving hot path
 // (common/line_allocator.hpp): Matrix storage, PackedWeight panels and
 // Workspace spans start on a 64-byte cache line, so every row of a
-// d_model % 16 == 0 activation and every pack panel does too.
+// d_model % 16 == 0 activation and every pack panel does too. Also the
+// allocator's release rule: a freed large block hands back its pages.
 //
 // The shapes include the long-document activation (4096 x 256 floats): the
 // default allocator serves a block that large from mmap at 16 mod 64, so
@@ -9,11 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <utility>
 
 #include "common/rng.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/matrix.hpp"
+
+#if defined(__linux__) && defined(__GLIBC__)
+#include <unistd.h>
+#endif
 
 namespace swat {
 namespace {
@@ -122,6 +128,39 @@ TEST(LineAlignment, WorkspaceTakeOnFirstTakeReuseAndGrowth) {
     const WorkspaceLease lease(ws, n);
     EXPECT_TRUE(line_aligned(lease.data())) << n << " floats";
   }
+}
+
+#if defined(__linux__) && defined(__GLIBC__)
+/// Resident bytes of this process (/proc/self/statm).
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size_pages = 0;
+  std::size_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+#endif
+
+/// The release rule: a freed block of at least 1 MiB hands its pages back.
+/// glibc alone keeps them: once the 8 MiB block below is freed, glibc raises
+/// its mmap threshold past 4 MiB (and its trim threshold to twice that), so
+/// the 4 MiB matrix comes from the heap and would stay resident after its
+/// free.
+TEST(LineAlignedAllocator, FreedLargeBlockHandsBackItsPages) {
+#if defined(__linux__) && defined(__GLIBC__)
+  { const MatrixF raise_threshold(2048, 1024); }  // 8 MiB, freed
+  std::size_t resident_in_use = 0;
+  {
+    const MatrixF block(4096, 256, 1.0f);  // 4 MiB, every page touched
+    resident_in_use = resident_bytes();
+  }
+  const std::size_t resident_freed = resident_bytes();
+  EXPECT_GE(resident_in_use, resident_freed + (std::size_t{3} << 20))
+      << "resident " << resident_in_use << " B with the 4 MiB block, "
+      << resident_freed << " B after its free";
+#else
+  GTEST_SKIP() << "reads resident pages from /proc/self/statm (Linux, glibc)";
+#endif
 }
 
 }  // namespace

@@ -234,8 +234,9 @@ TEST(BatchExecutor, BatchOfOneEqualsEncoderForward) {
   EXPECT_EQ(one.counters.queue_delay.value, 0.0);
 }
 
-/// A one-request batch runs in place in its result's output matrix, a
-/// larger one in the executor's packed staging. Interleaved through one
+/// A one-request batch runs in place in its request's buffer (here a copy
+/// made by the copying execute), a larger one in the executor's packed
+/// staging. Interleaved through one
 /// executor on every backend, each output stays bit-identical to its
 /// request run alone through the out-of-place oracle
 /// (testing::unfused_forward; Encoder::forward runs the same in-place core
@@ -277,6 +278,89 @@ TEST(BatchExecutor, InterleavedSingletonAndPackedBatchesMatchTheSoloOracle) {
       testing::expect_matrix_equal(reqs[i].input, inputs_before[i].input,
                                    "request input after serving");
     }
+  }
+}
+
+/// execute_in_place serves each request in its own input buffer: each
+/// result's output is the buffer its request's input held (same data()),
+/// for a singleton and for a ragged packed batch, and on every backend its
+/// bytes equal the request run alone through Encoder::forward.
+TEST(BatchExecutor, InPlaceResultsReuseTheRequestBuffers) {
+  for (const AttentionBackend backend :
+       {AttentionBackend::kDenseReference, AttentionBackend::kWindowExact,
+        AttentionBackend::kFusedStreaming, AttentionBackend::kSwatSimulator}) {
+    const EncoderConfig cfg = small_config(backend);
+    const model::Encoder oracle(cfg);
+    BatchExecutor executor(cfg, BatchingOptions{});
+    for (const std::vector<std::int64_t>& lengths :
+         {std::vector<std::int64_t>{37},
+          std::vector<std::int64_t>{40, 5, 63, 1, 17}}) {
+      std::vector<InferenceRequest> reqs = make_requests(cfg, lengths);
+      std::vector<MatrixF> want;
+      std::vector<const float*> buffers;
+      std::vector<InferenceRequest*> requests;
+      BatchPlanEntry entry;
+      entry.offsets = {0};
+      for (std::size_t i = 0; i < reqs.size(); ++i) {
+        want.push_back(oracle.forward(reqs[i].input));
+        buffers.push_back(reqs[i].input.data());
+        requests.push_back(&reqs[i]);
+        entry.request_indices.push_back(i);
+        entry.offsets.push_back(entry.offsets.back() + lengths[i]);
+      }
+      const std::vector<RequestResult> got =
+          executor.execute_in_place(entry, requests);
+      ASSERT_EQ(got.size(), reqs.size());
+      for (std::size_t i = 0; i < reqs.size(); ++i) {
+        EXPECT_EQ(got[i].id, reqs[i].id);
+        EXPECT_EQ(got[i].counters.tokens, lengths[i]);
+        EXPECT_EQ(got[i].output.data(), buffers[i])
+            << "request " << i << " of " << reqs.size();
+        testing::expect_matrix_equal(got[i].output, want[i],
+                                     "in place vs Encoder::forward");
+      }
+    }
+  }
+}
+
+/// The copying execute leaves the caller's requests byte-unchanged, so
+/// they can be executed again, and returns the bytes execute_in_place
+/// returns for the same requests.
+TEST(BatchExecutor, CopyingExecuteLeavesInputsAndMatchesInPlace) {
+  const EncoderConfig cfg = small_config(AttentionBackend::kFusedStreaming);
+  const auto reqs = make_requests(cfg, {40, 5, 63, 1, 17});
+  const std::vector<InferenceRequest> inputs_before = reqs;
+  BatchExecutor executor(cfg, BatchingOptions{});
+  for (const std::vector<std::size_t>& members :
+       {std::vector<std::size_t>{2}, std::vector<std::size_t>{0, 1, 2, 3, 4}}) {
+    BatchPlanEntry entry;
+    entry.offsets = {0};
+    std::vector<const InferenceRequest*> inputs;
+    for (const std::size_t i : members) {
+      entry.request_indices.push_back(i);
+      entry.offsets.push_back(entry.offsets.back() + reqs[i].input.rows());
+      inputs.push_back(&reqs[i]);
+    }
+    const std::vector<RequestResult> copied = executor.execute(entry, inputs);
+    std::vector<InferenceRequest> consumed;
+    for (const std::size_t i : members) consumed.push_back(reqs[i]);
+    std::vector<InferenceRequest*> requests;
+    for (InferenceRequest& req : consumed) requests.push_back(&req);
+    const std::vector<RequestResult> in_place =
+        executor.execute_in_place(entry, requests);
+    ASSERT_EQ(copied.size(), members.size());
+    ASSERT_EQ(in_place.size(), members.size());
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      EXPECT_NE(copied[k].output.data(), reqs[members[k]].input.data());
+      testing::expect_matrix_equal(copied[k].output, in_place[k].output,
+                                   "copying execute vs execute_in_place");
+      expect_same_counters(copied[k].counters, in_place[k].counters);
+    }
+  }
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    EXPECT_EQ(reqs[i].id, inputs_before[i].id);
+    EXPECT_TRUE(reqs[i].input == inputs_before[i].input)
+        << "request " << i << " input after execute";
   }
 }
 

@@ -431,6 +431,36 @@ TEST(Server, DrainThenTotalsReconcile) {
             cfg.layers * cfg.num_heads * totals.requests);
 }
 
+/// Each request is served in its own input buffer: a served ticket's
+/// output is the matrix the caller submitted (same data() pointer) —
+/// through a burst the scheduler may pack and through a lone request after
+/// a drain — and its bytes equal Encoder::forward.
+TEST(Server, ServedOutputIsTheSubmittedInputBuffer) {
+  const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
+  const model::Encoder oracle(cfg);
+  std::vector<InferenceRequest> reqs =
+      make_requests(cfg, {40, 5, 63, 17, 1, 64});
+  std::vector<MatrixF> want;
+  std::vector<const float*> buffers;
+  for (const InferenceRequest& req : reqs) {
+    want.push_back(oracle.forward(req.input));
+    buffers.push_back(req.input.data());
+  }
+  InferenceRequest lone = std::move(reqs.back());
+  reqs.pop_back();
+
+  Server server(cfg);
+  std::vector<Server::Ticket> tickets = server.submit_many(std::move(reqs));
+  server.drain();
+  tickets.push_back(server.submit(std::move(lone)));
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    const RequestResult got = tickets[i].get();
+    EXPECT_EQ(got.output.data(), buffers[i]) << "ticket " << i;
+    testing::expect_matrix_equal(got.output, want[i],
+                                 "served in its input vs Encoder::forward");
+  }
+}
+
 /// A latency budget below one request's predicted cost must serve every
 /// request as a singleton batch — the budget never starves admission.
 TEST(Server, TinyLatencyBudgetFormsSingletonsNeverStarves) {

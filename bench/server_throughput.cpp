@@ -36,7 +36,7 @@
 // the server's engine-replica pool at 1/2/4 replicas on default pool
 // options (each replica on a pinned pool over its own core group, all of
 // them reading one shared weight pack), with replica_queue_depth=2 so
-// dispatch pipelines and stealing is live. It reports aggregate goodput,
+// dispatch pipelines with execution. It reports aggregate goodput,
 // goodput speedup vs one replica at the same offered load, and per-class
 // p50/p99 turnaround — the goodput-vs-replicas scaling column is the
 // headline.
@@ -337,9 +337,9 @@ int main(int argc, char** argv) {
   // underfills the thread pool and the replica count decides utilization.
   // Replicas share one read-only weight pack (memory stays 1x) and the
   // dispatcher may claim ahead two batches per replica
-  // (replica_queue_depth=2) so batch formation pipelines with execution
-  // and work stealing is live. The column that matters is aggregate
-  // goodput vs replica count at saturating load.
+  // (replica_queue_depth=2) so batch formation pipelines with execution.
+  // The column that matters is aggregate goodput vs replica count at
+  // saturating load.
   const std::int64_t sweep_count = smoke ? 32 : 96;
   const std::vector<std::int64_t> sweep_lengths = {8, 16, 24, 12};
   swat::Rng sweep_rng(3030);

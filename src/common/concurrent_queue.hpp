@@ -1,29 +1,25 @@
-// Bounded MPMC hand-off primitives between request submitters and the
-// serving scheduler thread (src/runtime/server.hpp):
-//
-//   * ConcurrentQueue   — the single-lane FIFO with condition-variable
-//     backpressure;
-//   * AdmissionQueue    — the class-aware form the server admits through:
-//     one lane per SLO class, interactive drained first with aging so the
-//     low-priority lane is never starved, and an overload policy
-//     (kShedBulk) that sheds the bulk lane at a high-watermark while
-//     interactive keeps admitting.
+// AdmissionQueue, the bounded MPMC hand-off between request submitters
+// and the serving scheduler thread (src/runtime/server.hpp): one FIFO lane
+// per SLO class, interactive drained first with aging so the low-priority
+// lane is never starved, condition-variable backpressure, and an overload
+// policy (kShedBulk) that sheds the bulk lane at a high-watermark while
+// interactive keeps admitting.
 //
 // Design constraints, in order:
 //  1. Bounded: the queue holds at most `capacity` items, so a burst of
 //     submitters cannot grow memory without limit. What happens at the
 //     bound is the admission policy: kBlock parks the producer on a
-//     condition variable until space frees (backpressure), kReject returns
-//     false immediately (load shedding — the caller fails the request),
-//     kShedBulk (AdmissionQueue only) rejects the bulk lane at the shed
-//     watermark and the interactive lane only at full capacity — nothing
-//     ever blocks, the production overload shape.
+//     condition variable until space frees (backpressure), kReject refuses
+//     the push immediately (load shedding — the caller fails the request),
+//     kShedBulk rejects the bulk lane at the shed watermark and the
+//     interactive lane only at full capacity — nothing ever blocks, the
+//     production overload shape.
 //  2. Clean shutdown: close() wakes every parked producer and consumer.
 //     After close(), push() always fails, while pop() keeps draining the
 //     items already admitted and only then reports exhaustion — nothing
-//     admitted is ever silently dropped. discard() (AdmissionQueue) is the
-//     failure path: take everything immediately so the caller can reject
-//     each item's ticket cleanly instead of leaving it hung.
+//     admitted is ever silently dropped. discard() is the failure path:
+//     take everything immediately so the caller can reject each item's
+//     ticket cleanly instead of leaving it hung.
 //  3. Simplicity over peak throughput: one mutex and two condition
 //     variables. Items are whole inference requests (matrices), so the
 //     per-item critical section is trivially cheap next to the payload;
@@ -53,99 +49,9 @@ namespace swat {
 enum class OverflowPolicy : std::uint8_t {
   kBlock,   ///< wait for a consumer to free a slot (backpressure)
   kReject,  ///< fail the push immediately (load shedding)
-  /// AdmissionQueue only: shed the bulk lane at the watermark, the
-  /// interactive lane at full capacity; never block a submitter.
+  /// Shed the bulk lane at the watermark, the interactive lane at full
+  /// capacity; never block a submitter.
   kShedBulk,
-};
-
-template <typename T>
-class ConcurrentQueue {
- public:
-  explicit ConcurrentQueue(std::size_t capacity,
-                           OverflowPolicy policy = OverflowPolicy::kBlock)
-      : capacity_(capacity), policy_(policy) {
-    SWAT_EXPECTS(capacity >= 1);
-    // kShedBulk is a class-aware policy; a single-lane queue has no bulk
-    // lane to shed. Use AdmissionQueue.
-    SWAT_EXPECTS(policy != OverflowPolicy::kShedBulk);
-  }
-
-  ConcurrentQueue(const ConcurrentQueue&) = delete;
-  ConcurrentQueue& operator=(const ConcurrentQueue&) = delete;
-
-  /// Enqueue one item. Returns false if the queue is closed, or full under
-  /// kReject; under kBlock a full queue parks the caller until space frees
-  /// or the queue closes. The item is moved from only on success.
-  bool push(T& value) {
-    std::unique_lock lock(mutex_);
-    if (policy_ == OverflowPolicy::kBlock) {
-      not_full_.wait(lock, [&] {
-        return closed_ || items_.size() < capacity_;
-      });
-    }
-    if (closed_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(value));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-  bool push(T&& value) { return push(value); }
-
-  /// Dequeue one item, blocking while the queue is empty and open.
-  /// Returns nullopt only once the queue is closed AND drained.
-  std::optional<T> pop() {
-    std::unique_lock lock(mutex_);
-    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    return take(lock);
-  }
-
-  /// Dequeue one item if immediately available; never blocks.
-  std::optional<T> try_pop() {
-    std::unique_lock lock(mutex_);
-    return take(lock);
-  }
-
-  /// Stop admission. Idempotent. Parked producers fail their push; parked
-  /// consumers drain the remaining items and then see exhaustion.
-  void close() {
-    {
-      std::lock_guard lock(mutex_);
-      closed_ = true;
-    }
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard lock(mutex_);
-    return closed_;
-  }
-
-  std::size_t size() const {
-    std::lock_guard lock(mutex_);
-    return items_.size();
-  }
-
-  std::size_t capacity() const { return capacity_; }
-  OverflowPolicy policy() const { return policy_; }
-
- private:
-  std::optional<T> take(std::unique_lock<std::mutex>& lock) {
-    if (items_.empty()) return std::nullopt;
-    std::optional<T> value(std::move(items_.front()));
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return value;
-  }
-
-  const std::size_t capacity_;
-  const OverflowPolicy policy_;
-  mutable std::mutex mutex_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
-  std::deque<T> items_;
-  bool closed_ = false;
 };
 
 /// Class-aware bounded MPMC admission structure: `Lanes` FIFO lanes under

@@ -37,16 +37,12 @@ class BatchCostModel {
   /// occupancy of a batch is additive in its members.
   Seconds batch_seconds(const BatchPlanEntry& entry) const;
 
-  /// The dispatch-side load estimate for a formed batch: what the replica
-  /// pool charges a replica's backlog when the batch is placed on it, and
-  /// credits back when the batch retires. batch_seconds plus the per-batch
-  /// weight sweep (weight_stream_seconds) plus the batch's attention
-  /// activation sweep (kv_stream_seconds) — every executed batch streams
-  /// the whole packed weight set once and, on the fused backend, each
-  /// sequence's K/V band tiles once per layer. Named separately so
-  /// "predict the cost of placing this batch" has one spelling at the
-  /// dispatch call sites (Server's replica pool, work stealing, watchdog
-  /// thresholds).
+  /// The predicted service time of a formed batch, which the server's
+  /// watchdog scales into a replica's stall threshold. batch_seconds plus
+  /// the per-batch weight sweep (weight_stream_seconds) plus the batch's
+  /// attention activation sweep (kv_stream_seconds) — every executed batch
+  /// streams the whole packed weight set once and, on the fused backend,
+  /// each sequence's K/V band tiles once per layer.
   Seconds predict(const BatchPlanEntry& entry) const {
     return batch_seconds(entry) + weight_stream_seconds() +
            kv_stream_seconds(entry);

@@ -324,9 +324,9 @@ void Server::drain() {
 void Server::shutdown() {
   std::lock_guard lock(shutdown_mutex_);
   queue_.close();
-  // Order matters: the scheduler drains the admission queue and places
+  // Order matters: the scheduler drains the admission queue and queues
   // every remaining batch first; only then may the workers be told to
-  // exit once their queues run dry — every admitted ticket resolves.
+  // exit once the ready queue runs dry — every admitted ticket resolves.
   if (scheduler_.joinable()) scheduler_.join();
   {
     std::lock_guard pool_lock(pool_mutex_);
@@ -488,8 +488,8 @@ void Server::scheduler_loop() {
       if (former.pending_requests() == 0) {
         // Idle: park until work arrives — but only claim when the pool
         // can actually take a batch. Claiming ahead of replica capacity
-        // would drain the class-aware admission queue into FIFO replica
-        // queues, silently erasing the interactive-first claim order and
+        // would drain the class-aware admission queue into the FIFO ready
+        // queue, silently erasing the interactive-first claim order and
         // the watermark backpressure kShedBulk watches.
         wait_for_dispatch_room();
         claimed = queue_.pop();  // park until work arrives or close
@@ -557,18 +557,16 @@ void Server::scheduler_loop() {
   }
 }
 
-bool Server::replica_has_room(const Replica& r) const {
-  if (r.dead) return false;
-  if (!r.executing && r.queue.empty()) return true;
-  return r.queue.size() < opt_.replica_queue_depth;
-}
-
 bool Server::dispatch_unblocked() const {
   if (live_replicas_ == 0) return true;  // dispatch_batch will report it
+  // Claim-ahead bound: K batches per live replica, and at K = 0 one per
+  // idle live replica — only an idle replica gets work.
+  std::size_t idle = 0;
   for (const auto& replica : replicas_) {
-    if (replica_has_room(*replica)) return true;
+    if (!replica->dead && !replica->executing) ++idle;
   }
-  return false;
+  return ready_.size() <
+         std::max(opt_.replica_queue_depth * live_replicas_, idle);
 }
 
 void Server::wait_for_dispatch_room() {
@@ -607,18 +605,7 @@ void Server::dispatch_batch(BatchPlanEntry entry,
           "Server: every engine replica has failed — the pool cannot "
           "execute further batches");
     }
-    // Cost-model placement: the live replica with the smallest predicted
-    // backlog that has room; ties go to the lowest index.
-    Replica* target = nullptr;
-    for (const auto& replica : replicas_) {
-      if (!replica_has_room(*replica)) continue;
-      if (!target || replica->backlog_seconds < target->backlog_seconds) {
-        target = replica.get();
-      }
-    }
-    SWAT_ENSURES(target != nullptr);
-    target->backlog_seconds += batch.predicted.value;
-    target->queue.push_back(std::move(batch));
+    ready_.push_back(std::move(batch));
   }
   pool_cv_.notify_all();
 }
@@ -634,7 +621,6 @@ void Server::replica_loop(std::size_t r) {
       std::lock_guard lock(state_mutex_);
       ReplicaStats& mine = replica_stats_[r];
       mine.of(batch->entry.priority).dispatched += batch->entry.requests();
-      if (batch->stolen) ++mine.batches_stolen;
     }
     try {
       // Resilience hook: a throw HERE — unlike one inside
@@ -652,45 +638,14 @@ void Server::replica_loop(std::size_t r) {
 
 std::optional<Server::ReadyBatch> Server::next_batch(std::size_t r) {
   std::unique_lock lock(pool_mutex_);
-  Replica& self = *replicas_[r];
-  for (;;) {
-    if (self.dead) return std::nullopt;
-    if (!self.queue.empty()) {
-      ReadyBatch batch = std::move(self.queue.front());
-      self.queue.pop_front();
-      self.executing = true;
-      lock.unlock();
-      pool_cv_.notify_all();  // the dispatcher may have room now
-      return batch;
-    }
-    // Own queue dry: steal the NEWEST queued batch from the most
-    // backlogged live replica — newest so the victim keeps the batch it
-    // would start next (better locality with its executing work), most
-    // backlogged so stealing levels the cost-model load.
-    Replica* victim = nullptr;
-    for (const auto& other : replicas_) {
-      if (other.get() == &self || other->dead || other->queue.empty()) {
-        continue;
-      }
-      if (!victim || other->backlog_seconds > victim->backlog_seconds) {
-        victim = other.get();
-      }
-    }
-    if (victim) {
-      ReadyBatch batch = std::move(victim->queue.back());
-      victim->queue.pop_back();
-      victim->backlog_seconds =
-          std::max(0.0, victim->backlog_seconds - batch.predicted.value);
-      self.backlog_seconds += batch.predicted.value;
-      batch.stolen = true;
-      self.executing = true;
-      lock.unlock();
-      pool_cv_.notify_all();
-      return batch;
-    }
-    if (pool_stop_) return std::nullopt;
-    pool_cv_.wait(lock);
-  }
+  pool_cv_.wait(lock, [&] { return !ready_.empty() || pool_stop_; });
+  if (ready_.empty()) return std::nullopt;  // stopped and drained
+  ReadyBatch batch = std::move(ready_.front());
+  ready_.pop_front();
+  replicas_[r]->executing = true;
+  lock.unlock();
+  pool_cv_.notify_all();  // the dispatcher may have room now
+  return batch;
 }
 
 void Server::run_on_replica(std::size_t r, ReadyBatch& batch) {
@@ -702,8 +657,7 @@ void Server::run_on_replica(std::size_t r, ReadyBatch& batch) {
 
   // Each member is served in its own input buffer, which becomes its
   // output: nothing reads a member's request after execution, and a failed
-  // batch is never re-executed (replica_failed re-places only queued,
-  // unexecuted batches).
+  // batch is never re-executed.
   std::vector<InferenceRequest*> requests;
   requests.reserve(n);
   for (Pending& member : members) requests.push_back(&member.request);
@@ -790,19 +744,12 @@ void Server::run_on_replica(std::size_t r, ReadyBatch& batch) {
       completed_ += n;
     }
   }
-  retire_batch(r, batch);
-  drained_cv_.notify_all();
-}
-
-void Server::retire_batch(std::size_t r, const ReadyBatch& batch) {
   {
     std::lock_guard lock(pool_mutex_);
-    Replica& self = *replicas_[r];
-    self.executing = false;
-    self.backlog_seconds =
-        std::max(0.0, self.backlog_seconds - batch.predicted.value);
+    replicas_[r]->executing = false;
   }
-  pool_cv_.notify_all();
+  pool_cv_.notify_all();  // the dispatcher may have room now
+  drained_cv_.notify_all();
 }
 
 void Server::replica_failed(std::size_t r, ReadyBatch batch,
@@ -820,6 +767,9 @@ void Server::replica_failed(std::size_t r, ReadyBatch batch,
     } catch (const std::future_error&) {
     }
   }
+  // Queued batches stay in the ready queue for the survivors. The last
+  // death takes them: dispatch_batch checks live_replicas_ under the same
+  // lock before it appends, so nothing lands behind this swap.
   std::deque<ReadyBatch> orphaned;
   std::size_t live = 0;
   {
@@ -827,9 +777,8 @@ void Server::replica_failed(std::size_t r, ReadyBatch batch,
     Replica& self = *replicas_[r];
     self.dead = true;
     self.executing = false;
-    self.backlog_seconds = 0.0;
-    orphaned.swap(self.queue);
     live = --live_replicas_;
+    if (live == 0) orphaned.swap(ready_);
   }
   {
     std::lock_guard lock(state_mutex_);
@@ -843,30 +792,10 @@ void Server::replica_failed(std::size_t r, ReadyBatch batch,
       completed_ += static_cast<std::size_t>(rejected);
     }
   }
-  if (live > 0 && !orphaned.empty()) {
-    // Survivors inherit the dead replica's queued batches (placement by
-    // backlog again; room limits do not apply — this is already-claimed
-    // work, not new claim-ahead).
-    std::lock_guard lock(pool_mutex_);
-    if (live_replicas_ > 0) {
-      for (ReadyBatch& orphan : orphaned) {
-        Replica* target = nullptr;
-        for (const auto& replica : replicas_) {
-          if (replica->dead) continue;
-          if (!target || replica->backlog_seconds < target->backlog_seconds) {
-            target = replica.get();
-          }
-        }
-        target->backlog_seconds += orphan.predicted.value;
-        target->queue.push_back(std::move(orphan));
-      }
-      orphaned.clear();
-    }
-  }
-  if (live == 0 || !orphaned.empty()) {
-    // The last replica died (or the rest died while we redistributed):
-    // serving has stopped. Close admission and cleanly reject everything
-    // still pending — queued batches, then the admission backlog.
+  if (live == 0) {
+    // The last replica died: serving has stopped. Close admission and
+    // cleanly reject everything still pending — queued batches, then the
+    // admission backlog.
     queue_.close();
     std::vector<std::pair<Pending, std::size_t>> queued = queue_.discard();
     std::lock_guard lock(state_mutex_);
@@ -904,8 +833,8 @@ void Server::scheduler_failed(std::exception_ptr error,
   // Close FIRST: push() checks closed_ under the queue mutex, so once
   // discard() has run nothing can land in the queue behind the dead
   // scheduler — a racing submit either beat the discard (rejected below)
-  // or sees kClosed and rejects its own ticket. Batches already placed on
-  // replica queues are unaffected: the workers drain and resolve them.
+  // or sees kClosed and rejects its own ticket. Batches already in the
+  // ready queue are unaffected: the workers drain and resolve them.
   queue_.close();
   std::vector<std::pair<Pending, std::size_t>> queued = queue_.discard();
   for (auto& [index, pending] : inflight) {

@@ -14,13 +14,13 @@
 //     │                                                  │    + latency
 //     │                                                  │    budget cuts)
 //     ▼                                                  ▼
-//   Ticket (std::future)                      cost-model dispatch: place
-//     ▲                                       each cut batch on the
-//     │ promise fulfilled                     least-loaded live replica
+//   Ticket (std::future)                      dispatch: append each cut
+//     ▲                                       batch to the one FIFO
+//     │ promise fulfilled                     ready queue
 //     │                                                  │
-//     │   ┌─ replica 0: BatchExecutor+Engine ◀───────────┤
-//     └───┤  replica 1: BatchExecutor+Engine ◀───────────┤
-//         └─ replica N: BatchExecutor+Engine ◀── steal ──┘
+//     │   ┌─ replica 0: BatchExecutor+Engine ◀── pull ───┤
+//     └───┤  replica 1: BatchExecutor+Engine ◀── pull ───┤
+//         └─ replica N: BatchExecutor+Engine ◀── pull ───┘
 //              ▲ per-replica watchdog slots
 //
 // submit() is thread-safe and returns a per-request Ticket (a
@@ -38,23 +38,23 @@
 // backlog therefore forms full batches, and no request, however sparse
 // its length class, pends longer than one round under sustained load.
 //
-// Replica pool (num_replicas > 1): each cut batch is placed on the live
-// replica with the smallest cost-model backlog (BatchCostModel::predict
-// seconds queued + executing; ties go to the lowest index). Each replica
-// owns a BatchExecutor + Engine reading replica 0's one read-only weight
-// pack, a ThreadPool pinned to its own core group of the allowed cpuset
-// (discover_topology().partition(N); the process-wide pool when there
-// are more replicas than allowed CPUs), and a worker thread that claims
-// from its local queue, or STEALS the newest queued batch from the
-// most-backlogged live replica when its own queue runs dry. Dispatch claim-ahead is bounded by replica_queue_depth: at
-// the default 0 the scheduler only claims from the admission queue when a
-// replica is fully idle, which preserves the single-engine claim order
-// (interactive-first pops, watermark backpressure) exactly; small depths
-// pipeline batch formation with execution and give stealing something to
-// steal. Because every formed batch's outputs are a pure function of the
-// batch (see the determinism contract below) and replicas are built from
-// the same config/seed, WHICH replica executes a batch — or whether it
-// was stolen — can never change any result bit.
+// Replica pool (num_replicas > 1): each cut batch is appended to one
+// shared FIFO ready queue, and whichever live replica is idle pulls its
+// front — placement follows actual completion order, not a prediction.
+// Each replica owns a BatchExecutor + Engine reading replica 0's one
+// read-only weight pack, a ThreadPool pinned to its own core group of the
+// allowed cpuset (discover_topology().partition(N); the process-wide pool
+// when there are more replicas than allowed CPUs), and a worker thread
+// that pulls from the ready queue. Dispatch claim-ahead is bounded by
+// replica_queue_depth: the ready queue holds fewer than
+// max(depth * live replicas, idle live replicas) batches. At the default
+// 0 the scheduler only claims from the admission queue when a replica is
+// idle, which preserves the single-engine claim order (interactive-first
+// pops, watermark backpressure) exactly; small depths pipeline batch
+// formation with execution. Because every formed batch's outputs are a
+// pure function of the batch (see the determinism contract below) and
+// replicas are built from the same config/seed, WHICH replica executes a
+// batch can never change any result bit.
 //
 // Overload and failure semantics (docs/ARCHITECTURE.md "Overload &
 // failure semantics"):
@@ -85,12 +85,12 @@
 //     "replica.execute" fault crossing, or any escape from the claim
 //     path) rejects only the batch that replica had claimed, QUARANTINES
 //     the replica (ReplicaStats::quarantined, per-replica health
-//     kFailed), redistributes its queued batches to survivors, and the
-//     pool keeps serving — top-level health degrades to kStalled, not
-//     kFailed. Only when the LAST replica dies (or the scheduler itself
-//     dies, e.g. the "dispatch.place" crossing) does the server close
-//     admission, cleanly reject every in-flight and queued ticket
-//     (drain() returns, nothing hangs), and report kFailed.
+//     kFailed), and the pool keeps serving: queued batches sit in the
+//     shared ready queue, where the survivors pull them. Top-level health
+//     degrades to kStalled, not kFailed. Only when the LAST replica dies
+//     (or the scheduler itself dies, e.g. the "dispatch.place" crossing)
+//     does the server close admission, cleanly reject every in-flight and
+//     queued ticket (drain() returns, nothing hangs), and report kFailed.
 //
 // Determinism contract: WHICH batch a request lands in — and which
 // replica runs it — depends on arrival timing (that is the point of
@@ -104,9 +104,9 @@
 // turnaround) are explicitly excluded from that guarantee.
 //
 // Shutdown: shutdown() (and the destructor) closes admission, lets the
-// scheduler finish everything already admitted, lets every replica drain
-// its queue, and joins all threads — every ticket is always completed or
-// rejected, never leaked or hung.
+// scheduler finish everything already admitted, lets the replicas drain
+// the ready queue, and joins all threads — every ticket is always
+// completed or rejected, never leaked or hung.
 //
 // submit_many partial-reject semantics: a burst is admitted strictly in
 // order, one ticket per request, and each ticket resolves exactly once.
@@ -173,15 +173,15 @@ struct ServerOptions {
   /// them read replica 0's one weight pack. With more replicas than
   /// allowed CPUs every replica stays on the process-wide pool.
   std::size_t num_replicas = 1;
-  /// Batches the dispatcher may queue on one replica beyond the batch it
-  /// is executing. At the default 0 the scheduler claims from the
-  /// admission queue only when a replica is fully idle — requests wait in
-  /// the class-aware admission queue, preserving the single-engine
-  /// interactive-first claim order and watermark backpressure exactly.
-  /// Depths >= 1 pipeline batch formation with execution (higher
-  /// throughput under load) and are what gives work stealing something
-  /// to steal; the cost is that a claimed-ahead request can no longer be
-  /// reordered by class or shed at admission.
+  /// Batches the dispatcher may hold in the ready queue per live replica,
+  /// beyond the batches the replicas are executing. At the default 0 the
+  /// scheduler claims from the admission queue only when a replica is
+  /// idle — requests wait in the class-aware admission queue, preserving
+  /// the single-engine interactive-first claim order and watermark
+  /// backpressure exactly. Depths >= 1 pipeline batch formation with
+  /// execution (higher goodput under load); the cost is that a
+  /// claimed-ahead request can no longer be reordered by class or shed at
+  /// admission.
   std::size_t replica_queue_depth = 0;
 
   /// Rejects inconsistent options with actionable messages
@@ -229,7 +229,7 @@ class Server {
   void drain();
 
   /// Stop admission, serve everything already admitted (scheduler first,
-  /// then every replica's queue), join all threads. Idempotent and
+  /// then the ready queue), join all threads. Idempotent and
   /// thread-safe. After shutdown, submit() returns rejected tickets.
   void shutdown();
 
@@ -243,7 +243,7 @@ class Server {
 
   /// Snapshot of the serving ledger: per-class
   /// submitted/admitted/served/shed/deadline counters, per-replica
-  /// dispatch/serve/steal/quarantine counters (stats().replicas[i]),
+  /// dispatch/serve/quarantine counters (stats().replicas[i]),
   /// queue depth, oldest-pending age, batches, watchdog stall episodes.
   /// The identities it obeys are documented on ClassStats and
   /// ReplicaClassStats (runtime/stats.hpp): per replica,
@@ -281,12 +281,11 @@ class Server {
   };
 
   /// A cut batch bound to its member tickets — the unit the dispatcher
-  /// places, a replica queue holds, and a worker claims or steals.
+  /// queues and a replica worker pulls.
   struct ReadyBatch {
     BatchPlanEntry entry;
     std::vector<Pending> members;  ///< one per entry.request_indices slot
-    Seconds predicted{};           ///< cost-model dispatch price
-    bool stolen = false;           ///< claimed off another replica's queue
+    Seconds predicted{};           ///< cost-model price (watchdog threshold)
   };
 
   /// One engine replica. Fields are grouped by the lock that guards them;
@@ -307,10 +306,8 @@ class Server {
     std::atomic<int> pinned_threads{0};
 
     // --- guarded by pool_mutex_ ---
-    std::deque<ReadyBatch> queue;  ///< dispatched, not yet claimed
-    double backlog_seconds = 0.0;  ///< predicted seconds queued + executing
-    bool executing = false;        ///< worker holds a claimed batch
-    bool dead = false;             ///< quarantined; takes no more batches
+    bool executing = false;  ///< worker holds a claimed batch
+    bool dead = false;       ///< quarantined; its worker stops pulling
 
     // --- guarded by watch_mutex_ (the watchdog's per-replica slot) ---
     bool exec_active = false;
@@ -324,40 +321,37 @@ class Server {
   };
 
   void scheduler_loop();
-  /// Park until some live replica has dispatch room (or the pool died) —
-  /// the claim gate that keeps requests in the class-aware admission
-  /// queue instead of claimed-ahead FIFO replica queues.
+  /// Park until the ready queue has room (or the pool died) — the claim
+  /// gate that keeps requests in the class-aware admission queue instead
+  /// of the claimed-ahead FIFO ready queue.
   void wait_for_dispatch_room();
-  /// pool_mutex_ held: can `r` accept a dispatched batch right now?
-  bool replica_has_room(const Replica& r) const;
-  /// pool_mutex_ held: the dispatcher's wait predicate — some live
-  /// replica has room, or none is live (dispatch_batch reports that).
+  /// pool_mutex_ held: the dispatcher's wait predicate — the ready queue
+  /// holds fewer than max(replica_queue_depth * live, idle live) batches,
+  /// or no replica is live (dispatch_batch reports that).
   bool dispatch_unblocked() const;
-  /// Price the batch, extract its members from `inflight`, and place it
-  /// on the least-backlogged live replica with room (blocking until one
-  /// exists). Throws — scheduler-fatal — on the "dispatch.place" crossing
-  /// or when every replica is dead; members are back in `inflight` so
-  /// scheduler_failed rejects them.
+  /// Price the batch, extract its members from `inflight`, and append it
+  /// to the ready queue (blocking until it has room). Throws —
+  /// scheduler-fatal — on the "dispatch.place" crossing or when every
+  /// replica is dead; members are back in `inflight` so scheduler_failed
+  /// rejects them.
   void dispatch_batch(BatchPlanEntry entry,
                       std::map<std::size_t, Pending>& inflight);
-  /// Replica worker body: claim (or steal) and execute until the pool
-  /// stops and no work remains, or this replica dies.
+  /// Replica worker body: pull and execute until the pool stops and no
+  /// work remains, or this replica dies.
   void replica_loop(std::size_t r);
-  /// Claim the next batch for replica `r`: own queue first, else steal
-  /// the newest queued batch from the most-backlogged live replica, else
-  /// wait. Empty optional once pool_stop_ is set and no work remains.
+  /// Pop the ready queue's front for replica `r` and mark it executing,
+  /// waiting while the queue is empty. Empty optional once pool_stop_ is
+  /// set and the queue has drained.
   std::optional<ReadyBatch> next_batch(std::size_t r);
-  /// Execute a claimed batch on replica `r` and resolve its tickets.
-  /// Executor failures are contained here (fail the batch, replica keeps
-  /// serving); nothing escapes short of replica death.
+  /// Execute a claimed batch on replica `r`, resolve its tickets, and mark
+  /// the replica idle (waking the dispatcher and drain()). Executor
+  /// failures are contained here (fail the batch, replica keeps serving);
+  /// nothing escapes short of replica death.
   void run_on_replica(std::size_t r, ReadyBatch& batch);
-  /// Credit the batch's predicted seconds back to `r`'s backlog and mark
-  /// it idle; wakes the dispatcher (room) and drain().
-  void retire_batch(std::size_t r, const ReadyBatch& batch);
   /// Replica `r` died claiming/running `batch`: reject exactly that
-  /// batch's tickets, quarantine the replica, redistribute its queued
-  /// batches to survivors — or, if it was the last live replica, close
-  /// admission and reject everything still pending.
+  /// batch's tickets and quarantine the replica — or, if it was the last
+  /// live replica, close admission and reject everything still pending
+  /// (the ready queue, then the admission backlog).
   void replica_failed(std::size_t r, ReadyBatch batch,
                       std::exception_ptr error) noexcept;
   /// The scheduler died: close admission, cleanly reject every in-flight
@@ -370,8 +364,8 @@ class Server {
   void exec_end(std::size_t r);
 
   ServerOptions opt_;
-  /// Prices requests for the latency budget, deadline slack, dispatch
-  /// placement, and the watchdog stall threshold.
+  /// Prices requests for the latency budget, deadline slack, and the
+  /// watchdog stall threshold.
   std::unique_ptr<BatchCostModel> cost_model_;
   AdmissionQueue<Pending, kPriorityClasses> queue_;
   /// The engine replicas. The vector itself is immutable after
@@ -393,10 +387,12 @@ class Server {
       outstanding_;
   bool failed_ = false;  ///< serving stopped; health() reports kFailed
 
-  /// Pool domain: replica queues/backlogs/liveness and the dispatcher's
+  /// Pool domain: the ready queue, replica liveness and the dispatcher's
   /// room wait. Never held together with state_mutex_ or watch_mutex_.
   mutable std::mutex pool_mutex_;
   std::condition_variable pool_cv_;
+  /// Cut batches not yet pulled by a replica, oldest first.
+  std::deque<ReadyBatch> ready_;
   std::size_t live_replicas_ = 0;
   bool pool_stop_ = false;
 

@@ -104,7 +104,9 @@ struct ReplicaClassStats {
 struct ReplicaStats {
   ReplicaClassStats per_class[kPriorityClasses];
   std::int64_t batches = 0;          ///< batches this replica executed
-  std::int64_t batches_stolen = 0;   ///< batches claimed from another queue
+  /// Always 0: replicas pull from one shared ready queue, so no batch is
+  /// taken from another replica. Kept while perfbench still reports it.
+  std::int64_t batches_stolen = 0;
   std::int64_t watchdog_stalls = 0;  ///< stall episodes on this replica
   /// The CPUs this replica is pinned to, in canonical cpulist form
   /// ("0-3,8"); empty on the process-wide pool (one replica, or more

@@ -2,6 +2,7 @@
 //
 // Design notes (per the C++ Core Guidelines):
 //  - Concrete regular value type (C.10/C.11): copyable, movable, comparable.
+//    A moved-from matrix is 0 x 0, so its shape never outlives its storage.
 //  - Bounds are checked via contracts on every accessor; the simulator code
 //    is index-heavy and an out-of-window index is the most likely bug class.
 //  - Rows are exposed as std::span (I.13 "do not pass an array as a single
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -33,6 +35,21 @@ class Matrix {
       : rows_(rows), cols_(cols),
         data_(static_cast<std::size_t>(rows * cols), fill) {
     SWAT_EXPECTS(rows >= 0 && cols >= 0);
+  }
+
+  Matrix(const Matrix&) = default;
+  Matrix& operator=(const Matrix&) = default;
+  Matrix(Matrix&& other) noexcept
+      : rows_(std::exchange(other.rows_, 0)),
+        cols_(std::exchange(other.cols_, 0)),
+        data_(std::move(other.data_)) {}
+  Matrix& operator=(Matrix&& other) noexcept {
+    if (this != &other) {
+      rows_ = std::exchange(other.rows_, 0);
+      cols_ = std::exchange(other.cols_, 0);
+      data_ = std::move(other.data_);
+    }
+    return *this;
   }
 
   /// Re-shape in place to rows x cols; contents become unspecified (newly

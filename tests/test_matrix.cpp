@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "tensor/matrix.hpp"
 
@@ -55,6 +56,35 @@ TEST(Matrix, Equality) {
   EXPECT_EQ(a, b);
   b(0, 0) = 2.0f;
   EXPECT_FALSE(a == b);
+}
+
+/// A moved-from matrix is 0 x 0: its shape must not outlive its storage,
+/// or row() would pass its bounds check over null data.
+TEST(Matrix, MovedFromIsEmpty) {
+  MatrixF a(3, 4, 1.0f);
+  const float* storage = a.data();
+  MatrixF b(std::move(a));
+  EXPECT_EQ(b.rows(), 3);
+  EXPECT_EQ(b.cols(), 4);
+  EXPECT_EQ(b.data(), storage);
+  EXPECT_EQ(a.rows(), 0);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.cols(), 0);
+  EXPECT_EQ(a.size(), 0);
+  EXPECT_TRUE(a.empty());
+
+  MatrixF c(2, 2, 5.0f);
+  c = std::move(b);
+  EXPECT_EQ(c.rows(), 3);
+  EXPECT_EQ(c.cols(), 4);
+  EXPECT_FLOAT_EQ(c(2, 3), 1.0f);
+  EXPECT_EQ(b.rows(), 0);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.cols(), 0);
+  EXPECT_TRUE(b.empty());
+
+  MatrixF& alias = c;
+  c = std::move(alias);  // self-move keeps the matrix whole
+  EXPECT_EQ(c.rows(), 3);
+  EXPECT_EQ(c.size(), 12);
 }
 
 TEST(RandomMatrix, NormalMoments) {

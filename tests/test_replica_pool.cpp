@@ -1,7 +1,8 @@
 // Tests for the sharded engine-replica pool behind swat::Server
 // (ServerOptions::num_replicas): cross-replica determinism, the
-// per-replica stats/health ledger, replica-death quarantine, work
-// stealing, the per-replica watchdog, and a seeded chaos property test.
+// per-replica stats/health ledger, replica-death quarantine, the shared
+// ready queue's claim-ahead bound and its service around a wedged replica,
+// the per-replica watchdog, and a seeded chaos property test.
 //
 // The load-bearing guarantees under test:
 //   * WHICH replica executes a batch can never change a result bit: for
@@ -174,8 +175,8 @@ TEST_F(ReplicaPoolTest, BitIdentityAcrossReplicasOrdersAndThreads) {
         ServerOptions opt;
         opt.num_replicas = replicas;
         // Depth 1 pipelines dispatch so replicas actually run
-        // concurrently (and stealing is reachable) — determinism must
-        // survive the extra interleaving, not depend on its absence.
+        // concurrently — determinism must survive the extra
+        // interleaving, not depend on its absence.
         opt.replica_queue_depth = replicas > 1 ? 1 : 0;
         Server server(cfg, opt);
         std::vector<Server::Ticket> tickets(reqs.size());
@@ -290,12 +291,12 @@ TEST_F(ReplicaPoolTest, ConservationUnderMixedClassLoad) {
 
 // ------------------------------------------------------- replica death ----
 
-/// A replica death ("replica.execute" crossing) rejects exactly the batch
-/// that replica had claimed, quarantines it, and the pool keeps serving —
-/// degraded health, every ticket resolves, drain() returns.
-TEST_F(ReplicaPoolTest, ReplicaDeathIsolatedPoolKeepsServing) {
+/// One replica of three dies on its first claim at replica_queue_depth
+/// `depth`; the rest of the pool serves everything else.
+void expect_replica_death_isolated(std::size_t depth) {
   ServerOptions opt;
   opt.num_replicas = 3;
+  opt.replica_queue_depth = depth;
   opt.batching.max_batch_requests = 4;
   Server server(small_config(), opt);
 
@@ -361,6 +362,19 @@ TEST_F(ReplicaPoolTest, ReplicaDeathIsolatedPoolKeepsServing) {
   }
 }
 
+/// A replica death ("replica.execute" crossing) rejects exactly the batch
+/// that replica had claimed, quarantines it, and the pool keeps serving —
+/// degraded health, every ticket resolves, drain() returns. At depth 2 the
+/// ready queue can hold claimed-ahead batches when the replica dies; the
+/// survivors must serve them.
+TEST_F(ReplicaPoolTest, ReplicaDeathIsolatedPoolKeepsServing) {
+  for (const std::size_t depth : {0u, 2u}) {
+    SCOPED_TRACE("replica_queue_depth " + std::to_string(depth));
+    FaultInjector::global().reset();
+    expect_replica_death_isolated(depth);
+  }
+}
+
 /// When EVERY replica dies, serving has genuinely stopped: admission
 /// closes, every pending ticket is cleanly rejected, health is kFailed.
 TEST_F(ReplicaPoolTest, AllReplicasDeadFailsCleanly) {
@@ -393,15 +407,14 @@ TEST_F(ReplicaPoolTest, AllReplicasDeadFailsCleanly) {
   expect_conservation(server.stats());
 }
 
-// ------------------------------------------------------- work stealing ----
+// ------------------------------------------------- shared ready queue ----
 
-/// One wedged replica with a hot queue: an idle replica must steal its
-/// backlog instead of letting it sit. Singleton batches + a tie-breaking
-/// dispatcher drive queued work onto the wedged replica. The wedge holds
-/// until a steal is seen (bounded), so a slow host — the idle replica
-/// still busy with its own share when a fixed delay would end — cannot
-/// turn the wedged replica back into the one that serves its own queue.
-TEST_F(ReplicaPoolTest, IdleReplicaStealsFromWedgedReplicasQueue) {
+/// One wedged replica at depth 4: the other replica pulls every other
+/// batch from the shared ready queue instead of letting it wait behind the
+/// wedge. Singleton batches; the wedge holds until the free replica has
+/// served the other 11 (bounded), so a slow host cannot turn the wedged
+/// replica back into one that serves its share.
+TEST_F(ReplicaPoolTest, IdleReplicaServesAroundWedgedReplica) {
   ServerOptions opt;
   opt.num_replicas = 2;
   opt.replica_queue_depth = 4;
@@ -414,17 +427,22 @@ TEST_F(ReplicaPoolTest, IdleReplicaStealsFromWedgedReplicasQueue) {
   wedge.count = 1;  // the first batch to execute wedges its replica
   FaultInjector::global().arm("executor.execute", wedge);
 
+  constexpr std::int64_t kRequests = 12;
   std::vector<Server::Ticket> tickets;
-  for (int k = 0; k < 12; ++k) {
+  for (int k = 0; k < kRequests; ++k) {
     tickets.push_back(
         server.submit(make_request(static_cast<std::uint64_t>(k), 32)));
   }
-  const auto stolen = [&] {
-    return sum_replicas(server.stats(), [](const ReplicaStats& r) {
-      return r.batches_stolen;
-    });
+  const auto most_served = [&] {
+    std::int64_t most = 0;
+    for (const ReplicaStats& rep : server.stats().replicas) {
+      most = std::max(most, rep.served());
+    }
+    return most;
   };
-  for (int i = 0; i < 2000 && stolen() < 1; ++i) sleep_ms(5);
+  for (int i = 0; i < 2000 && most_served() < kRequests - 1; ++i) {
+    sleep_ms(5);
+  }
   FaultInjector::global().disarm("executor.execute");
   for (Server::Ticket& ticket : tickets) {
     EXPECT_NO_THROW(ticket.get());
@@ -433,17 +451,62 @@ TEST_F(ReplicaPoolTest, IdleReplicaStealsFromWedgedReplicasQueue) {
 
   const ServerStats stats = server.stats();
   expect_conservation(stats);
-  EXPECT_GE(sum_replicas(stats,
-                         [](const ReplicaStats& r) {
-                           return r.batches_stolen;
-                         }),
-            1)
-      << "the idle replica never stole from the wedged one";
-  int replicas_serving = 0;
-  for (const ReplicaStats& rep : stats.replicas) {
-    if (rep.served() > 0) ++replicas_serving;
+  ASSERT_EQ(stats.replicas.size(), 2u);
+  std::vector<std::int64_t> served = {stats.replicas[0].served(),
+                                      stats.replicas[1].served()};
+  std::sort(served.begin(), served.end());
+  EXPECT_EQ(served[0], 1) << "the wedged replica served only its own batch";
+  EXPECT_EQ(served[1], kRequests - 1)
+      << "the free replica left work waiting behind the wedge";
+}
+
+/// The claim-ahead bound with every replica wedged: the dispatcher holds
+/// at most max(depth * live, idle live) batches in the ready queue, and
+/// with singleton batches the scheduler stops claiming once that is full.
+/// Two replicas execute one batch each, depth 0 queues none and depth 2
+/// queues four, so the admission queue settles at 12 - 2 and 12 - 6.
+TEST_F(ReplicaPoolTest, ClaimAheadBoundWithEveryReplicaWedged) {
+  constexpr std::int64_t kRequests = 12;
+  for (const std::size_t depth : {0u, 2u}) {
+    SCOPED_TRACE("replica_queue_depth " + std::to_string(depth));
+    FaultInjector::global().reset();
+    ServerOptions opt;
+    opt.num_replicas = 2;
+    opt.replica_queue_depth = depth;
+    opt.batching.max_batch_requests = 1;
+    Server server(small_config(), opt);
+
+    FaultAction wedge;
+    wedge.kind = FaultKind::kDelay;
+    wedge.delay = Seconds{10.0};  // the bound; released by disarm below
+    wedge.count = 2;  // both replicas wedge on their first batch
+    FaultInjector::global().arm("executor.execute", wedge);
+
+    std::vector<Server::Ticket> tickets;
+    for (int k = 0; k < kRequests; ++k) {
+      tickets.push_back(
+          server.submit(make_request(static_cast<std::uint64_t>(k), 16)));
+    }
+    const std::size_t claimed = 2 + 2 * depth;
+    const std::size_t expected = kRequests - claimed;
+    // Wait for both wedges and the full ready queue, then hold a while to
+    // see that the scheduler claims nothing more.
+    for (int i = 0; i < 2000 && (server.stats().queue_depth > expected ||
+                                 FaultInjector::global().fires(
+                                     "executor.execute") < 2);
+         ++i) {
+      sleep_ms(5);
+    }
+    sleep_ms(100);
+    EXPECT_EQ(server.stats().queue_depth, expected);
+
+    FaultInjector::global().disarm("executor.execute");
+    for (Server::Ticket& ticket : tickets) {
+      EXPECT_NO_THROW(ticket.get());
+    }
+    server.drain();
+    expect_conservation(server.stats());
   }
-  EXPECT_EQ(replicas_serving, 2) << "work never spread across the pool";
 }
 
 // ---------------------------------------------- per-replica watchdog ----

@@ -1,6 +1,5 @@
 // Tests for the asynchronous continuous-batching server (src/runtime/
-// server.hpp) and the bounded MPMC queue underneath it (src/common/
-// concurrent_queue.hpp).
+// server.hpp).
 //
 // The load-bearing guarantee: for any arrival order, SWAT_THREADS, queue
 // bound, and batch cut the scheduler happens to make, every request's
@@ -11,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <limits>
 #include <random>
@@ -60,63 +58,6 @@ std::vector<InferenceRequest> make_requests(
     reqs.push_back(std::move(req));
   }
   return reqs;
-}
-
-// ---------------------------------------------------- concurrent queue ----
-
-TEST(ConcurrentQueue, FifoAndTryPop) {
-  ConcurrentQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.try_pop(), 2);
-  EXPECT_EQ(q.try_pop(), std::nullopt);
-}
-
-TEST(ConcurrentQueue, RejectPolicyFailsAtCapacityWithoutBlocking) {
-  ConcurrentQueue<int> q(2, OverflowPolicy::kReject);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_FALSE(q.push(3));  // full -> shed, no waiting
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_TRUE(q.push(3));  // slot freed
-}
-
-TEST(ConcurrentQueue, BlockPolicyParksProducerUntilConsumerFreesSlot) {
-  ConcurrentQueue<int> q(1, OverflowPolicy::kBlock);
-  ASSERT_TRUE(q.push(1));
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(q.push(2));  // parks until the pop below
-    second_pushed.store(true);
-  });
-  // The producer cannot finish while the queue is full. (A sleep cannot
-  // prove blocking, but a failure here means push returned without space.)
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.pop(), 1);
-  producer.join();
-  EXPECT_TRUE(second_pushed.load());
-  EXPECT_EQ(q.pop(), 2);
-}
-
-TEST(ConcurrentQueue, CloseFailsPushesDrainsPopsWakesWaiters) {
-  ConcurrentQueue<int> q(4);
-  ASSERT_TRUE(q.push(1));
-  ASSERT_TRUE(q.push(2));
-  q.close();
-  EXPECT_FALSE(q.push(3));       // nothing admitted after close
-  EXPECT_EQ(q.pop(), 1);         // already-admitted items still drain
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), std::nullopt);  // closed AND drained -> exhausted
-
-  // A consumer parked on an empty queue must wake on close.
-  ConcurrentQueue<int> empty(2);
-  std::thread consumer([&] { EXPECT_EQ(empty.pop(), std::nullopt); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  empty.close();
-  consumer.join();
 }
 
 // ------------------------------------------------------------- server ----
